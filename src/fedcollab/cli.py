@@ -91,13 +91,15 @@ def _cmd_simulate(args) -> int:
         config, edges, train_config, file_reps = formats.parse_sim_config(_read(args.config))
         if args.seed is not None:
             config = with_seed(config, args.seed)
+    if args.reps is not None and args.reps < 1:
+        raise formats.FileFormatError(f"--reps must be at least 1, got {args.reps}")
     methods = tuple(args.methods.split(",")) if args.methods else METHODS
     for m in methods:
         if m not in METHODS:
             raise formats.FileFormatError(
                 f"unknown method {m!r}; expected a subset of {','.join(METHODS)}")
     benefit = formats.parse_benefit(_read(args.benefit)) if args.benefit else None
-    reps = args.reps if args.reps is not None else (file_reps or 10)
+    reps = args.reps if args.reps is not None else (file_reps if file_reps is not None else 10)
     report, _ = run_experiment(config, edges, methods=methods, train_config=train_config,
                                reps=reps, benefit=benefit, preset=args.preset)
     _write(args.out, formats.report_to_csv(report))

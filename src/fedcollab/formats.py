@@ -14,12 +14,20 @@ import re
 import numpy as np
 
 from .fedtrain import ExperimentReport, TrainConfig
-from .graphs import Instance, UsageGraph
+from .graphs import Instance, InvalidInstanceError, UsageGraph
 from .partition import Partition
 from .selection import SelectionTrace
 from .synthdata import SyntheticConfig
 
 _TOKEN = re.compile(r"\S+")
+
+MAX_NODES = 4096
+"""Largest participant count an input file may declare (exit code 3 above).
+
+Instance, benefit and report files become dense n x n float64 matrices,
+128 MiB each at this bound, and selection keeps five n x n boolean
+matrices besides; a larger count is refused before anything is allocated.
+"""
 
 
 class FileFormatError(ValueError):
@@ -86,6 +94,18 @@ def _expect(tokens, count: int, line: int, usage: str) -> None:
         raise FileFormatError(f"expected {usage}", line, tokens[min(count, len(tokens) - 1)][1])
 
 
+def _parse_n(tokens, line: int) -> int:
+    """The count of an 'n <count>' line, positive and at most MAX_NODES."""
+    _expect(tokens, 2, line, "'n <count>'")
+    n = _parse_int(tokens[1][0], line, tokens[1][1], "n")
+    if n < 1:
+        raise FileFormatError("n must be positive", line, tokens[1][1])
+    if n > MAX_NODES:
+        raise InvalidInstanceError(f"line {line}: n={n} exceeds the limit of "
+                                   f"{MAX_NODES} participants")
+    return n
+
+
 def _need_n(n: int | None, line: int, col: int) -> int:
     if n is None:
         raise FileFormatError("'n' must be declared before any edges", line, col)
@@ -106,12 +126,9 @@ def parse_instance(text: str) -> Instance:
     for line, tokens in _tokenize(text):
         key, col = tokens[0]
         if key == "n":
-            _expect(tokens, 2, line, "'n <count>'")
             if n is not None:
                 raise FileFormatError("duplicate 'n' declaration", line, col)
-            n = _parse_int(tokens[1][0], line, tokens[1][1], "n")
-            if n < 1:
-                raise FileFormatError("n must be positive", line, tokens[1][1])
+            n = _parse_n(tokens, line)
         elif key == "competing":
             _expect(tokens, 3, line, "'competing <a> <b>'")
             nn = _need_n(n, line, col)
@@ -178,12 +195,9 @@ def parse_usage(text: str, expected_n: int | None = None) -> UsageGraph:
     for line, tokens in _tokenize(text):
         key, col = tokens[0]
         if key == "n":
-            _expect(tokens, 2, line, "'n <count>'")
             if n is not None:
                 raise FileFormatError("duplicate 'n' declaration", line, col)
-            n = _parse_int(tokens[1][0], line, tokens[1][1], "n")
-            if n < 1:
-                raise FileFormatError("n must be positive", line, tokens[1][1])
+            n = _parse_n(tokens, line)
             if expected_n is not None and n != expected_n:
                 raise FileFormatError(f"usage graph has n={n} but the instance has "
                                       f"n={expected_n}", line, tokens[1][1])
@@ -251,12 +265,9 @@ def parse_benefit(text: str) -> np.ndarray:
     for line, tokens in _tokenize(text):
         key, col = tokens[0]
         if key == "n":
-            _expect(tokens, 2, line, "'n <count>'")
             if n is not None:
                 raise FileFormatError("duplicate 'n' declaration", line, col)
-            n = _parse_int(tokens[1][0], line, tokens[1][1], "n")
-            if n < 1:
-                raise FileFormatError("n must be positive", line, tokens[1][1])
+            n = _parse_n(tokens, line)
             matrix = np.zeros((n, n))
         elif key == "benefit":
             _expect(tokens, 4, line, "'benefit <from> <to> <weight>'")
@@ -307,10 +318,7 @@ def parse_sim_config(text: str):
     for line, tokens in _tokenize(text):
         key, col = tokens[0]
         if key == "n":
-            _expect(tokens, 2, line, "'n <count>'")
-            n = _parse_int(tokens[1][0], line, tokens[1][1], "n")
-            if n < 1:
-                raise FileFormatError("n must be positive", line, tokens[1][1])
+            n = _parse_n(tokens, line)
         elif key == "samples":
             samples = tuple(_parse_int(t, line, c, "sample count") for t, c in tokens[1:])
             if not samples:
@@ -326,6 +334,8 @@ def parse_sim_config(text: str):
         elif key == "reps":
             _expect(tokens, 2, line, "'reps <count>'")
             reps = _parse_int(tokens[1][0], line, tokens[1][1], "reps")
+            if reps < 1:
+                raise FileFormatError(f"reps must be at least 1, got {reps}", line, tokens[1][1])
         elif key in _CONFIG_TRAIN_KEYS:
             _expect(tokens, 2, line, f"'{key} <value>'")
             caster = _CONFIG_TRAIN_KEYS[key]
@@ -463,8 +473,7 @@ def parse_report(text: str) -> ExperimentReport:
         key, col = tokens[0]
         rest = [t for t, _ in tokens[1:]]
         if key == "n":
-            _expect(tokens, 2, line, "'n <count>'")
-            n = _parse_int(tokens[1][0], line, tokens[1][1], "n")
+            n = _parse_n(tokens, line)
         elif key == "methods":
             if not rest:
                 raise FileFormatError("'methods' needs at least one method", line, col)

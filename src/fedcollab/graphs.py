@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-
 
 class InvalidInstanceError(ValueError):
     """Raised when an instance violates the data-model invariants."""
@@ -156,7 +154,8 @@ class UsageGraph:
         if self.x[j, i]:
             raise ValueError(f"edge ({j}, {i}) already present")
         self.x[j, i] = True
-        _kernels.update_closure(self.closure.view(np.uint8), j, i)
+        # the new paths are exactly p -> j -> i -> q
+        self.closure |= np.outer(self.closure[:, j], self.closure[i])
         return self
 
     def reachable_from(self, i: int) -> set[int]:
@@ -210,12 +209,19 @@ def competitor_guards(instance: Instance, usage: UsageGraph,
     holds competitors of nodes reachable from i which already reach j.
     Equivalently, upstream is the intersection of i's descendants with
     the competitors of j's ancestors, and symmetrically for downstream.
+
+    This direct O(n^2) scan is the reference form: the selection engine
+    reads the same sets in O(n) from the conflict matrices it maintains
+    (:func:`fedcollab.selection.conflict_matrices`).
     """
     i, j = instance.check_node(i), instance.check_node(j)
     if i == j:
         raise ValueError("guard sets are defined for distinct nodes only")
-    upstream, downstream = _kernels.guard_masks(
-        instance.competing.view(np.uint8), usage.closure.view(np.uint8), i, j)
+    comp, clo = instance.competing, usage.closure
+    # row k of comp & clo[:, j] is nonempty iff k competes with an ancestor
+    # of j; competing is symmetric, so the same holds for descendants of i
+    upstream = (comp & clo[:, j]).any(axis=1) & clo[i]
+    downstream = (comp & clo[i]).any(axis=1) & clo[:, j]
     return (frozenset(np.flatnonzero(upstream).tolist()),
             frozenset(np.flatnonzero(downstream).tolist()))
 

@@ -7,15 +7,21 @@ nonincreasing benefit order, and a candidate j is accepted iff both
 conflict guards for the edge j -> i are empty against the current usage
 graph. Accepted edges update the reachability closure immediately, so
 later candidates of the same step see them. The result always satisfies
-the conflict-freedom constraint, and the per-step scan is O(n^3) for an
-O(n^4) total.
-"""
+the conflict-freedom constraint.
 
+Alongside the closure the engine keeps two conflict matrices (see
+:func:`conflict_matrices`) that turn each guard check into two row ANDs.
+A guard check is therefore O(n), and an accepted edge j -> i costs
+O(n·|desc(i)| + n·|anc(j)|) to update the matrices on top of the O(n^2)
+closure update.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Instance, UsageGraph, competitor_guards, conflict_free, potentials
+import numpy as np
+
+from .graphs import Instance, UsageGraph, conflict_free, potentials
 
 
 @dataclass(frozen=True)
@@ -71,8 +77,32 @@ def candidate_collaborators(instance: Instance, i: int) -> list[int]:
     return sorted(js, key=lambda j: (-w[j], j))
 
 
-def select_step(instance: Instance, usage: UsageGraph, i: int) -> StepTrace:
+def conflict_matrices(instance: Instance, usage: UsageGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The two n x n boolean matrices behind the O(n) guard check.
+
+    Returns ``(anc_comp, desc_comp)``: ``anc_comp[q, k]`` is true when k
+    competes with an ancestor-or-self of q in ``usage``, ``desc_comp[q, k]``
+    when k competes with a descendant-or-self of q. For the edge j -> i the
+    guard sets of :func:`fedcollab.graphs.competitor_guards` are then
+    ``anc_comp[j] & closure[i]`` (upstream) and ``desc_comp[i] & closure[:, j]``
+    (downstream). On an empty usage graph both equal ``competing``.
+    """
+    comp = instance.competing.astype(np.float32)
+    clo = usage.closure.astype(np.float32)
+    # entries count witnesses, at most n, so float32 sums are exact
+    return clo.T @ comp > 0, clo @ comp > 0
+
+
+def select_step(instance: Instance, usage: UsageGraph, i: int,
+                pot: np.ndarray | None = None,
+                conflicts: tuple[np.ndarray, np.ndarray] | None = None) -> StepTrace:
     """Greedily pick i's collaborators, mutating `usage` in place.
+
+    ``pot`` is the :func:`fedcollab.graphs.potentials` vector and
+    ``conflicts`` the :func:`conflict_matrices` of ``usage``; both are
+    computed when omitted. Passed-in conflict matrices are updated in place
+    with every accepted edge, so a caller running several steps on one
+    usage graph keeps them in step by passing the same pair each time.
 
     Requires a conflict-free usage graph on entry (guaranteed when driven
     by :func:`select_collaborators`); a violation here is a programming
@@ -80,28 +110,36 @@ def select_step(instance: Instance, usage: UsageGraph, i: int) -> StepTrace:
     """
     if not conflict_free(instance, usage):
         raise RuntimeError("usage graph already violates conflict freedom before selection step")
+    if pot is None:
+        pot = potentials(instance)
+    anc_comp, desc_comp = conflicts if conflicts is not None else conflict_matrices(instance, usage)
     w = instance.benefit[:, i]
     decisions = []
     objective = 0.0
     for j in candidate_collaborators(instance, i):
-        if usage.x[j, i]:
-            # already authorized by an earlier step; part of the realized value
-            objective += float(w[j])
-            decisions.append(CandidateDecision(j, float(w[j]), True, (), ()))
-            continue
-        upstream, downstream = competitor_guards(instance, usage, i, j)
-        ok = not upstream and not downstream
-        if ok:
+        # an edge authorized by an earlier step is accepted as it stands
+        if not usage.x[j, i]:
+            clo = usage.closure
+            upstream = (anc_comp[j] & clo[i]).nonzero()[0]
+            downstream = (desc_comp[i] & clo[:, j]).nonzero()[0]
+            if upstream.size or downstream.size:
+                decisions.append(CandidateDecision(
+                    candidate=j,
+                    weight=float(w[j]),
+                    accepted=False,
+                    guard_upstream=tuple(upstream.tolist()),
+                    guard_downstream=tuple(downstream.tolist()),
+                ))
+                continue
+            # the edge gives every descendant of i the ancestors of j, and
+            # every ancestor of j the descendants of i; both masks are read
+            # before the closure changes, each right-hand row before any write
+            anc_comp[clo[i]] |= anc_comp[j]
+            desc_comp[clo[:, j]] |= desc_comp[i]
             usage.add_edge(j, i)
-            objective += float(w[j])
-        decisions.append(CandidateDecision(
-            candidate=j,
-            weight=float(w[j]),
-            accepted=ok,
-            guard_upstream=tuple(sorted(upstream)),
-            guard_downstream=tuple(sorted(downstream)),
-        ))
-    return StepTrace(participant=i, potential=float(potentials(instance)[i]),
+        objective += float(w[j])
+        decisions.append(CandidateDecision(j, float(w[j]), True, (), ()))
+    return StepTrace(participant=i, potential=float(pot[i]),
                      decisions=tuple(decisions), objective=objective)
 
 
@@ -113,5 +151,7 @@ def select_collaborators(instance: Instance) -> tuple[UsageGraph, SelectionTrace
     """
     usage = UsageGraph(instance.n)
     order = processing_order(instance)
-    steps = tuple(select_step(instance, usage, i) for i in order)
+    pot = potentials(instance)
+    conflicts = conflict_matrices(instance, usage)
+    steps = tuple(select_step(instance, usage, i, pot, conflicts) for i in order)
     return usage, SelectionTrace(order=tuple(order), steps=steps)

@@ -62,6 +62,13 @@ class TestSelect:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["select", "--instance", str(tmp_path / "nope.txt")]) == 2
 
+    def test_oversized_n_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "huge.txt"
+        bad.write_text("n 100000000\n")
+        assert main(["select", "--instance", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert f"limit of {formats.MAX_NODES}" in err and len(err.splitlines()) == 1
+
     def test_invalid_instance_exits_3(self, tmp_path):
         bad = tmp_path / "complete.txt"
         bad.write_text("n 2\ncompeting v1 v2\nbenefit v1 v2 1.0\n")
@@ -173,6 +180,24 @@ class TestSimulate:
             assert main(["simulate", "--config", str(cfg),
                          "--out", str(tmp_path / "t.csv")]) == 4
         assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_nonpositive_reps_flag_exits_2(self, tmp_path, capsys, reps):
+        cfg = tmp_path / "sim.txt"
+        cfg.write_text(SIM_CONFIG)
+        assert main(["simulate", "--config", str(cfg), "--reps", reps,
+                     "--out", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --reps must be at least 1, got {reps}\n"
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_zero_reps_in_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.txt"
+        cfg.write_text(SIM_CONFIG.replace("reps 2", "reps 0"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "line 7" in err and "reps must be at least 1" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestReport:

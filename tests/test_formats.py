@@ -164,3 +164,12 @@ class TestReportFormat:
         with pytest.raises(FileFormatError, match="missing mse rows"):
             formats.parse_report("n 2\nmethods local\nconfig_samples 5 5\n"
                                  "mse local v1 0.5 0.1\n")
+
+
+@pytest.mark.parametrize("parse", [formats.parse_instance, formats.parse_usage,
+                                   formats.parse_benefit, formats.parse_sim_config,
+                                   formats.parse_report])
+def test_every_n_line_is_bounded(parse):
+    # refused before any n x n matrix is allocated
+    with pytest.raises(InvalidInstanceError, match=f"line 2: n={formats.MAX_NODES + 1} exceeds"):
+        parse(f"# header\nn {formats.MAX_NODES + 1}\n")

@@ -1,14 +1,20 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedcollab.graphs import Instance, UsageGraph, conflict_free
+from fedcollab import formats
+from fedcollab.cli import main
+from fedcollab.graphs import Instance, UsageGraph, competitor_guards, conflict_free
 from fedcollab.oracle import conflict_free_by_paths
-from fedcollab.selection import (candidate_collaborators, processing_order,
+from fedcollab.selection import (candidate_collaborators, conflict_matrices, processing_order,
                                  select_collaborators, select_step)
 from fedcollab.synthdata import (STRONG_COMPETING_EDGES, WEAK_COMPETING_EDGES,
                                  competing_matrix)
 
-from conftest import make_instance
+from conftest import make_instance, make_usage
 
 
 def no_competition(w):
@@ -177,3 +183,88 @@ class TestSelectAll:
             step = select_step(inst, usage, i)
             assert step.objective == pytest.approx(verdict.optimal_value, abs=1e-12)
             assert conflict_free(inst, usage)
+
+
+class TestConflictMatrices:
+    def test_match_definition(self, rng):
+        # arbitrary usage graphs, cycles and conflicts included
+        for _ in range(30):
+            inst = make_instance(rng, edge_prob=0.3)
+            n = inst.n
+            usage = make_usage(rng, n, max_edges=2 * n)
+            c, s = usage.closure, inst.competing
+            anc_comp, desc_comp = conflict_matrices(inst, usage)
+            for q in range(n):
+                for k in range(n):
+                    assert anc_comp[q, k] == any(c[a, q] and s[a, k] for a in range(n))
+                    assert desc_comp[q, k] == any(c[q, d] and s[d, k] for d in range(n))
+
+    def test_passed_matrices_track_the_usage_graph(self, rng):
+        for _ in range(30):
+            inst = make_instance(rng, edge_prob=0.3)
+            usage = UsageGraph(inst.n)
+            conflicts = conflict_matrices(inst, usage)
+            for i in processing_order(inst):
+                select_step(inst, usage, i, conflicts=conflicts)
+                for kept, fresh in zip(conflicts, conflict_matrices(inst, usage)):
+                    assert np.array_equal(kept, fresh)
+
+    def test_steps_without_matrices_match_full_run(self, rng):
+        for _ in range(20):
+            inst = make_instance(rng, edge_prob=0.3)
+            usage, trace = select_collaborators(inst)
+            replay = UsageGraph(inst.n)
+            steps = tuple(select_step(inst, replay, i) for i in trace.order)
+            assert steps == trace.steps
+            assert replay == usage
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=2, max_value=30), st.floats(min_value=0.0, max_value=0.5),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_recorded_guards_match_reference_scan(n, density, seed):
+    # replay the accepted edges and, at every decision, recompute the guard
+    # sets with the direct scan on the usage graph as it stood then
+    inst = make_instance(np.random.default_rng(seed), n, edge_prob=density)
+    usage, trace = select_collaborators(inst)
+    replay = UsageGraph(n)
+    for step in trace.steps:
+        i = step.participant
+        for d in step.decisions:
+            if replay.x[d.candidate, i]:
+                assert d.accepted and d.guard_upstream == d.guard_downstream == ()
+                continue
+            upstream, downstream = competitor_guards(inst, replay, i, d.candidate)
+            assert d.guard_upstream == tuple(sorted(upstream))
+            assert d.guard_downstream == tuple(sorted(downstream))
+            assert d.accepted == (not upstream and not downstream)
+            if d.accepted:
+                replay.add_edge(d.candidate, i)
+    assert replay == usage
+
+
+def seeded_instance(seed: int, n: int, competition: float, benefit: float = 0.3) -> Instance:
+    rng = np.random.default_rng(seed)
+    s = np.triu(rng.random((n, n)) < competition, 1)
+    s = s | s.T
+    w = np.where(rng.random((n, n)) < benefit, rng.uniform(0.05, 1.0, (n, n)), 0.0)
+    np.fill_diagonal(w, 0.0)
+    return Instance(n, s, w)
+
+
+# SHA-256 of `fedcollab select` output as written by the direct-scan engine
+# (before the conflict matrices); any byte drift in the output fails here.
+GOLDEN_SELECT = [
+    (11, 40, 0.02, "42842fe197246703dcd3adaec9f9da3f367edce7f2a69ea334e81e3a821d3f27"),
+    (12, 40, 0.15, "4033ab343a4279941863f1faddf05cb114980a2d595414c68fe046fc40f63da4"),
+    (13, 160, 0.01, "de179f418560fdbb9bb90d768b176488a1fc89af061a71c152ef2c4f3f081a7c"),
+    (14, 160, 0.15, "bb8fa67b7a48a46d98ed85b14c82f21a559b58c192c13d49fff73665150575dd"),
+]
+
+
+@pytest.mark.parametrize("seed,n,competition,digest", GOLDEN_SELECT)
+def test_select_output_is_byte_stable(tmp_path, seed, n, competition, digest):
+    src, out = tmp_path / "instance.txt", tmp_path / "selection.txt"
+    src.write_text(formats.serialize_instance(seeded_instance(seed, n, competition)))
+    assert main(["select", "--instance", str(src), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
