@@ -167,6 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise formats.FileFormatError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except formats.FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,22 +6,25 @@ error. Epochs walk the participant's own training split, so the number
 of gradient steps per round scales with local sample count — the
 mechanism through which quantity skew hurts small participants.
 
-Four pipelines are provided:
+All four pipelines run the same round loop. Each participant i has a
+*mixing row* (sources, coefs): every round, i starts from
+sum(coefs[k] * model[sources[k]]) over the previous round's models and
+trains ``local_epochs`` on its own data. Only the rows differ:
 
-* ``local`` — every participant trains alone.
-* ``fedavg`` — classic parameter averaging inside each group of a
-  partition (sample-count weighted), one shared model per group.
-* ``ce`` — the same procedure over coalition groups (strongly connected
+* ``local`` — ((i,), [1]): every participant trains alone.
+* ``fedavg`` — the participant's group of a partition, weighted by
+  sample count; the group's shared model is mixed once more after the
+  last round, so every member ends with the same model.
+* ``ce`` — the same over coalition groups (strongly connected
   components of the benefit graph inside each clique).
-* ``fedcompetitors`` — personalized: each round, participant i restarts
-  local training from a normalized weighted average of its own model
-  and its authorized collaborators' models, the collaborator weights
-  being their benefit values and the self weight the largest of them
-  (nobody trusts a collaborator more than itself).
+* ``fedcompetitors`` — personalized: i itself and its authorized
+  collaborators, the collaborator weights being their benefit values
+  and the self weight the largest of them (nobody trusts a
+  collaborator more than itself), normalized to sum 1.
 
 Every participant draws shuffling randomness from its own seeded
 stream, so a participant's trained model depends only on its own data
-and the models that reach it through the usage graph.
+and the models that reach it through its mixing row.
 """
 
 from __future__ import annotations
@@ -111,35 +114,6 @@ def _check_finite(thetas: np.ndarray, context: str) -> None:
         raise TrainingDivergenceError(f"non-finite model parameters during {context}")
 
 
-def _local_models(task: SyntheticTask, train_data, epochs: int, cfg: TrainConfig,
-                  streams) -> np.ndarray:
-    thetas = np.zeros((task.n, task.config.degree))
-    for i in range(task.n):
-        phi, y = train_data[i]
-        thetas[i] = _sgd_epochs(thetas[i], phi, y, epochs,
-                                cfg.learning_rate, cfg.batch_size, streams[i])
-    _check_finite(thetas, "local training")
-    return thetas
-
-
-def _fedavg_models(task: SyntheticTask, train_data, groups, cfg: TrainConfig,
-                   streams) -> np.ndarray:
-    thetas = np.zeros((task.n, task.config.degree))
-    for group in groups:
-        shared = np.zeros(task.config.degree)
-        sizes = np.array([len(train_data[i][1]) for i in group], dtype=np.float64)
-        weights = sizes / sizes.sum()
-        for rnd in range(cfg.rounds):
-            updates = [_sgd_epochs(shared, *train_data[i], cfg.local_epochs,
-                                   cfg.learning_rate, cfg.batch_size, streams[i])
-                       for i in group]
-            shared = sum(w * u for w, u in zip(weights, updates))
-            _check_finite(shared, f"round {rnd} of group {group}")
-        for i in group:
-            thetas[i] = shared
-    return thetas
-
-
 def aggregation_coefficients(usage: UsageGraph, benefit: np.ndarray,
                              i: int) -> tuple[list[int], np.ndarray]:
     """Personalized mixing weights for participant i: (collaborators, coefs).
@@ -156,29 +130,68 @@ def aggregation_coefficients(usage: UsageGraph, benefit: np.ndarray,
     return collaborators, raw / raw.sum()
 
 
-def _fedcompetitors_models(task: SyntheticTask, train_data, usage: UsageGraph,
-                           benefit: np.ndarray, cfg: TrainConfig, streams) -> np.ndarray:
-    n = task.n
-    thetas = np.zeros((n, task.config.degree))
-    mixing = [aggregation_coefficients(usage, benefit, i) for i in range(n)]
-    for collaborators, coefs in mixing:
+# A mixing row (sources, coefs): a round starts from sum(coefs[k] * model[sources[k]]).
+Mixing = tuple[tuple[int, ...], tuple[float, ...]]
+
+
+def _mixing(method: str, grouping, benefit: np.ndarray | None,
+            sizes: list[int]) -> tuple[list[Mixing], bool]:
+    """Each participant's mixing row for ``method``, and whether the
+    models are mixed once more after the last round (fedavg and ce, when
+    some group has more than one member)."""
+    n = len(sizes)
+    if method == "local":
+        if isinstance(grouping, UsageGraph):
+            raise ValueError("local training takes a Partition or no grouping")
+        return [((i,), (1.0,)) for i in range(n)], False
+    if method in ("fedavg", "ce"):
+        if not isinstance(grouping, Partition):
+            raise ValueError(f"{method} requires a Partition grouping")
+        if sorted(i for g in grouping.groups for i in g) != list(range(n)):
+            raise ValueError(f"{method} requires groups covering every participant once")
+        rows: list = [None] * n
+        for group in grouping.groups:
+            weights = np.array([sizes[i] for i in group], dtype=np.float64)
+            weights = tuple((weights / weights.sum()).tolist())
+            for i in group:
+                rows[i] = (tuple(group), weights)
+        return rows, any(len(g) > 1 for g in grouping.groups)
+    if method != "fedcompetitors":
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if not isinstance(grouping, UsageGraph):
+        raise ValueError("fedcompetitors requires a UsageGraph grouping")
+    if benefit is None:
+        raise ValueError("fedcompetitors requires the benefit matrix")
+    rows = []
+    for i in range(n):
+        collaborators, coefs = aggregation_coefficients(grouping, benefit, i)
         if abs(float(coefs.sum()) - 1.0) > 1e-9:
             raise TrainingDivergenceError("aggregation weights do not sum to one")
+        rows.append(((i, *collaborators), tuple(coefs.tolist())))
+    return rows, False
+
+
+def _mix(thetas: np.ndarray, row: Mixing) -> ModelParams:
+    # an ordered Python sum, not a matrix product, so the rounding is fixed
+    sources, coefs = row
+    return sum(c * thetas[j] for c, j in zip(coefs, sources))
+
+
+def _round_loop(task: SyntheticTask, rows: list[Mixing], mix_after: bool,
+                cfg: TrainConfig, seed: int):
+    """The models after ``cfg.rounds`` rounds of the mixing rows, and the
+    validation data to score them on."""
+    streams = _participant_streams(seed, task.n)
+    train_data, val_data = _prepared(task)
+    thetas = np.zeros((task.n, task.config.degree))
     for rnd in range(cfg.rounds):
-        snapshot = thetas.copy()
-        for i in range(n):
-            collaborators, coefs = mixing[i]
-            if collaborators:
-                assert abs(float(coefs.sum()) - 1.0) <= 1e-9
-                base = coefs[0] * snapshot[i]
-                for c, j in zip(coefs[1:], collaborators):
-                    base = base + c * snapshot[j]
-            else:
-                base = snapshot[i]
-            thetas[i] = _sgd_epochs(base, *train_data[i], cfg.local_epochs,
-                                    cfg.learning_rate, cfg.batch_size, streams[i])
+        thetas = np.array([_sgd_epochs(_mix(thetas, row), *train_data[i], cfg.local_epochs,
+                                       cfg.learning_rate, cfg.batch_size, streams[i])
+                           for i, row in enumerate(rows)])
         _check_finite(thetas, f"round {rnd}")
-    return thetas
+    if mix_after:
+        thetas = np.array([_mix(thetas, row) for row in rows])
+    return thetas, val_data
 
 
 def train(task: SyntheticTask, method: str, *, grouping=None,
@@ -189,28 +202,9 @@ def train(task: SyntheticTask, method: str, *, grouping=None,
     ``grouping`` must be a Partition for fedavg/ce (optional for local)
     and a UsageGraph plus ``benefit`` for fedcompetitors.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    rows, mix_after = _mixing(method, grouping, benefit, [len(t) for t in task.train_idx])
     seed = task.config.seed if seed is None else seed
-    streams = _participant_streams(seed, task.n)
-    train_data, val_data = _prepared(task)
-    cfg = train_config
-
-    if method == "local":
-        if isinstance(grouping, UsageGraph):
-            raise ValueError("local training takes a Partition or no grouping")
-        thetas = _local_models(task, train_data, cfg.rounds * cfg.local_epochs, cfg, streams)
-    elif method in ("fedavg", "ce"):
-        if not isinstance(grouping, Partition):
-            raise ValueError(f"{method} requires a Partition grouping")
-        thetas = _fedavg_models(task, train_data, grouping.groups, cfg, streams)
-    else:
-        if not isinstance(grouping, UsageGraph):
-            raise ValueError("fedcompetitors requires a UsageGraph grouping")
-        if benefit is None:
-            raise ValueError("fedcompetitors requires the benefit matrix")
-        thetas = _fedcompetitors_models(task, train_data, grouping, benefit, cfg, streams)
-
+    thetas, val_data = _round_loop(task, rows, mix_after, train_config, seed)
     scores = np.array([mean_squared_error(thetas[i], *val_data[i]) for i in range(task.n)])
     if not np.isfinite(scores).all():
         raise TrainingDivergenceError("non-finite validation loss")
@@ -229,9 +223,8 @@ def estimate_benefit(task: SyntheticTask, train_config: TrainConfig = TrainConfi
     """
     seed = task.config.seed if seed is None else seed
     cfg = train_config
-    streams = _participant_streams(seed, task.n)
-    train_data, val_data = _prepared(task)
-    thetas = _local_models(task, train_data, cfg.rounds * cfg.local_epochs, cfg, streams)
+    rows, _ = _mixing("local", None, None, [len(t) for t in task.train_idx])
+    thetas, val_data = _round_loop(task, rows, False, cfg, seed)
 
     n = task.n
     cross = np.empty((n, n))
@@ -323,10 +316,17 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
     for rep in range(reps):
         rep_seed = _rep_seed(config.seed, rep)
         task = generate_task(with_seed(config, rep_seed))
+        # methods whose mixings coincide (ce on singleton coalitions and local,
+        # say) train bit-identical models, so each distinct mixing trains once
+        trained: dict = {}
         for m in methods:
-            scores[m].append(train(task, m, grouping=grouping[m],
-                                   benefit=instance.benefit if m == "fedcompetitors" else None,
-                                   train_config=train_config, seed=rep_seed))
+            rows, mix_after = _mixing(m, grouping[m], instance.benefit,
+                                      [len(t) for t in task.train_idx])
+            key = (tuple(rows), mix_after)
+            if key not in trained:
+                trained[key] = train(task, m, grouping=grouping[m], benefit=instance.benefit,
+                                     train_config=train_config, seed=rep_seed)
+            scores[m].append(trained[key])
 
     mean = {m: tuple(float(v) for v in np.mean(scores[m], axis=0)) for m in methods}
     std = {m: tuple(float(v) for v in np.std(scores[m], axis=0)) for m in methods}

@@ -94,8 +94,11 @@ def _expect(tokens, count: int, line: int, usage: str) -> None:
         raise FileFormatError(f"expected {usage}", line, tokens[min(count, len(tokens) - 1)][1])
 
 
-def _parse_n(tokens, line: int) -> int:
-    """The count of an 'n <count>' line, positive and at most MAX_NODES."""
+def _parse_n(tokens, line: int, declared: int | None) -> int:
+    """The count of an 'n <count>' line, positive and at most MAX_NODES;
+    ``declared`` is the count of an earlier 'n' line, if any."""
+    if declared is not None:
+        raise FileFormatError("duplicate 'n' declaration", line, tokens[0][1])
     _expect(tokens, 2, line, "'n <count>'")
     n = _parse_int(tokens[1][0], line, tokens[1][1], "n")
     if n < 1:
@@ -126,9 +129,7 @@ def parse_instance(text: str) -> Instance:
     for line, tokens in _tokenize(text):
         key, col = tokens[0]
         if key == "n":
-            if n is not None:
-                raise FileFormatError("duplicate 'n' declaration", line, col)
-            n = _parse_n(tokens, line)
+            n = _parse_n(tokens, line, n)
         elif key == "competing":
             _expect(tokens, 3, line, "'competing <a> <b>'")
             nn = _need_n(n, line, col)
@@ -195,9 +196,7 @@ def parse_usage(text: str, expected_n: int | None = None) -> UsageGraph:
     for line, tokens in _tokenize(text):
         key, col = tokens[0]
         if key == "n":
-            if n is not None:
-                raise FileFormatError("duplicate 'n' declaration", line, col)
-            n = _parse_n(tokens, line)
+            n = _parse_n(tokens, line, n)
             if expected_n is not None and n != expected_n:
                 raise FileFormatError(f"usage graph has n={n} but the instance has "
                                       f"n={expected_n}", line, tokens[1][1])
@@ -265,9 +264,7 @@ def parse_benefit(text: str) -> np.ndarray:
     for line, tokens in _tokenize(text):
         key, col = tokens[0]
         if key == "n":
-            if n is not None:
-                raise FileFormatError("duplicate 'n' declaration", line, col)
-            n = _parse_n(tokens, line)
+            n = _parse_n(tokens, line, n)
             matrix = np.zeros((n, n))
         elif key == "benefit":
             _expect(tokens, 4, line, "'benefit <from> <to> <weight>'")
@@ -318,7 +315,7 @@ def parse_sim_config(text: str):
     for line, tokens in _tokenize(text):
         key, col = tokens[0]
         if key == "n":
-            n = _parse_n(tokens, line)
+            n = _parse_n(tokens, line, n)
         elif key == "samples":
             samples = tuple(_parse_int(t, line, c, "sample count") for t, c in tokens[1:])
             if not samples:
@@ -473,7 +470,7 @@ def parse_report(text: str) -> ExperimentReport:
         key, col = tokens[0]
         rest = [t for t, _ in tokens[1:]]
         if key == "n":
-            n = _parse_n(tokens, line)
+            n = _parse_n(tokens, line, n)
         elif key == "methods":
             if not rest:
                 raise FileFormatError("'methods' needs at least one method", line, col)
@@ -545,9 +542,12 @@ def parse_report(text: str) -> ExperimentReport:
             raise FileFormatError(f"report is missing mse rows for method {method!r}", 1, 1)
 
     flipped = tuple(i in flipped_idx for i in range(n))
-    config = SyntheticConfig(n=n, samples=samples, flipped=flipped,
-                             seed=scalars.get("seed", 0), **cfg_fields)
-    train_config = TrainConfig(**train_fields)
+    try:
+        config = SyntheticConfig(n=n, samples=samples, flipped=flipped,
+                                 seed=scalars.get("seed", 0), **cfg_fields)
+        train_config = TrainConfig(**train_fields)
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from None
     benefit = np.zeros((n, n))
     for j, i, w in benefit_entries:
         benefit[j, i] = w

@@ -191,6 +191,27 @@ class TestSimulate:
         assert err == f"error: --reps must be at least 1, got {reps}\n"
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["select", "--preset", "weak_noniid", "--seed", "-1"],
+        ["partition", "--preset", "weak_noniid", "--seed", "-1"],
+        ["simulate", "--preset", "weak_noniid", "--seed", "-1"],
+    ])
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "o.txt")]) == 2
+        assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
+        assert not (tmp_path / "o.txt").exists()
+
+    @pytest.mark.parametrize("text,message", [
+        (SIM_CONFIG.replace("seed 5", "seed -4"), "seed must be nonnegative, got -4"),
+        ("n 3\nsamples 20 20\ncompeting v1 v3\nn 2\n", "line 4, column 1: duplicate 'n'"),
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "sim.txt"
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+
     def test_zero_reps_in_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "sim.txt"
         cfg.write_text(SIM_CONFIG.replace("reps 2", "reps 0"))
@@ -215,3 +236,24 @@ class TestReport:
         bad = tmp_path / "r.txt"
         bad.write_text("mse local v1\n")
         assert main(["report", "--in", str(bad), "--out", str(tmp_path / "c.csv")]) == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("config_samples 60 50 40", "config_samples 20 0 20"),
+        lambda text: text.replace("train_rounds 4", "train_rounds 0"),
+        lambda text: text.replace("seed 5", "seed -4"),
+        lambda text: text + "n 2\n",
+    ])
+    def test_invalid_report_values_exit_2(self, tmp_path, capsys, edit):
+        cfg = tmp_path / "sim.txt"
+        cfg.write_text(SIM_CONFIG)
+        rep_out = tmp_path / "report.txt"
+        assert main(["simulate", "--config", str(cfg), "--reps", "1",
+                     "--out", str(tmp_path / "a.csv"), "--report", str(rep_out)]) == 0
+        capsys.readouterr()
+        text = rep_out.read_text()
+        bad = tmp_path / "r.txt"
+        bad.write_text(edit(text))
+        assert bad.read_text() != text
+        assert main(["report", "--in", str(bad), "--out", str(tmp_path / "c.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from fedcollab import fedtrain
 from fedcollab.fedtrain import (METHODS, TrainConfig, TrainingDivergenceError,
                                 aggregation_coefficients, estimate_benefit,
                                 loss_gradient, mean_squared_error, run_experiment,
-                                train, _rep_seed)
+                                train, _participant_streams, _prepared, _rep_seed,
+                                _sgd_epochs)
 from fedcollab.graphs import UsageGraph
 from fedcollab.partition import Partition
 from fedcollab.synthdata import (SyntheticConfig, generate_task, preset,
@@ -97,7 +99,55 @@ class TestSingleParticipant:
                                           ("fedcompetitors", usage, np.zeros((1, 1)))):
             scores = train(task, method, grouping=grouping, benefit=benefit,
                            train_config=FAST, seed=5)
-            assert scores == pytest.approx(local, abs=1e-9)
+            assert np.array_equal(scores, local)
+
+    @pytest.mark.parametrize("method", ["fedavg", "ce", "fedcompetitors"])
+    def test_self_only_mixing_is_local_bit_for_bit(self, method):
+        # n = 4, singleton groups or no usage edges: nobody mixes in another model
+        task = small_task(n=4, samples=(90, 70, 50, 30), seed=4)
+        benefit = np.full((4, 4), 0.5)
+        np.fill_diagonal(benefit, 0.0)
+        grouping = UsageGraph(4) if method == "fedcompetitors" else singleton_partition(4)
+        local = train(task, "local", train_config=FAST, seed=9)
+        scores = train(task, method, grouping=grouping, benefit=benefit,
+                       train_config=FAST, seed=9)
+        assert np.array_equal(scores, local)
+
+
+def shared_model_fedavg(task, groups, cfg, seed):
+    """Reference FedAvg with one shared model per group: every round each
+    member trains from the group's model, which then becomes the members'
+    sample-count weighted average, summed in group order."""
+    streams = _participant_streams(seed, task.n)
+    train_data, val_data = _prepared(task)
+    thetas = np.zeros((task.n, task.config.degree))
+    for group in groups:
+        shared = np.zeros(task.config.degree)
+        sizes = np.array([len(train_data[i][1]) for i in group], dtype=np.float64)
+        weights = sizes / sizes.sum()
+        for _ in range(cfg.rounds):
+            updates = [_sgd_epochs(shared, *train_data[i], cfg.local_epochs,
+                                   cfg.learning_rate, cfg.batch_size, streams[i])
+                       for i in group]
+            shared = sum(w * u for w, u in zip(weights, updates))
+        for i in group:
+            thetas[i] = shared
+    return np.array([mean_squared_error(thetas[i], *val_data[i]) for i in range(task.n)])
+
+
+class TestFedAvgReference:
+    @pytest.mark.parametrize("groups", [((0, 1, 2, 3),), ((0, 2), (1, 3))])
+    def test_mixing_rows_match_shared_model(self, groups):
+        task = small_task(n=4, samples=(90, 70, 50, 30), rho=0.2, seed=2)
+        cfg = TrainConfig(rounds=6, local_epochs=2, batch_size=16)
+        part = Partition(groups=groups, kind="clique_cover", mode="exact")
+        scores = train(task, "fedavg", grouping=part, train_config=cfg, seed=13)
+        assert np.array_equal(scores, shared_model_fedavg(task, groups, cfg, 13))
+
+    def test_partition_must_cover_every_participant(self):
+        part = Partition(groups=((0,),), kind="clique_cover", mode="exact")
+        with pytest.raises(ValueError, match="covering every participant"):
+            train(small_task(), "fedavg", grouping=part, train_config=FAST)
 
 
 class TestUsageGating:
@@ -193,6 +243,34 @@ class TestRunExperiment:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
             run_experiment(self.CFG, [], methods=("magic",), train_config=FAST, reps=1)
+
+    @pytest.mark.parametrize("methods,mutual,trained", [
+        # no usage edges and singleton coalitions: ce and fedcompetitors are local
+        (METHODS, False, ["local", "fedavg"]),
+        (("ce", "fedcompetitors", "fedavg"), False, ["ce", "fedavg"]),
+        # v1 and v3 benefit each other: the coalitions equal the cover {v1, v3}, {v2}
+        (METHODS, True, ["local", "fedavg", "fedcompetitors"]),
+    ])
+    def test_each_distinct_mixing_trains_once_per_rep(self, monkeypatch, methods,
+                                                      mutual, trained):
+        calls = []
+
+        def counting_train(task, method, **kwargs):
+            calls.append(method)
+            return train(task, method, **kwargs)
+
+        w = np.zeros((3, 3))
+        if mutual:
+            w[0, 2], w[2, 0] = 0.5, 0.4
+        monkeypatch.setattr(fedtrain, "train", counting_train)
+        report, _ = run_experiment(self.CFG, [(0, 1)], methods=methods, benefit=w,
+                                   train_config=FAST, reps=2)
+        assert calls == trained * 2
+        monkeypatch.undo()
+        for m in methods:  # the reused scores are the ones m trains on its own
+            assert report.mean[m] == run_experiment(self.CFG, [(0, 1)], methods=(m,),
+                                                    benefit=w, train_config=FAST,
+                                                    reps=2)[0].mean[m]
 
 
 @pytest.mark.slow

@@ -166,9 +166,18 @@ class TestReportFormat:
                                  "mse local v1 0.5 0.1\n")
 
 
-@pytest.mark.parametrize("parse", [formats.parse_instance, formats.parse_usage,
-                                   formats.parse_benefit, formats.parse_sim_config,
-                                   formats.parse_report])
+PARSERS = [formats.parse_instance, formats.parse_usage, formats.parse_benefit,
+           formats.parse_sim_config, formats.parse_report]
+
+
+@pytest.mark.parametrize("parse", PARSERS)
+def test_every_file_declares_n_once(parse):
+    with pytest.raises(FileFormatError) as exc:
+        parse("n 3\n# again\nn 2\n")
+    assert exc.value.line == 3 and "duplicate 'n' declaration" in str(exc.value)
+
+
+@pytest.mark.parametrize("parse", PARSERS)
 def test_every_n_line_is_bounded(parse):
     # refused before any n x n matrix is allocated
     with pytest.raises(InvalidInstanceError, match=f"line 2: n={formats.MAX_NODES + 1} exceeds"):

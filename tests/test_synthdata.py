@@ -19,6 +19,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SyntheticConfig(n=1, samples=(10,), flipped=(False,), val_fraction=1.5)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            SyntheticConfig(n=1, samples=(10,), flipped=(False,), seed=-1)
+
 
 class TestPresets:
     def test_weak_preset_values(self):
