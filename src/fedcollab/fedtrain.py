@@ -25,6 +25,18 @@ trains ``local_epochs`` on its own data. Only the rows differ:
 Every participant draws shuffling randomness from its own seeded
 stream, so a participant's trained model depends only on its own data
 and the models that reach it through its mixing row.
+
+The loop trains a list of distinct mixings (rows, mix_after) in lock
+step. They share the task and the shuffle streams, so every mixing
+sees the same minibatches. Participants with equal training-set sizes
+form a size group. Each round and epoch, every member draws its own
+permutation from its own stream, as it would alone. Each minibatch
+index is then one batched gradient step for every mixing and every
+member of the group. Each model's arithmetic is the same as a
+one-participant loop, so the results are bit-identical to training
+each mixing, and each participant, on its own. ``run_experiment``
+makes one loop call per repetition for the distinct mixings of its
+methods.
 """
 
 from __future__ import annotations
@@ -78,20 +90,14 @@ def mean_squared_error(theta: ModelParams, phi: np.ndarray, y: np.ndarray) -> fl
 
 
 def loss_gradient(theta: ModelParams, phi: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of mean_squared_error with respect to theta."""
-    return (2.0 / len(y)) * (phi.T @ (phi @ theta - y))
+    """Gradient of mean_squared_error with respect to theta.
 
-
-def _sgd_epochs(theta: ModelParams, phi: np.ndarray, y: np.ndarray,
-                epochs: int, lr: float, batch: int, rng: np.random.Generator) -> ModelParams:
-    out = theta.copy()
-    m = len(y)
-    for _ in range(epochs):
-        order = rng.permutation(m)
-        for s in range(0, m, batch):
-            idx = order[s:s + batch]
-            out -= lr * loss_gradient(out, phi[idx], y[idx])
-    return out
+    Leading axes broadcast: theta (..., d), phi (..., b, d) and y (..., b)
+    give one gradient per stacked model, each computed as the 1-D call
+    computes it.
+    """
+    r = np.matmul(phi, theta[..., None])[..., 0] - y
+    return (2.0 / y.shape[-1]) * np.matmul(np.swapaxes(phi, -1, -2), r[..., None])[..., 0]
 
 
 def _participant_streams(seed: int, n: int) -> list[np.random.Generator]:
@@ -177,21 +183,52 @@ def _mix(thetas: np.ndarray, row: Mixing) -> ModelParams:
     return sum(c * thetas[j] for c, j in zip(coefs, sources))
 
 
-def _round_loop(task: SyntheticTask, rows: list[Mixing], mix_after: bool,
+def _size_groups(train_data) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """Participants with equal training-set sizes, as (members, phi, y)
+    with the members' training data stacked along a leading axis."""
+    by_size: dict[int, list[int]] = {}
+    for i, (_, y) in enumerate(train_data):
+        by_size.setdefault(len(y), []).append(i)
+    return [(members, np.stack([train_data[i][0] for i in members]),
+             np.stack([train_data[i][1] for i in members])) for members in by_size.values()]
+
+
+def _round_loop(task: SyntheticTask, mixings: list[tuple[list[Mixing], bool]],
                 cfg: TrainConfig, seed: int):
-    """The models after ``cfg.rounds`` rounds of the mixing rows, and the
-    validation data to score them on."""
+    """The models after ``cfg.rounds`` rounds of each mixing (rows,
+    mix_after), shape (len(mixings), n, degree), trained in lock step by
+    size group, and the validation data to score them on."""
     streams = _participant_streams(seed, task.n)
     train_data, val_data = _prepared(task)
-    thetas = np.zeros((task.n, task.config.degree))
+    groups = _size_groups(train_data)
+    thetas = np.zeros((len(mixings), task.n, task.config.degree))
     for rnd in range(cfg.rounds):
-        thetas = np.array([_sgd_epochs(_mix(thetas, row), *train_data[i], cfg.local_epochs,
-                                       cfg.learning_rate, cfg.batch_size, streams[i])
-                           for i, row in enumerate(rows)])
+        start = np.array([[_mix(models, row) for row in rows]
+                          for models, (rows, _) in zip(thetas, mixings)])
+        for members, phi, y in groups:
+            models = start[:, members]
+            pick = np.arange(len(members))[:, None]
+            m = y.shape[1]
+            for _ in range(cfg.local_epochs):
+                order = np.array([streams[i].permutation(m) for i in members])
+                phi_e, y_e = phi[pick, order], y[pick, order]
+                for s in range(0, m, cfg.batch_size):
+                    batch = slice(s, s + cfg.batch_size)
+                    models -= cfg.learning_rate * loss_gradient(models, phi_e[:, batch],
+                                                                y_e[:, batch])
+            thetas[:, members] = models
         _check_finite(thetas, f"round {rnd}")
-    if mix_after:
-        thetas = np.array([_mix(thetas, row) for row in rows])
+    for models, (rows, mix_after) in zip(thetas, mixings):
+        if mix_after:
+            models[:] = [_mix(models, row) for row in rows]
     return thetas, val_data
+
+
+def _scores(thetas: np.ndarray, val_data) -> np.ndarray:
+    scores = np.array([mean_squared_error(t, *val) for t, val in zip(thetas, val_data)])
+    if not np.isfinite(scores).all():
+        raise TrainingDivergenceError("non-finite validation loss")
+    return scores
 
 
 def train(task: SyntheticTask, method: str, *, grouping=None,
@@ -202,13 +239,10 @@ def train(task: SyntheticTask, method: str, *, grouping=None,
     ``grouping`` must be a Partition for fedavg/ce (optional for local)
     and a UsageGraph plus ``benefit`` for fedcompetitors.
     """
-    rows, mix_after = _mixing(method, grouping, benefit, [len(t) for t in task.train_idx])
+    mixing = _mixing(method, grouping, benefit, [len(t) for t in task.train_idx])
     seed = task.config.seed if seed is None else seed
-    thetas, val_data = _round_loop(task, rows, mix_after, train_config, seed)
-    scores = np.array([mean_squared_error(thetas[i], *val_data[i]) for i in range(task.n)])
-    if not np.isfinite(scores).all():
-        raise TrainingDivergenceError("non-finite validation loss")
-    return scores
+    thetas, val_data = _round_loop(task, [mixing], train_config, seed)
+    return _scores(thetas[0], val_data)
 
 
 def estimate_benefit(task: SyntheticTask, train_config: TrainConfig = TrainConfig(),
@@ -223,14 +257,14 @@ def estimate_benefit(task: SyntheticTask, train_config: TrainConfig = TrainConfi
     """
     seed = task.config.seed if seed is None else seed
     cfg = train_config
-    rows, _ = _mixing("local", None, None, [len(t) for t in task.train_idx])
-    thetas, val_data = _round_loop(task, rows, False, cfg, seed)
+    local = _mixing("local", None, None, [len(t) for t in task.train_idx])
+    thetas, val_data = _round_loop(task, [local], cfg, seed)
 
     n = task.n
     cross = np.empty((n, n))
     for j in range(n):
         for i in range(n):
-            cross[j, i] = mean_squared_error(thetas[j], *val_data[i])
+            cross[j, i] = mean_squared_error(thetas[0, j], *val_data[i])
     if not np.isfinite(cross).all():
         raise TrainingDivergenceError("non-finite validation loss during benefit estimation")
 
@@ -316,17 +350,18 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
     for rep in range(reps):
         rep_seed = _rep_seed(config.seed, rep)
         task = generate_task(with_seed(config, rep_seed))
+        sizes = [len(t) for t in task.train_idx]
+        keys = {}
+        for m in methods:
+            rows, mix_after = _mixing(m, grouping[m], instance.benefit, sizes)
+            keys[m] = (tuple(rows), mix_after)
         # methods whose mixings coincide (ce on singleton coalitions and local,
         # say) train bit-identical models, so each distinct mixing trains once
-        trained: dict = {}
+        distinct = list(dict.fromkeys(keys.values()))
+        thetas, val_data = _round_loop(task, distinct, train_config, rep_seed)
+        trained = {key: _scores(t, val_data) for key, t in zip(distinct, thetas)}
         for m in methods:
-            rows, mix_after = _mixing(m, grouping[m], instance.benefit,
-                                      [len(t) for t in task.train_idx])
-            key = (tuple(rows), mix_after)
-            if key not in trained:
-                trained[key] = train(task, m, grouping=grouping[m], benefit=instance.benefit,
-                                     train_config=train_config, seed=rep_seed)
-            scores[m].append(trained[key])
+            scores[m].append(trained[keys[m]])
 
     mean = {m: tuple(float(v) for v in np.mean(scores[m], axis=0)) for m in methods}
     std = {m: tuple(float(v) for v in np.std(scores[m], axis=0)) for m in methods}

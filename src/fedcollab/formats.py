@@ -29,6 +29,12 @@ Instance, benefit and report files become dense n x n float64 matrices,
 matrices besides; a larger count is refused before anything is allocated.
 """
 
+MAX_SAMPLES = 10_000_000
+"""Largest total of the sample counts a config or report file may declare
+(exit code 3 above): about 80 MB per float64 array drawn over all
+participants, refused before any data is generated.
+"""
+
 
 class FileFormatError(ValueError):
     """Malformed structured-text input, with a line/column diagnostic."""
@@ -107,6 +113,17 @@ def _parse_n(tokens, line: int, declared: int | None) -> int:
         raise InvalidInstanceError(f"line {line}: n={n} exceeds the limit of "
                                    f"{MAX_NODES} participants")
     return n
+
+
+def _parse_samples(tokens, line: int) -> tuple[int, ...]:
+    """The counts of a 'samples' or 'config_samples' line, whose total is
+    at most MAX_SAMPLES."""
+    samples = tuple(_parse_int(t, line, c, "sample count") for t, c in tokens[1:])
+    total = sum(samples)
+    if total > MAX_SAMPLES:
+        raise InvalidInstanceError(f"line {line}: {total} samples exceed the limit "
+                                   f"of {MAX_SAMPLES}")
+    return samples
 
 
 def _need_n(n: int | None, line: int, col: int) -> int:
@@ -317,7 +334,7 @@ def parse_sim_config(text: str):
         if key == "n":
             n = _parse_n(tokens, line, n)
         elif key == "samples":
-            samples = tuple(_parse_int(t, line, c, "sample count") for t, c in tokens[1:])
+            samples = _parse_samples(tokens, line)
             if not samples:
                 raise FileFormatError("'samples' needs one count per participant", line, col)
         elif key == "flipped":
@@ -478,6 +495,9 @@ def parse_report(text: str) -> ExperimentReport:
         elif key in ("reps", "seed"):
             _expect(tokens, 2, line, f"'{key} <value>'")
             scalars[key] = _parse_int(tokens[1][0], line, tokens[1][1], key)
+            if key == "reps" and scalars[key] < 1:
+                raise FileFormatError(f"reps must be at least 1, got {scalars[key]}",
+                                      line, tokens[1][1])
         elif key == "preset":
             _expect(tokens, 2, line, "'preset <name>'")
             preset = rest[0]
@@ -491,7 +511,7 @@ def parse_report(text: str) -> ExperimentReport:
             _expect(tokens, 2, line, "'config_degree <value>'")
             cfg_fields["degree"] = _parse_int(tokens[1][0], line, tokens[1][1], key)
         elif key == "config_samples":
-            samples = tuple(_parse_int(t, line, c, "sample count") for t, c in tokens[1:])
+            samples = _parse_samples(tokens, line)
         elif key == "config_flipped":
             nn = _need_n(n, line, col)
             flipped_idx = [] if rest == ["-"] else [
@@ -507,6 +527,9 @@ def parse_report(text: str) -> ExperimentReport:
         elif key == "cover_mode":
             _expect(tokens, 2, line, "'cover_mode <exact|greedy>'")
             cover_mode = rest[0]
+            if cover_mode not in ("exact", "greedy"):
+                raise FileFormatError(f"cover_mode must be exact or greedy, got {cover_mode!r}",
+                                      line, tokens[1][1])
         elif key == "cover":
             nn = _need_n(n, line, col)
             cover_groups.append(tuple(_parse_node(t, line, c, nn) for t, c in tokens[1:]))
@@ -540,6 +563,8 @@ def parse_report(text: str) -> ExperimentReport:
     for method in methods:
         if set(mse.get(method, {})) != set(range(n)):
             raise FileFormatError(f"report is missing mse rows for method {method!r}", 1, 1)
+    if cover_mode is None:
+        raise FileFormatError("report file declares no 'cover_mode'", 1, 1)
 
     flipped = tuple(i in flipped_idx for i in range(n))
     try:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
 
+    def test_oversized_samples_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.txt"
+        cfg.write_text(SIM_CONFIG.replace("samples 60 50 40",
+                                          f"samples 60 50 {formats.MAX_SAMPLES}"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "line 3" in err and f"limit of {formats.MAX_SAMPLES}" in err
+        assert len(err.splitlines()) == 1 and not (tmp_path / "t.csv").exists()
+
     def test_zero_reps_in_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "sim.txt"
         cfg.write_text(SIM_CONFIG.replace("reps 2", "reps 0"))
@@ -219,6 +230,23 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "line 7" in err and "reps must be at least 1" in err
         assert len(err.splitlines()) == 1
+
+
+# SHA-256 of `simulate --report` (seed 0, --reps 2) as written when each
+# mixing trained in its own round loop, before the lock-step size groups;
+# any byte drift in the simulator's output fails here.
+GOLDEN_SIMULATE = [
+    ("weak_noniid", "fc26be9a5c3916371a6ad291379a2f5c4a211930d7f91db6e0646b1ed69ba4c6"),
+    ("strong_noniid", "cbdf57b4b7a553b2900cccccc1862a048cf3b019593617cf1cbf793add00fec1"),
+]
+
+
+@pytest.mark.parametrize("preset,digest", GOLDEN_SIMULATE)
+def test_simulate_report_is_byte_stable(tmp_path, preset, digest):
+    report = tmp_path / "report.txt"
+    assert main(["simulate", "--preset", preset, "--seed", "0", "--reps", "2",
+                 "--out", str(tmp_path / "t.csv"), "--report", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 class TestReport:
@@ -257,3 +285,33 @@ class TestReport:
         assert main(["report", "--in", str(bad), "--out", str(tmp_path / "c.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("reps 2", "reps -3", "reps must be at least 1, got -3"),
+        ("reps 2", "reps 0", "reps must be at least 1, got 0"),
+        ("cover_mode exact", "cover_mode bogus", "cover_mode must be exact or greedy"),
+    ])
+    def test_invalid_reps_and_cover_mode_exit_2(self, tmp_path, capsys, old, new, message):
+        cfg = tmp_path / "sim.txt"
+        cfg.write_text(SIM_CONFIG)
+        rep_out = tmp_path / "report.txt"
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a.csv"),
+                     "--report", str(rep_out)]) == 0
+        capsys.readouterr()
+        lines = rep_out.read_text().splitlines()
+        line = lines.index(old) + 1
+        lines[line - 1] = new
+        bad = tmp_path / "r.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--in", str(bad), "--out", str(tmp_path / "c.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}, ") and message in err
+        assert len(err.splitlines()) == 1 and not (tmp_path / "c.csv").exists()
+
+    def test_oversized_config_samples_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "r.txt"
+        bad.write_text(f"n 2\nmethods local\nconfig_samples 1 {formats.MAX_SAMPLES}\n")
+        assert main(["report", "--in", str(bad), "--out", str(tmp_path / "c.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "line 3" in err and f"limit of {formats.MAX_SAMPLES}" in err
+        assert len(err.splitlines()) == 1

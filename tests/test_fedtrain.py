@@ -5,8 +5,8 @@ from fedcollab import fedtrain
 from fedcollab.fedtrain import (METHODS, TrainConfig, TrainingDivergenceError,
                                 aggregation_coefficients, estimate_benefit,
                                 loss_gradient, mean_squared_error, run_experiment,
-                                train, _participant_streams, _prepared, _rep_seed,
-                                _sgd_epochs)
+                                train, _mixing, _participant_streams, _prepared,
+                                _rep_seed, _round_loop)
 from fedcollab.graphs import UsageGraph
 from fedcollab.partition import Partition
 from fedcollab.synthdata import (SyntheticConfig, generate_task, preset,
@@ -114,6 +114,18 @@ class TestSingleParticipant:
         assert np.array_equal(scores, local)
 
 
+def sgd_epochs(theta, phi, y, epochs, lr, batch, rng):
+    """Sequential reference: one participant's minibatch SGD from theta."""
+    out = theta.copy()
+    m = len(y)
+    for _ in range(epochs):
+        order = rng.permutation(m)
+        for s in range(0, m, batch):
+            idx = order[s:s + batch]
+            out -= lr * loss_gradient(out, phi[idx], y[idx])
+    return out
+
+
 def shared_model_fedavg(task, groups, cfg, seed):
     """Reference FedAvg with one shared model per group: every round each
     member trains from the group's model, which then becomes the members'
@@ -126,8 +138,8 @@ def shared_model_fedavg(task, groups, cfg, seed):
         sizes = np.array([len(train_data[i][1]) for i in group], dtype=np.float64)
         weights = sizes / sizes.sum()
         for _ in range(cfg.rounds):
-            updates = [_sgd_epochs(shared, *train_data[i], cfg.local_epochs,
-                                   cfg.learning_rate, cfg.batch_size, streams[i])
+            updates = [sgd_epochs(shared, *train_data[i], cfg.local_epochs,
+                                  cfg.learning_rate, cfg.batch_size, streams[i])
                        for i in group]
             shared = sum(w * u for w, u in zip(weights, updates))
         for i in group:
@@ -148,6 +160,61 @@ class TestFedAvgReference:
         part = Partition(groups=((0,),), kind="clique_cover", mode="exact")
         with pytest.raises(ValueError, match="covering every participant"):
             train(small_task(), "fedavg", grouping=part, train_config=FAST)
+
+
+def sequential_models(task, rows, mix_after, cfg, seed):
+    """Reference round loop: participant after participant, minibatch
+    after minibatch, each starting from its ordered mixing-row sum."""
+    def mix(thetas, row):
+        return sum(c * thetas[j] for c, j in zip(row[1], row[0]))
+
+    streams = _participant_streams(seed, task.n)
+    train_data, _ = _prepared(task)
+    thetas = np.zeros((task.n, task.config.degree))
+    for _ in range(cfg.rounds):
+        thetas = np.array([sgd_epochs(mix(thetas, row), *train_data[i], cfg.local_epochs,
+                                      cfg.learning_rate, cfg.batch_size, streams[i])
+                           for i, row in enumerate(rows)])
+    if mix_after:
+        thetas = np.array([mix(thetas, row) for row in rows])
+    return thetas
+
+
+class TestLockStep:
+    def test_batched_gradient_equals_each_1d_call(self):
+        rng = np.random.default_rng(3)
+        theta = rng.normal(size=(4, 5, 3))
+        phi, y = rng.normal(size=(5, 7, 3)), rng.normal(size=(5, 7))
+        batched = loss_gradient(theta, phi, y)
+        assert batched.shape == (4, 5, 3)
+        for k in range(4):
+            for g in range(5):
+                assert np.array_equal(batched[k, g], loss_gradient(theta[k, g], phi[g], y[g]))
+
+    def test_one_loop_call_matches_each_mixing_alone_and_sequential(self):
+        # training sets of 49, 1, 49, 104 and 20: v1 and v3 share a size group,
+        # batches of 10 leave a partial last batch, and v2 trains on one sample
+        task = small_task(n=5, samples=(61, 1, 61, 130, 25), rho=0.2, seed=3)
+        sizes = [len(t) for t in task.train_idx]
+        assert sizes == [49, 1, 49, 104, 20]
+        cfg = TrainConfig(rounds=4, local_epochs=2, batch_size=10)
+        cover = Partition(groups=((0, 2, 3), (1, 4)), kind="clique_cover", mode="exact")
+        coalitions = Partition(groups=((0, 2), (1, 4), (3,)), kind="scc_coalitions",
+                               mode="exact")
+        usage = UsageGraph(5).add_edge(2, 0).add_edge(3, 0).add_edge(0, 1).add_edge(4, 3)
+        benefit = np.zeros((5, 5))
+        benefit[2, 0], benefit[3, 0], benefit[0, 1], benefit[4, 3] = 0.3, 0.8, 0.5, 0.2
+        grouping = {"local": None, "fedavg": cover, "ce": coalitions, "fedcompetitors": usage}
+        mixings = [_mixing(m, grouping[m], benefit, sizes) for m in METHODS]
+        assert len({(tuple(rows), after) for rows, after in mixings}) == len(METHODS)
+
+        together, _ = _round_loop(task, mixings, cfg, 21)
+        assert together.shape == (len(METHODS), 5, task.config.degree)
+        for k, (rows, mix_after) in enumerate(mixings):
+            alone, _ = _round_loop(task, [(rows, mix_after)], cfg, 21)
+            assert np.array_equal(together[k], alone[0])
+            assert np.array_equal(together[k],
+                                  sequential_models(task, rows, mix_after, cfg, 21))
 
 
 class TestUsageGating:
@@ -255,17 +322,26 @@ class TestRunExperiment:
                                                       mutual, trained):
         calls = []
 
-        def counting_train(task, method, **kwargs):
-            calls.append(method)
-            return train(task, method, **kwargs)
+        def counting_loop(task, mixings, cfg, seed):
+            calls.append(list(mixings))
+            return _round_loop(task, mixings, cfg, seed)
 
         w = np.zeros((3, 3))
         if mutual:
             w[0, 2], w[2, 0] = 0.5, 0.4
-        monkeypatch.setattr(fedtrain, "train", counting_train)
+        monkeypatch.setattr(fedtrain, "_round_loop", counting_loop)
         report, _ = run_experiment(self.CFG, [(0, 1)], methods=methods, benefit=w,
                                    train_config=FAST, reps=2)
-        assert calls == trained * 2
+        usage = UsageGraph(3)
+        for j, i in report.usage_edges:
+            usage.add_edge(j, i)
+        grouping = {"local": None, "fedavg": report.clique_cover, "ce": report.coalitions,
+                    "fedcompetitors": usage}
+        sizes = [len(t) for t in generate_task(self.CFG).train_idx]
+        expected = [(tuple(rows), after)
+                    for rows, after in (_mixing(m, grouping[m], w, sizes) for m in trained)]
+        # one loop call per repetition, training each distinct mixing once
+        assert calls == [expected] * 2
         monkeypatch.undo()
         for m in methods:  # the reused scores are the ones m trains on its own
             assert report.mean[m] == run_experiment(self.CFG, [(0, 1)], methods=(m,),

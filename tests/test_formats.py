@@ -165,6 +165,22 @@ class TestReportFormat:
             formats.parse_report("n 2\nmethods local\nconfig_samples 5 5\n"
                                  "mse local v1 0.5 0.1\n")
 
+    MINIMAL = ("n 2\nmethods local\nreps 1\nconfig_samples 5 5\ncover_mode exact\n"
+               "mse local v1 0.5 0.1\nmse local v2 0.5 0.1\n")
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("reps 1", "reps -3", "line 3, column 6: reps must be at least 1, got -3"),
+        ("reps 1", "reps 0", "line 3, column 6: reps must be at least 1, got 0"),
+        ("cover_mode exact", "cover_mode bogus",
+         "line 5, column 12: cover_mode must be exact or greedy, got 'bogus'"),
+        ("cover_mode exact", "", "line 1, column 1: report file declares no 'cover_mode'"),
+    ])
+    def test_invalid_reps_and_cover_mode(self, old, new, message):
+        assert formats.parse_report(self.MINIMAL).clique_cover.mode == "exact"
+        with pytest.raises(FileFormatError) as exc:
+            formats.parse_report(self.MINIMAL.replace(old, new))
+        assert str(exc.value) == message
+
 
 PARSERS = [formats.parse_instance, formats.parse_usage, formats.parse_benefit,
            formats.parse_sim_config, formats.parse_report]
@@ -182,3 +198,17 @@ def test_every_n_line_is_bounded(parse):
     # refused before any n x n matrix is allocated
     with pytest.raises(InvalidInstanceError, match=f"line 2: n={formats.MAX_NODES + 1} exceeds"):
         parse(f"# header\nn {formats.MAX_NODES + 1}\n")
+
+
+@pytest.mark.parametrize("parse,line", [
+    (formats.parse_sim_config, "samples"),
+    (formats.parse_report, "config_samples"),
+])
+def test_total_samples_are_bounded(parse, line):
+    # refused at parse time, before any sample is drawn
+    half = formats.MAX_SAMPLES // 2
+    with pytest.raises(InvalidInstanceError,
+                       match=f"line 3: {formats.MAX_SAMPLES + 1} samples exceed the limit"):
+        parse(f"n 2\n# two participants\n{line} {half} {half + 1}\n")
+    with pytest.raises(FileFormatError, match="line 3, column 1: unknown keyword 'bogus'"):
+        parse(f"n 2\n{line} {half} {half}\nbogus\n")  # the bound itself parses
