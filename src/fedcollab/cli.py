@@ -24,16 +24,22 @@ from .synthdata import PRESET_NAMES, competing_matrix, generate_task, preset, wi
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise formats.FileFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise formats.FileFormatError(f"cannot read {path}: not UTF-8 text "
+                                      f"(byte {exc.start})") from None
 
 
 def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise formats.FileFormatError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _instance_from_args(args) -> Instance:
@@ -98,6 +104,8 @@ def _cmd_simulate(args) -> int:
         if m not in METHODS:
             raise formats.FileFormatError(
                 f"unknown method {m!r}; expected a subset of {','.join(METHODS)}")
+        if methods.count(m) > 1:
+            raise formats.FileFormatError(f"--methods lists {m!r} more than once")
     benefit = formats.parse_benefit(_read(args.benefit)) if args.benefit else None
     reps = args.reps if args.reps is not None else (file_reps if file_reps is not None else 10)
     report, _ = run_experiment(config, edges, methods=methods, train_config=train_config,

@@ -335,6 +335,8 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; expected a subset of {METHODS}")
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"methods must be distinct, got {methods}")
     if reps < 1:
         raise ValueError("reps must be positive")
 

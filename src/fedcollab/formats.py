@@ -3,17 +3,25 @@
 One line-oriented format everywhere: ``#`` starts a comment, blank lines
 are ignored, and each remaining line is a keyword followed by
 whitespace-separated fields. Participants may be written either as
-1-based labels ``v1``..``vn`` or as bare 0-based indices; labels are the
-canonical output form. Parse errors carry line and column positions.
+1-based labels ``v1``..``vn`` or as bare 0-based indices, in ASCII digits;
+labels are the canonical output form. Each file kind has a grammar table
+(keyword -> usage and field parsers) read by one loop, :func:`_lines`,
+which raises :class:`FileFormatError` with line and column positions. The
+scalar keys of configs and reports are the defaulted fields of
+:class:`SyntheticConfig` and :class:`TrainConfig`, for parser and
+serializer alike.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import re
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fedtrain import ExperimentReport, TrainConfig
+from .fedtrain import METHODS, ExperimentReport, TrainConfig
 from .graphs import Instance, InvalidInstanceError, UsageGraph
 from .partition import Partition
 from .selection import SelectionTrace
@@ -51,142 +59,246 @@ class FileFormatError(ValueError):
         super().__init__(where + message)
 
 
-def _tokenize(text: str):
-    """Yield (line_number, [(token, column), ...]) for content lines."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        tokens = [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(body)]
-        if tokens:
-            yield line_no, tokens
-
-
 def node_label(i: int) -> str:
     return f"v{i + 1}"
 
 
-def _parse_node(token: str, line: int, col: int, n: int | None) -> int:
-    if token[:1] in ("v", "V") and token[1:].isdigit():
-        idx = int(token[1:]) - 1
-        if idx < 0:
-            raise FileFormatError(f"participant labels start at v1, got {token!r}", line, col)
-    elif re.fullmatch(r"\d+", token):
-        idx = int(token)
-    else:
-        raise FileFormatError(f"expected a participant (v<k> or index), got {token!r}", line, col)
-    if n is not None and idx >= n:
-        raise FileFormatError(f"participant {token!r} out of range for n={n}", line, col)
+# ---------------------------------------------------------------------------
+# field parsers: (token, n) -> value, raising ValueError with the message
+
+
+def _node(token: str, n: int) -> int:
+    label = token[:1] in ("v", "V")
+    digits = token[1:] if label else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected a participant (v<k> or index), got {token!r}")
+    idx = int(digits) - label
+    if idx < 0:
+        raise ValueError(f"participant labels start at v1, got {token!r}")
+    if idx >= n:
+        raise ValueError(f"participant {token!r} out of range for n={n}")
     return idx
 
 
-def _parse_float(token: str, line: int, col: int, what: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise FileFormatError(f"expected a number for {what}, got {token!r}", line, col) from None
-    if not np.isfinite(value):
-        raise FileFormatError(f"{what} must be finite, got {token!r}", line, col)
-    return value
+def _int(what: str, least: int | None = None):
+    def parse(token: str, n) -> int:
+        try:
+            value = int(token if token.isascii() else "-")
+        except ValueError:
+            raise ValueError(f"expected an integer for {what}, got {token!r}") from None
+        if least is not None and value < least:
+            raise ValueError(f"{what} must be at least {least}, got {value}")
+        return value
+    return parse
 
 
-def _parse_int(token: str, line: int, col: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise FileFormatError(f"expected an integer for {what}, got {token!r}", line, col) from None
+def _float(what: str):
+    def parse(token: str, n) -> float:
+        try:
+            value = float(token)
+        except ValueError:
+            raise ValueError(f"expected a number for {what}, got {token!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{what} must be finite, got {token!r}")
+        return value
+    return parse
 
 
-def _expect(tokens, count: int, line: int, usage: str) -> None:
-    if len(tokens) != count:
-        raise FileFormatError(f"expected {usage}", line, tokens[min(count, len(tokens) - 1)][1])
+def _choice(what: str, options: tuple[str, ...]):
+    def parse(token: str, n) -> str:
+        if token not in options:
+            raise ValueError(f"{what} must be {', '.join(options[:-1])} or {options[-1]}, "
+                             f"got {token!r}")
+        return token
+    return parse
 
 
-def _parse_n(tokens, line: int, declared: int | None) -> int:
-    """The count of an 'n <count>' line, positive and at most MAX_NODES;
-    ``declared`` is the count of an earlier 'n' line, if any."""
-    if declared is not None:
-        raise FileFormatError("duplicate 'n' declaration", line, tokens[0][1])
-    _expect(tokens, 2, line, "'n <count>'")
-    n = _parse_int(tokens[1][0], line, tokens[1][1], "n")
-    if n < 1:
-        raise FileFormatError("n must be positive", line, tokens[1][1])
-    if n > MAX_NODES:
-        raise InvalidInstanceError(f"line {line}: n={n} exceeds the limit of "
-                                   f"{MAX_NODES} participants")
-    return n
+def _word(token: str, n) -> str:
+    return token
 
 
-def _parse_samples(tokens, line: int) -> tuple[int, ...]:
-    """The counts of a 'samples' or 'config_samples' line, whose total is
-    at most MAX_SAMPLES."""
-    samples = tuple(_parse_int(t, line, c, "sample count") for t, c in tokens[1:])
-    total = sum(samples)
-    if total > MAX_SAMPLES:
-        raise InvalidInstanceError(f"line {line}: {total} samples exceed the limit "
+# ---------------------------------------------------------------------------
+# the one parse loop
+
+
+class _Rule(NamedTuple):
+    usage: str
+    fixed: tuple[Callable, ...]
+    repeat: Callable | None  # parses each field after the fixed ones
+    empty: str | None  # a lone field that stands for no fields
+    needs_n: bool
+
+
+def _grammar(table: dict) -> dict[str, _Rule]:
+    """Compile ``{key: (usage, fields[, empty])}``; a ``...`` at the end of
+    ``fields`` repeats the parser before it any number of times."""
+    rules = {}
+    for key, (usage, fields, *empty) in table.items():
+        repeat = fields[-2] if fields[-1] is ... else None
+        rules[key] = _Rule(f"'{key} {usage}'", fields[:-2] if repeat else fields, repeat,
+                           empty[0] if empty else None, _node in fields)
+    return rules
+
+
+_N = _grammar({"n": ("<count>", (_int("n"),))})["n"]
+
+
+class _Line(NamedTuple):
+    no: int
+    body: str
+    key: str
+    values: list
+
+    def error(self, message: str, k: int = 0) -> FileFormatError:
+        """An error at the k-th token of this line (0 is the keyword)."""
+        return FileFormatError(message, self.no, list(_TOKEN.finditer(self.body))[k].start() + 1)
+
+
+def _lines(text: str, kind: str, grammar: dict[str, _Rule], skip=()):
+    """Yield each content line of a ``kind`` file, its fields parsed by
+    ``grammar``; the ``n`` line is checked here and yielded too. Lines
+    whose key is in ``skip`` are dropped before the rest is split."""
+    n: int | None = None
+    for no, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0]
+        head = body.split(None, 1)
+        if not head or head[0] in skip:
+            continue
+        line = _Line(no, body, head[0], [])
+        rule = _N if line.key == "n" else grammar.get(line.key)
+        if rule is None:
+            raise line.error(f"unknown keyword {line.key!r} in {kind} file")
+        if rule is _N and n is not None:
+            raise line.error("duplicate 'n' declaration")
+        tokens = head[1].split() if len(head) > 1 else []
+        if rule.empty is not None and tokens == [rule.empty]:
+            tokens = []
+        count = len(rule.fixed)
+        if len(tokens) != count and (rule.repeat is None or len(tokens) < count):
+            raise line.error(f"expected {rule.usage}", min(count + 1, len(tokens)))
+        if rule.needs_n and n is None:
+            raise line.error("'n' must be declared before any edges")
+        values = line.values
+        try:
+            for k, token in enumerate(tokens):
+                values.append((rule.fixed[k] if k < count else rule.repeat)(token, n))
+        except ValueError as exc:
+            raise line.error(str(exc), len(values) + 1) from None
+        if rule is _N:
+            n = values[0]
+            if n < 1:
+                raise line.error("n must be positive", 1)
+            if n > MAX_NODES:
+                raise InvalidInstanceError(f"line {no}: n={n} exceeds the limit of "
+                                           f"{MAX_NODES} participants")
+        yield line
+    if n is None:
+        raise FileFormatError(f"{kind} file declares no 'n'", 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# checks and keys shared by several kinds
+
+
+def _add_competing(pairs: dict, line: _Line) -> None:
+    a, b = line.values
+    if a == b:
+        raise line.error("self-competition is not allowed", 2)
+    pair = (min(a, b), max(a, b))
+    if pair in pairs:
+        raise line.error(f"duplicate competing edge ({node_label(pair[0])}, "
+                         f"{node_label(pair[1])})")
+    pairs[pair] = None
+
+
+def _add_benefit(weights: dict, line: _Line) -> None:
+    j, i, w = line.values
+    if j == i:
+        raise line.error("self-benefit edges are not allowed", 2)
+    if w <= 0:
+        raise line.error("benefit weight must be positive", 3)
+    if (j, i) in weights:
+        raise line.error(f"duplicate benefit edge ({node_label(j)}, {node_label(i)})")
+    weights[j, i] = w
+
+
+def _benefit_matrix(n: int, weights: dict) -> np.ndarray:
+    matrix = np.zeros((n, n))
+    if weights:
+        j, i = zip(*weights)
+        matrix[j, i] = list(weights.values())
+    return matrix
+
+
+def _samples(line: _Line) -> tuple[int, ...]:
+    """The counts of a 'samples' or 'config_samples' line, at most
+    MAX_SAMPLES in all."""
+    samples = tuple(line.values)
+    if not samples:
+        raise line.error(f"'{line.key}' needs one count per participant")
+    if sum(samples) > MAX_SAMPLES:
+        raise InvalidInstanceError(f"line {line.no}: {sum(samples)} samples exceed the limit "
                                    f"of {MAX_SAMPLES}")
     return samples
 
 
-def _need_n(n: int | None, line: int, col: int) -> int:
-    if n is None:
-        raise FileFormatError("'n' must be declared before any edges", line, col)
-    return n
+def _scalar_keys(cls, prefix: str = "", omit=()) -> dict[str, tuple[str, type]]:
+    """File key -> (field name, int or float) for the defaulted fields of ``cls``."""
+    return {prefix + f.name: (f.name, type(f.default)) for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING and f.name not in omit}
+
+
+def _scalar_rules(keys: dict) -> dict:
+    return {key: ("<value>", (_int(key) if kind is int else _float(key),))
+            for key, (_, kind) in keys.items()}
+
+
+def _last(last: dict[str, _Line], key: str, default=None):
+    """The first field of the latest ``key`` line in ``last``, or ``default``."""
+    return last[key].values[0] if key in last else default
+
+
+def _scalars(last: dict[str, _Line], keys: dict) -> dict:
+    """Field name -> value for the keys of ``keys`` that have a line in ``last``."""
+    return {name: last[key].values[0] for key, (name, _) in keys.items() if key in last}
+
+
+def _scalar_lines(obj, keys: dict) -> list[str]:
+    return [f"{key} {getattr(obj, name)!r}" if kind is float else f"{key} {getattr(obj, name)}"
+            for key, (name, kind) in keys.items()]
+
+
+_COMPETING = ("<a> <b>", (_node, _node))
+_BENEFIT = ("<from> <to> <weight>", (_node, _node, _float("benefit weight")))
+_REPS = ("<count>", (_int("reps", 1),))
+
+_CONFIG_SYNTH = _scalar_keys(SyntheticConfig)
+_CONFIG_TRAIN = _scalar_keys(TrainConfig)
+_REPORT_SYNTH = _scalar_keys(SyntheticConfig, "config_", omit=("seed",))  # seed has its own line
+_REPORT_TRAIN = _scalar_keys(TrainConfig, "train_")
 
 
 # ---------------------------------------------------------------------------
 # instances
 
+_INSTANCE = _grammar({"competing": _COMPETING, "benefit": _BENEFIT})
+
 
 def parse_instance(text: str) -> Instance:
-    n: int | None = None
-    competing: list[tuple[int, int]] = []
-    benefit: list[tuple[int, int, float]] = []
-    seen_comp: set[tuple[int, int]] = set()
-    seen_benefit: set[tuple[int, int]] = set()
-
-    for line, tokens in _tokenize(text):
-        key, col = tokens[0]
-        if key == "n":
-            n = _parse_n(tokens, line, n)
-        elif key == "competing":
-            _expect(tokens, 3, line, "'competing <a> <b>'")
-            nn = _need_n(n, line, col)
-            a = _parse_node(tokens[1][0], line, tokens[1][1], nn)
-            b = _parse_node(tokens[2][0], line, tokens[2][1], nn)
-            if a == b:
-                raise FileFormatError("self-competition is not allowed", line, tokens[2][1])
-            pair = (min(a, b), max(a, b))
-            if pair in seen_comp:
-                raise FileFormatError(f"duplicate competing edge ({node_label(pair[0])}, "
-                                      f"{node_label(pair[1])})", line, col)
-            seen_comp.add(pair)
-            competing.append(pair)
-        elif key == "benefit":
-            _expect(tokens, 4, line, "'benefit <from> <to> <weight>'")
-            nn = _need_n(n, line, col)
-            j = _parse_node(tokens[1][0], line, tokens[1][1], nn)
-            i = _parse_node(tokens[2][0], line, tokens[2][1], nn)
-            w = _parse_float(tokens[3][0], line, tokens[3][1], "benefit weight")
-            if j == i:
-                raise FileFormatError("self-benefit edges are not allowed", line, tokens[2][1])
-            if w <= 0:
-                raise FileFormatError("benefit weight must be positive", line, tokens[3][1])
-            if (j, i) in seen_benefit:
-                raise FileFormatError(f"duplicate benefit edge ({node_label(j)}, {node_label(i)})",
-                                      line, col)
-            seen_benefit.add((j, i))
-            benefit.append((j, i, w))
+    competing: dict = {}
+    weights: dict = {}
+    for line in _lines(text, "instance", _INSTANCE):
+        if line.key == "n":
+            n = line.values[0]
+        elif line.key == "competing":
+            _add_competing(competing, line)
         else:
-            raise FileFormatError(f"unknown keyword {key!r} in instance file", line, col)
-
-    if n is None:
-        raise FileFormatError("instance file declares no 'n'", 1, 1)
+            _add_benefit(weights, line)
     s = np.zeros((n, n), dtype=bool)
-    for a, b in competing:
+    if competing:
+        a, b = zip(*competing)
         s[a, b] = s[b, a] = True
-    w_matrix = np.zeros((n, n))
-    for j, i, w in benefit:
-        w_matrix[j, i] = w
-    return Instance(n, s, w_matrix)
+    return Instance(n, s, _benefit_matrix(n, weights))
 
 
 def serialize_instance(instance: Instance) -> str:
@@ -205,35 +317,22 @@ def serialize_instance(instance: Instance) -> str:
 # usage graphs (also accepts full selection reports; extra keys are skipped)
 
 _SELECTION_KEYS = {"potential", "order", "closure", "step", "decision", "objective"}
+_USAGE = _grammar({"edge": ("<from> <to>", (_node, _node))})
 
 
 def parse_usage(text: str, expected_n: int | None = None) -> UsageGraph:
-    n: int | None = None
-    usage: UsageGraph | None = None
-    for line, tokens in _tokenize(text):
-        key, col = tokens[0]
-        if key == "n":
-            n = _parse_n(tokens, line, n)
+    for line in _lines(text, "usage-graph", _USAGE, skip=_SELECTION_KEYS):
+        if line.key == "n":
+            n = line.values[0]
             if expected_n is not None and n != expected_n:
-                raise FileFormatError(f"usage graph has n={n} but the instance has "
-                                      f"n={expected_n}", line, tokens[1][1])
+                raise line.error(f"usage graph has n={n} but the instance has "
+                                 f"n={expected_n}", 1)
             usage = UsageGraph(n)
-        elif key == "edge":
-            _expect(tokens, 3, line, "'edge <from> <to>'")
-            nn = _need_n(n, line, col)
-            assert usage is not None
-            j = _parse_node(tokens[1][0], line, tokens[1][1], nn)
-            i = _parse_node(tokens[2][0], line, tokens[2][1], nn)
-            try:
-                usage.add_edge(j, i)
-            except ValueError as exc:
-                raise FileFormatError(str(exc), line, col) from None
-        elif key in _SELECTION_KEYS:
-            continue
         else:
-            raise FileFormatError(f"unknown keyword {key!r} in usage-graph file", line, col)
-    if usage is None:
-        raise FileFormatError("usage-graph file declares no 'n'", 1, 1)
+            try:
+                usage.add_edge(*line.values)
+            except ValueError as exc:
+                raise line.error(str(exc)) from None
     return usage
 
 
@@ -274,44 +373,29 @@ def serialize_selection(instance: Instance, usage: UsageGraph,
 # ---------------------------------------------------------------------------
 # benefit matrices
 
+_BENEFIT_FILE = _grammar({"benefit": _BENEFIT})
+
 
 def parse_benefit(text: str) -> np.ndarray:
-    n: int | None = None
-    matrix: np.ndarray | None = None
-    for line, tokens in _tokenize(text):
-        key, col = tokens[0]
-        if key == "n":
-            n = _parse_n(tokens, line, n)
-            matrix = np.zeros((n, n))
-        elif key == "benefit":
-            _expect(tokens, 4, line, "'benefit <from> <to> <weight>'")
-            nn = _need_n(n, line, col)
-            assert matrix is not None
-            j = _parse_node(tokens[1][0], line, tokens[1][1], nn)
-            i = _parse_node(tokens[2][0], line, tokens[2][1], nn)
-            w = _parse_float(tokens[3][0], line, tokens[3][1], "benefit weight")
-            if j == i:
-                raise FileFormatError("self-benefit edges are not allowed", line, tokens[2][1])
-            if w <= 0:
-                raise FileFormatError("benefit weight must be positive", line, tokens[3][1])
-            if matrix[j, i] != 0:
-                raise FileFormatError(f"duplicate benefit edge ({node_label(j)}, {node_label(i)})",
-                                      line, col)
-            matrix[j, i] = w
+    weights: dict = {}
+    for line in _lines(text, "benefit", _BENEFIT_FILE):
+        if line.key == "n":
+            n = line.values[0]
         else:
-            raise FileFormatError(f"unknown keyword {key!r} in benefit file", line, col)
-    if matrix is None:
-        raise FileFormatError("benefit file declares no 'n'", 1, 1)
-    return matrix
+            _add_benefit(weights, line)
+    return _benefit_matrix(n, weights)
 
 
 # ---------------------------------------------------------------------------
 # simulation configs
 
-_CONFIG_TRAIN_KEYS = {
-    "rounds": int, "local_epochs": int, "batch_size": int,
-    "learning_rate": float, "benefit_threshold": float,
-}
+_SIM_CONFIG = _grammar({
+    "samples": ("<count> ...", (_int("sample count"), ...)),
+    "flipped": ("<participant|none> ...", (_word, ...)),  # read once n is final
+    "competing": _COMPETING,
+    "reps": _REPS,
+    **_scalar_rules(_CONFIG_SYNTH), **_scalar_rules(_CONFIG_TRAIN),
+})
 
 
 def parse_sim_config(text: str):
@@ -320,83 +404,40 @@ def parse_sim_config(text: str):
     Returns (SyntheticConfig, competing_edges, TrainConfig, reps|None);
     the training keys and reps are optional and fall back to defaults.
     """
-    n: int | None = None
-    fields: dict = {}
-    train_fields: dict = {}
-    competing: list[tuple[int, int]] = []
-    seen_comp: set[tuple[int, int]] = set()
-    samples: tuple[int, ...] | None = None
-    flipped_tokens: list[tuple[str, int, int]] | None = None
-    reps: int | None = None
-
-    for line, tokens in _tokenize(text):
-        key, col = tokens[0]
-        if key == "n":
-            n = _parse_n(tokens, line, n)
-        elif key == "samples":
-            samples = _parse_samples(tokens, line)
-            if not samples:
-                raise FileFormatError("'samples' needs one count per participant", line, col)
-        elif key == "flipped":
-            flipped_tokens = [(t, line, c) for t, c in tokens[1:]]
-        elif key in ("rho", "noise_std", "val_fraction"):
-            _expect(tokens, 2, line, f"'{key} <value>'")
-            fields[key] = _parse_float(tokens[1][0], line, tokens[1][1], key)
-        elif key in ("degree", "seed"):
-            _expect(tokens, 2, line, f"'{key} <value>'")
-            fields[key] = _parse_int(tokens[1][0], line, tokens[1][1], key)
-        elif key == "reps":
-            _expect(tokens, 2, line, "'reps <count>'")
-            reps = _parse_int(tokens[1][0], line, tokens[1][1], "reps")
-            if reps < 1:
-                raise FileFormatError(f"reps must be at least 1, got {reps}", line, tokens[1][1])
-        elif key in _CONFIG_TRAIN_KEYS:
-            _expect(tokens, 2, line, f"'{key} <value>'")
-            caster = _CONFIG_TRAIN_KEYS[key]
-            if caster is int:
-                train_fields[key] = _parse_int(tokens[1][0], line, tokens[1][1], key)
-            else:
-                train_fields[key] = _parse_float(tokens[1][0], line, tokens[1][1], key)
-        elif key == "competing":
-            _expect(tokens, 3, line, "'competing <a> <b>'")
-            nn = _need_n(n, line, col)
-            a = _parse_node(tokens[1][0], line, tokens[1][1], nn)
-            b = _parse_node(tokens[2][0], line, tokens[2][1], nn)
-            if a == b:
-                raise FileFormatError("self-competition is not allowed", line, tokens[2][1])
-            pair = (min(a, b), max(a, b))
-            if pair in seen_comp:
-                raise FileFormatError("duplicate competing edge", line, col)
-            seen_comp.add(pair)
-            competing.append(pair)
+    last: dict[str, _Line] = {}  # the latest line of each key but 'competing'
+    competing: dict = {}
+    for line in _lines(text, "config", _SIM_CONFIG):
+        if line.key == "competing":
+            _add_competing(competing, line)
         else:
-            raise FileFormatError(f"unknown keyword {key!r} in config file", line, col)
-
-    if n is None:
-        raise FileFormatError("config file declares no 'n'", 1, 1)
-    if samples is None:
+            last[line.key] = line
+            if line.key == "samples":
+                _samples(line)
+    if "samples" not in last:
         raise FileFormatError("config file declares no 'samples'", 1, 1)
+    n = last["n"].values[0]
     flipped = [False] * n
-    if flipped_tokens:
-        for token, line, c in flipped_tokens:
-            if token == "none":
-                continue
-            flipped[_parse_node(token, line, c, n)] = True
+    flips = last.get("flipped")
+    for k, token in enumerate(flips.values if flips else (), start=1):
+        if token != "none":
+            try:
+                flipped[_node(token, n)] = True
+            except ValueError as exc:
+                raise flips.error(str(exc), k) from None
     try:
-        config = SyntheticConfig(n=n, samples=samples, flipped=tuple(flipped), **fields)
-        train_config = TrainConfig(**train_fields)
+        config = SyntheticConfig(n=n, samples=tuple(last["samples"].values),
+                                 flipped=tuple(flipped), **_scalars(last, _CONFIG_SYNTH))
+        train_config = TrainConfig(**_scalars(last, _CONFIG_TRAIN))
     except ValueError as exc:
         raise FileFormatError(str(exc)) from None
-    return config, tuple(competing), train_config, reps
+    return config, tuple(competing), train_config, _last(last, "reps")
 
 
 def serialize_sim_config(config: SyntheticConfig, competing_edges,
                          train_config: TrainConfig | None = None,
                          reps: int | None = None) -> str:
     lines = ["# synthetic simulation config", f"n {config.n}",
-             f"rho {config.rho!r}", f"degree {config.degree}",
-             f"noise_std {config.noise_std!r}", f"seed {config.seed}",
-             f"val_fraction {config.val_fraction!r}",
+             *_scalar_lines(config, _CONFIG_SYNTH),
              "samples " + " ".join(str(m) for m in config.samples)]
     flips = [node_label(i) for i, f in enumerate(config.flipped) if f]
     if flips:
@@ -404,11 +445,7 @@ def serialize_sim_config(config: SyntheticConfig, competing_edges,
     for a, b in sorted(tuple(sorted(e)) for e in competing_edges):
         lines.append(f"competing {node_label(a)} {node_label(b)}")
     if train_config is not None:
-        lines += [f"rounds {train_config.rounds}",
-                  f"local_epochs {train_config.local_epochs}",
-                  f"learning_rate {train_config.learning_rate!r}",
-                  f"batch_size {train_config.batch_size}",
-                  f"benefit_threshold {train_config.benefit_threshold!r}"]
+        lines += _scalar_lines(train_config, _CONFIG_TRAIN)
     if reps is not None:
         lines.append(f"reps {reps}")
     return "\n".join(lines) + "\n"
@@ -439,16 +476,11 @@ def serialize_report(report: ExperimentReport) -> str:
     if report.preset is not None:
         lines.append(f"preset {report.preset}")
     lines.append(f"aggregation {report.aggregation}")
-    lines += [f"config_rho {cfg.rho!r}", f"config_degree {cfg.degree}",
-              f"config_noise_std {cfg.noise_std!r}",
-              f"config_val_fraction {cfg.val_fraction!r}",
-              "config_samples " + " ".join(str(m) for m in cfg.samples),
+    lines += _scalar_lines(cfg, _REPORT_SYNTH)
+    lines += ["config_samples " + " ".join(str(m) for m in cfg.samples),
               "config_flipped " + (" ".join(node_label(i) for i, f in enumerate(cfg.flipped) if f)
                                    or "-")]
-    lines += [f"train_rounds {tc.rounds}", f"train_local_epochs {tc.local_epochs}",
-              f"train_learning_rate {tc.learning_rate!r}",
-              f"train_batch_size {tc.batch_size}",
-              f"train_benefit_threshold {tc.benefit_threshold!r}"]
+    lines += _scalar_lines(tc, _REPORT_TRAIN)
     lines.append(f"cover_mode {report.clique_cover.mode}")
     for group in report.clique_cover.groups:
         lines.append("cover " + " ".join(node_label(i) for i in group))
@@ -466,125 +498,83 @@ def serialize_report(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+_REPORT = _grammar({
+    "methods": ("<method> ...", (_choice("method", METHODS), ...)),
+    "reps": _REPS,
+    "seed": ("<value>", (_int("seed"),)),
+    "preset": ("<name>", (_word,)),
+    "aggregation": ("<word> ...", (_word, ...)),
+    **_scalar_rules(_REPORT_SYNTH),
+    "config_samples": ("<count> ...", (_int("sample count"), ...)),
+    "config_flipped": ("<participant> ... | -", (_node, ...), "-"),
+    **_scalar_rules(_REPORT_TRAIN),
+    "cover_mode": ("<exact|greedy>", (_choice("cover_mode", ("exact", "greedy")),)),
+    "cover": ("<participant> ...", (_node, ...)),
+    "coalition": ("<participant> ...", (_node, ...)),
+    "usage_edge": ("<from> <to>", (_node, _node)),
+    "benefit": _BENEFIT,
+    "mse": ("<method> <participant> <mean> <std>",
+            (_word, _node, _float("mse mean"), _float("mse std"))),
+})
+
+
 def parse_report(text: str) -> ExperimentReport:
-    n: int | None = None
-    scalars: dict = {}
-    cfg_fields: dict = {}
-    train_fields: dict = {}
-    methods: tuple[str, ...] | None = None
-    samples: tuple[int, ...] | None = None
-    flipped_idx: list[int] = []
-    cover_groups: list[tuple[int, ...]] = []
-    coalition_groups: list[tuple[int, ...]] = []
-    cover_mode: str | None = None
-    usage_edges: list[tuple[int, int]] = []
-    benefit_entries: list[tuple[int, int, float]] = []
-    mse: dict[str, dict[int, tuple[float, float]]] = {}
-    preset: str | None = None
-    aggregation: str | None = None
-
-    for line, tokens in _tokenize(text):
-        key, col = tokens[0]
-        rest = [t for t, _ in tokens[1:]]
-        if key == "n":
-            n = _parse_n(tokens, line, n)
-        elif key == "methods":
-            if not rest:
-                raise FileFormatError("'methods' needs at least one method", line, col)
-            methods = tuple(rest)
-        elif key in ("reps", "seed"):
-            _expect(tokens, 2, line, f"'{key} <value>'")
-            scalars[key] = _parse_int(tokens[1][0], line, tokens[1][1], key)
-            if key == "reps" and scalars[key] < 1:
-                raise FileFormatError(f"reps must be at least 1, got {scalars[key]}",
-                                      line, tokens[1][1])
-        elif key == "preset":
-            _expect(tokens, 2, line, "'preset <name>'")
-            preset = rest[0]
-        elif key == "aggregation":
-            aggregation = " ".join(rest)
-        elif key in ("config_rho", "config_noise_std", "config_val_fraction"):
-            _expect(tokens, 2, line, f"'{key} <value>'")
-            cfg_fields[key.removeprefix("config_")] = _parse_float(
-                tokens[1][0], line, tokens[1][1], key)
-        elif key == "config_degree":
-            _expect(tokens, 2, line, "'config_degree <value>'")
-            cfg_fields["degree"] = _parse_int(tokens[1][0], line, tokens[1][1], key)
-        elif key == "config_samples":
-            samples = _parse_samples(tokens, line)
-        elif key == "config_flipped":
-            nn = _need_n(n, line, col)
-            flipped_idx = [] if rest == ["-"] else [
-                _parse_node(t, line, c, nn) for t, c in tokens[1:]]
-        elif key in ("train_rounds", "train_local_epochs", "train_batch_size"):
-            _expect(tokens, 2, line, f"'{key} <value>'")
-            train_fields[key.removeprefix("train_")] = _parse_int(
-                tokens[1][0], line, tokens[1][1], key)
-        elif key in ("train_learning_rate", "train_benefit_threshold"):
-            _expect(tokens, 2, line, f"'{key} <value>'")
-            train_fields[key.removeprefix("train_")] = _parse_float(
-                tokens[1][0], line, tokens[1][1], key)
-        elif key == "cover_mode":
-            _expect(tokens, 2, line, "'cover_mode <exact|greedy>'")
-            cover_mode = rest[0]
-            if cover_mode not in ("exact", "greedy"):
-                raise FileFormatError(f"cover_mode must be exact or greedy, got {cover_mode!r}",
-                                      line, tokens[1][1])
-        elif key == "cover":
-            nn = _need_n(n, line, col)
-            cover_groups.append(tuple(_parse_node(t, line, c, nn) for t, c in tokens[1:]))
-        elif key == "coalition":
-            nn = _need_n(n, line, col)
-            coalition_groups.append(tuple(_parse_node(t, line, c, nn) for t, c in tokens[1:]))
-        elif key == "usage_edge":
-            _expect(tokens, 3, line, "'usage_edge <from> <to>'")
-            nn = _need_n(n, line, col)
-            usage_edges.append((_parse_node(tokens[1][0], line, tokens[1][1], nn),
-                                _parse_node(tokens[2][0], line, tokens[2][1], nn)))
+    last: dict[str, _Line] = {}  # the latest line of each key that is not a list
+    lists: dict[str, list] = {"cover": [], "coalition": [], "usage_edge": []}
+    weights: dict = {}
+    mse: dict[tuple[str, int], _Line] = {}
+    for line in _lines(text, "report", _REPORT):
+        key, values = line.key, line.values
+        if key in lists:
+            lists[key].append(tuple(values))
         elif key == "benefit":
-            _expect(tokens, 4, line, "'benefit <from> <to> <weight>'")
-            nn = _need_n(n, line, col)
-            benefit_entries.append((_parse_node(tokens[1][0], line, tokens[1][1], nn),
-                                    _parse_node(tokens[2][0], line, tokens[2][1], nn),
-                                    _parse_float(tokens[3][0], line, tokens[3][1], "benefit")))
+            _add_benefit(weights, line)
         elif key == "mse":
-            _expect(tokens, 5, line, "'mse <method> <participant> <mean> <std>'")
-            nn = _need_n(n, line, col)
-            method = tokens[1][0]
-            i = _parse_node(tokens[2][0], line, tokens[2][1], nn)
-            mean = _parse_float(tokens[3][0], line, tokens[3][1], "mse mean")
-            std = _parse_float(tokens[4][0], line, tokens[4][1], "mse std")
-            mse.setdefault(method, {})[i] = (mean, std)
+            if (values[0], values[1]) in mse:
+                raise line.error(f"duplicate mse row ({values[0]}, {node_label(values[1])})")
+            mse[values[0], values[1]] = line
         else:
-            raise FileFormatError(f"unknown keyword {key!r} in report file", line, col)
+            last[key] = line
+            if key == "config_samples":
+                _samples(line)
+            elif key == "methods":
+                if not values:
+                    raise line.error("'methods' needs at least one method")
+                for k, method in enumerate(values):
+                    if method in values[:k]:
+                        raise line.error(f"duplicate method {method!r}", k + 1)
 
-    if n is None or methods is None or samples is None:
-        raise FileFormatError("report file is missing n, methods, or config_samples", 1, 1)
+    for key in ("methods", "config_samples"):
+        if key not in last:
+            raise FileFormatError(f"report file declares no '{key}'", 1, 1)
+    n, methods = last["n"].values[0], tuple(last["methods"].values)
+    for (method, _), line in mse.items():
+        if method not in methods:
+            raise line.error(f"mse row for method {method!r}, which 'methods' does not list", 1)
     for method in methods:
-        if set(mse.get(method, {})) != set(range(n)):
+        if not all((method, i) in mse for i in range(n)):
             raise FileFormatError(f"report is missing mse rows for method {method!r}", 1, 1)
-    if cover_mode is None:
+    if "cover_mode" not in last:
         raise FileFormatError("report file declares no 'cover_mode'", 1, 1)
 
-    flipped = tuple(i in flipped_idx for i in range(n))
+    seed, cover_mode = _last(last, "seed", 0), _last(last, "cover_mode")
+    flipped_idx = last["config_flipped"].values if "config_flipped" in last else []
     try:
-        config = SyntheticConfig(n=n, samples=samples, flipped=flipped,
-                                 seed=scalars.get("seed", 0), **cfg_fields)
-        train_config = TrainConfig(**train_fields)
+        config = SyntheticConfig(n=n, samples=tuple(last["config_samples"].values),
+                                 flipped=tuple(i in flipped_idx for i in range(n)), seed=seed,
+                                 **_scalars(last, _REPORT_SYNTH))
+        train_config = TrainConfig(**_scalars(last, _REPORT_TRAIN))
     except ValueError as exc:
         raise FileFormatError(str(exc)) from None
-    benefit = np.zeros((n, n))
-    for j, i, w in benefit_entries:
-        benefit[j, i] = w
     return ExperimentReport(
-        methods=methods, n=n, reps=scalars.get("reps", 1), seed=scalars.get("seed", 0),
-        mean={m: tuple(mse[m][i][0] for i in range(n)) for m in methods},
-        std={m: tuple(mse[m][i][1] for i in range(n)) for m in methods},
-        config=config, train_config=train_config, preset=preset,
-        clique_cover=Partition(tuple(cover_groups), "clique_cover", cover_mode),
-        coalitions=Partition(tuple(coalition_groups), "scc_coalitions", cover_mode),
-        usage_edges=tuple(usage_edges), benefit=benefit,
-        aggregation=aggregation or "",
+        methods=methods, n=n, reps=_last(last, "reps", 1), seed=seed,
+        mean={m: tuple(mse[m, i].values[2] for i in range(n)) for m in methods},
+        std={m: tuple(mse[m, i].values[3] for i in range(n)) for m in methods},
+        config=config, train_config=train_config, preset=_last(last, "preset"),
+        clique_cover=Partition(tuple(lists["cover"]), "clique_cover", cover_mode),
+        coalitions=Partition(tuple(lists["coalition"]), "scc_coalitions", cover_mode),
+        usage_edges=tuple(lists["usage_edge"]), benefit=_benefit_matrix(n, weights),
+        aggregation=" ".join(last["aggregation"].values) if "aggregation" in last else "",
     )
 
 

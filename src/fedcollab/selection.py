@@ -104,15 +104,19 @@ def select_step(instance: Instance, usage: UsageGraph, i: int,
     with every accepted edge, so a caller running several steps on one
     usage graph keeps them in step by passing the same pair each time.
 
-    Requires a conflict-free usage graph on entry (guaranteed when driven
-    by :func:`select_collaborators`); a violation here is a programming
-    error, not an input condition, hence the hard failure.
+    Requires a conflict-free usage graph on entry; a violation here is a
+    programming error, not an input condition, hence the hard failure. The
+    check runs only when ``conflicts`` is omitted: matrices kept in step
+    through :func:`select_collaborators` already rule a violation out.
     """
-    if not conflict_free(instance, usage):
-        raise RuntimeError("usage graph already violates conflict freedom before selection step")
+    if conflicts is None:
+        if not conflict_free(instance, usage):
+            raise RuntimeError("usage graph already violates conflict freedom "
+                               "before selection step")
+        conflicts = conflict_matrices(instance, usage)
     if pot is None:
         pot = potentials(instance)
-    anc_comp, desc_comp = conflicts if conflicts is not None else conflict_matrices(instance, usage)
+    anc_comp, desc_comp = conflicts
     w = instance.benefit[:, i]
     decisions = []
     objective = 0.0

@@ -315,3 +315,50 @@ class TestReport:
         err = capsys.readouterr().err
         assert "line 3" in err and f"limit of {formats.MAX_SAMPLES}" in err
         assert len(err.splitlines()) == 1
+
+
+class TestFiles:
+    @pytest.mark.parametrize("argv", [
+        ["select", "--instance", "{bad}"],
+        ["report", "--in", "{bad}"],
+    ])
+    def test_input_that_is_not_utf8_exits_2(self, tmp_path, capsys, argv):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"n 3\n# caf\xe9\n")
+        assert main([a.format(bad=bad) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {bad}: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["select", "--preset", "weak_noniid", "--out", "{missing}"],
+        ["simulate", "--config", "{cfg}", "--out", "{csv}", "--report", "{missing}"],
+    ])
+    def test_output_in_a_missing_directory_exits_2(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "sim.txt"
+        cfg.write_text(SIM_CONFIG)
+        missing = tmp_path / "no" / "such" / "out.txt"
+        argv = [a.format(missing=missing, cfg=cfg, csv=tmp_path / "t.csv") for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {missing}: ") and len(err.splitlines()) == 1
+
+    def test_non_ascii_digit_exits_2_with_position(self, tmp_path, capsys):
+        bad = tmp_path / "inst.txt"
+        bad.write_text("n 3\ncompeting v² v1\n", encoding="utf-8")
+        assert main(["select", "--instance", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2, column 11: ") and len(err.splitlines()) == 1
+
+    def test_repeated_report_methods_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "r.txt"
+        bad.write_text("n 1\nmethods local local\nconfig_samples 5\ncover_mode exact\n"
+                       "mse local v1 0.5 0.1\n")
+        assert main(["report", "--in", str(bad), "--out", str(tmp_path / "c.csv")]) == 2
+        assert "line 2, column 15: duplicate method 'local'" in capsys.readouterr().err
+
+    def test_repeated_methods_flag_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.txt"
+        cfg.write_text(SIM_CONFIG)
+        assert main(["simulate", "--config", str(cfg), "--methods", "local,local",
+                     "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == "error: --methods lists 'local' more than once\n"

@@ -311,6 +311,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown method"):
             run_experiment(self.CFG, [], methods=("magic",), train_config=FAST, reps=1)
 
+    def test_rejects_repeated_method(self):
+        # a report listing a method twice would not parse back
+        with pytest.raises(ValueError, match="methods must be distinct"):
+            run_experiment(self.CFG, [], methods=("local", "local"), train_config=FAST, reps=1)
+
     @pytest.mark.parametrize("methods,mutual,trained", [
         # no usage edges and singleton coalitions: ce and fedcompetitors are local
         (METHODS, False, ["local", "fedavg"]),

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -212,3 +215,60 @@ def test_total_samples_are_bounded(parse, line):
         parse(f"n 2\n# two participants\n{line} {half} {half + 1}\n")
     with pytest.raises(FileFormatError, match="line 3, column 1: unknown keyword 'bogus'"):
         parse(f"n 2\n{line} {half} {half}\nbogus\n")  # the bound itself parses
+
+
+@pytest.mark.parametrize("parse,text,line,col", [
+    (formats.parse_instance, "n 3\ncompeting v² v1\n", 2, 11),
+    (formats.parse_instance, "n 3\ncompeting ٣ v1\n", 2, 11),
+    (formats.parse_instance, "n 3\nbenefit v1 v٣ 0.5\n", 2, 12),
+    (formats.parse_usage, "n 3\nedge ３ v1\n", 2, 6),
+    (formats.parse_benefit, "n ３\n", 1, 3),
+    (formats.parse_sim_config, "n 2\nsamples 5 ٣\n", 2, 11),
+    (formats.parse_sim_config, "n 2\nsamples 5 5\nreps ²\n", 3, 6),
+    (formats.parse_sim_config, "n 2\nsamples 5 5\nflipped v²\n", 3, 9),
+    (formats.parse_report, "n 2\nconfig_flipped ٣\n", 2, 16),
+])
+def test_participants_and_counts_are_ascii_digits(parse, text, line, col):
+    # str.isdigit and int() accept other Unicode digits; the dialect does not
+    with pytest.raises(FileFormatError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (("methods local", "methods bogus bogus"),
+     "line 2, column 9: method must be local, fedavg, ce or fedcompetitors, got 'bogus'"),
+    (("methods local", "methods local local"), "line 2, column 15: duplicate method 'local'"),
+    (("methods local", "methods"), "line 2, column 1: 'methods' needs at least one method"),
+    ("benefit v1 v1 -4", "line 8, column 12: self-benefit edges are not allowed"),
+    ("benefit v1 v2 -4", "line 8, column 15: benefit weight must be positive"),
+    ("benefit v1 v2 0.5\nbenefit v1 v2 0.5", "line 9, column 1: duplicate benefit edge (v1, v2)"),
+    ("mse local v2 0.7 0.1", "line 8, column 1: duplicate mse row (local, v2)"),
+    ("mse other v1 0.5 0.1",
+     "line 8, column 5: mse row for method 'other', which 'methods' does not list"),
+])
+def test_report_lines_are_checked(edit, message):
+    minimal = TestReportFormat.MINIMAL
+    text = minimal.replace(*edit) if isinstance(edit, tuple) else minimal + edit + "\n"
+    with pytest.raises(FileFormatError) as exc:
+        formats.parse_report(text)
+    assert str(exc.value) == message
+
+
+def test_readme_examples_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```\n(n \d+\n.*?)```", readme, flags=re.S)
+    instance = next(b for b in blocks if "samples" not in b)
+    config = next(b for b in blocks if "samples" in b)
+    assert formats.parse_instance(instance).n == 3
+    cfg, edges, tc, reps = formats.parse_sim_config(config)
+    assert (cfg.n, cfg.flipped, edges, reps) == (3, (False, False, True), ((0, 1),), 10)
+
+
+@pytest.mark.parametrize("grammar", [formats._INSTANCE, formats._USAGE, formats._BENEFIT_FILE,
+                                     formats._SIM_CONFIG, formats._REPORT])
+def test_readme_lists_every_grammar_line(grammar):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    text = " ".join(readme.split())  # list items wrap across lines
+    for rule in grammar.values():
+        assert f"`{rule.usage[1:-1]}`" in text
