@@ -43,6 +43,16 @@ MAX_SAMPLES = 10_000_000
 participants, refused before any data is generated.
 """
 
+MAX_TRAINING_WORK = 1_000_000_000
+"""Largest training job ``simulate`` runs (exit code 3 above), counted as
+rounds x local_epochs x reps x the total sample count. Both presets at
+``--reps 10`` count 1.7 and 3.2 million. All four methods together train
+at 0.23-0.62 microseconds per unit on one core of a 2-vCPU machine (the
+presets, and six participants of distinct sizes), so the bound is about
+4-10 minutes of training, and a job that would take hours is refused
+before it starts.
+"""
+
 
 class FileFormatError(ValueError):
     """Malformed structured-text input, with a line/column diagnostic."""
@@ -222,6 +232,16 @@ def _add_benefit(weights: dict, line: _Line) -> None:
     weights[j, i] = w
 
 
+def _add_group(members: set[int], line: _Line) -> None:
+    """Check that a 'cover' or 'coalition' line is a new, nonempty group."""
+    if not line.values:
+        raise line.error(f"'{line.key}' needs at least one participant")
+    for k, i in enumerate(line.values, start=1):
+        if i in members:
+            raise line.error(f"participant {node_label(i)} is in two '{line.key}' groups", k)
+        members.add(i)
+
+
 def _benefit_matrix(n: int, weights: dict) -> np.ndarray:
     matrix = np.zeros((n, n))
     if weights:
@@ -240,6 +260,16 @@ def _samples(line: _Line) -> tuple[int, ...]:
         raise InvalidInstanceError(f"line {line.no}: {sum(samples)} samples exceed the limit "
                                    f"of {MAX_SAMPLES}")
     return samples
+
+
+def check_training_work(rounds: int, local_epochs: int, reps: int, samples) -> None:
+    """Raise InvalidInstanceError when a job exceeds MAX_TRAINING_WORK."""
+    work = rounds * local_epochs * reps * sum(samples)
+    if work > MAX_TRAINING_WORK:
+        raise InvalidInstanceError(
+            f"training {rounds} rounds x {local_epochs} local epochs x {reps} reps over "
+            f"{sum(samples)} samples is {work} sample-epochs, above the limit of "
+            f"{MAX_TRAINING_WORK}")
 
 
 def _scalar_keys(cls, prefix: str = "", omit=()) -> dict[str, tuple[str, type]]:
@@ -321,19 +351,23 @@ _USAGE = _grammar({"edge": ("<from> <to>", (_node, _node))})
 
 
 def parse_usage(text: str, expected_n: int | None = None) -> UsageGraph:
+    """The usage graph of the ``edge`` lines, its closure rebuilt by
+    :meth:`UsageGraph.from_edges`; ``closure`` lines are never read."""
+    edges: dict[tuple[int, int], None] = {}
     for line in _lines(text, "usage-graph", _USAGE, skip=_SELECTION_KEYS):
         if line.key == "n":
             n = line.values[0]
             if expected_n is not None and n != expected_n:
                 raise line.error(f"usage graph has n={n} but the instance has "
                                  f"n={expected_n}", 1)
-            usage = UsageGraph(n)
-        else:
-            try:
-                usage.add_edge(*line.values)
-            except ValueError as exc:
-                raise line.error(str(exc)) from None
-    return usage
+            continue
+        j, i = line.values
+        if j == i:
+            raise line.error(f"self-edge ({j}, {i}) is not a collaboration")
+        if (j, i) in edges:
+            raise line.error(f"edge ({j}, {i}) already present")
+        edges[j, i] = None
+    return UsageGraph.from_edges(n, edges)
 
 
 def serialize_usage(usage: UsageGraph) -> str:
@@ -349,24 +383,23 @@ def serialize_selection(instance: Instance, usage: UsageGraph,
     """Full selection result: usage edges, closure, potentials, decisions."""
     from .graphs import potentials
 
-    pot = potentials(instance)
+    label = np.array([node_label(i) for i in range(instance.n)], dtype=object)
     lines = ["# collaborator selection result", f"n {instance.n}"]
-    for i in range(instance.n):
-        lines.append(f"potential {node_label(i)} {float(pot[i])!r}")
-    lines.append("order " + " ".join(node_label(i) for i in trace.order))
-    for j, i in sorted(usage.edges()):
-        lines.append(f"edge {node_label(j)} {node_label(i)}")
-    off_diag = usage.closure & ~np.eye(usage.n, dtype=bool)
-    for j, i in zip(*(idx.tolist() for idx in np.nonzero(off_diag))):
-        lines.append(f"closure {node_label(j)} {node_label(i)}")
+    for name, pot in zip(label.tolist(), potentials(instance).tolist()):
+        lines.append(f"potential {name} {pot!r}")
+    lines.append("order " + " ".join(label[list(trace.order)].tolist()))
+    off_diag = ~np.eye(usage.n, dtype=bool)
+    for key, pairs in (("edge", usage.x & off_diag), ("closure", usage.closure & off_diag)):
+        for j, i in zip(*(label[idx].tolist() for idx in np.nonzero(pairs))):
+            lines.append(f"{key} {j} {i}")
     for step in trace.steps:
-        lines.append(f"step {node_label(step.participant)} objective {step.objective!r}")
-        for d in step.decisions:
-            upstream = ",".join(node_label(k) for k in d.guard_upstream) or "-"
-            downstream = ",".join(node_label(k) for k in d.guard_downstream) or "-"
-            verdict = "accept" if d.accepted else "reject"
-            lines.append(f"decision {node_label(step.participant)} {node_label(d.candidate)} "
-                         f"{d.weight!r} {verdict} {upstream} {downstream}")
+        who = label[step.participant]
+        lines.append(f"step {who} objective {step.objective!r}")
+        for j, w, ok, upstream, downstream in zip(label[step.candidates].tolist(),
+                                                  step.weights.tolist(), step.verdicts.tolist(),
+                                                  *step.guards(label)):
+            lines.append(f"decision {who} {j} {w!r} {'accept' if ok else 'reject'} "
+                         f"{','.join(upstream) or '-'} {','.join(downstream) or '-'}")
     return "\n".join(lines) + "\n"
 
 
@@ -519,30 +552,37 @@ _REPORT = _grammar({
 
 
 def parse_report(text: str) -> ExperimentReport:
-    last: dict[str, _Line] = {}  # the latest line of each key that is not a list
-    lists: dict[str, list] = {"cover": [], "coalition": [], "usage_edge": []}
+    last: dict[str, _Line] = {}  # the latest line of each key
+    lists: dict[str, list] = {"cover": [], "coalition": []}
+    placed: dict[str, set[int]] = {"cover": set(), "coalition": set()}
+    usage_edges: dict[tuple[int, int], None] = {}
     weights: dict = {}
     mse: dict[tuple[str, int], _Line] = {}
     for line in _lines(text, "report", _REPORT):
         key, values = line.key, line.values
+        last[key] = line
         if key in lists:
+            _add_group(placed[key], line)
             lists[key].append(tuple(values))
+        elif key == "usage_edge":
+            if tuple(values) in usage_edges:
+                raise line.error(f"duplicate usage edge ({node_label(values[0])}, "
+                                 f"{node_label(values[1])})")
+            usage_edges[tuple(values)] = None
         elif key == "benefit":
             _add_benefit(weights, line)
         elif key == "mse":
             if (values[0], values[1]) in mse:
                 raise line.error(f"duplicate mse row ({values[0]}, {node_label(values[1])})")
             mse[values[0], values[1]] = line
-        else:
-            last[key] = line
-            if key == "config_samples":
-                _samples(line)
-            elif key == "methods":
-                if not values:
-                    raise line.error("'methods' needs at least one method")
-                for k, method in enumerate(values):
-                    if method in values[:k]:
-                        raise line.error(f"duplicate method {method!r}", k + 1)
+        elif key == "config_samples":
+            _samples(line)
+        elif key == "methods":
+            if not values:
+                raise line.error("'methods' needs at least one method")
+            for k, method in enumerate(values):
+                if method in values[:k]:
+                    raise line.error(f"duplicate method {method!r}", k + 1)
 
     for key in ("methods", "config_samples"):
         if key not in last:
@@ -556,6 +596,11 @@ def parse_report(text: str) -> ExperimentReport:
             raise FileFormatError(f"report is missing mse rows for method {method!r}", 1, 1)
     if "cover_mode" not in last:
         raise FileFormatError("report file declares no 'cover_mode'", 1, 1)
+    for key, members in placed.items():
+        if members and len(members) < n:
+            left_out = min(set(range(n)) - members)
+            raise last[key].error(f"the '{key}' groups leave out participant "
+                                  f"{node_label(left_out)}")
 
     seed, cover_mode = _last(last, "seed", 0), _last(last, "cover_mode")
     flipped_idx = last["config_flipped"].values if "config_flipped" in last else []
@@ -573,7 +618,7 @@ def parse_report(text: str) -> ExperimentReport:
         config=config, train_config=train_config, preset=_last(last, "preset"),
         clique_cover=Partition(tuple(lists["cover"]), "clique_cover", cover_mode),
         coalitions=Partition(tuple(lists["coalition"]), "scc_coalitions", cover_mode),
-        usage_edges=tuple(lists["usage_edge"]), benefit=_benefit_matrix(n, weights),
+        usage_edges=tuple(usage_edges), benefit=_benefit_matrix(n, weights),
         aggregation=" ".join(last["aggregation"].values) if "aggregation" in last else "",
     )
 

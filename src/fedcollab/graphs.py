@@ -103,9 +103,10 @@ class UsageGraph:
     """Decision matrix ``x`` plus an exactly maintained transitive closure.
 
     Both matrices start as the identity (every participant trivially uses
-    its own data and reaches itself). ``add_edge`` is the only mutator;
-    it keeps ``closure`` equal to the reflexive-transitive closure of the
-    off-diagonal edges of ``x`` at all times.
+    its own data and reaches itself). ``add_edges`` is the only mutator
+    (``add_edge`` is its one-edge form); it keeps ``closure`` equal to the
+    reflexive-transitive closure of the off-diagonal edges of ``x`` at all
+    times.
     """
 
     __slots__ = ("n", "x", "closure")
@@ -119,9 +120,13 @@ class UsageGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "UsageGraph":
-        usage = cls(n)
+        """The graph of ``edges`` (pairs (j, i)), one closure update per target."""
+        sources: dict[int, list[int]] = {}
         for j, i in edges:
-            usage.add_edge(j, i)
+            sources.setdefault(i, []).append(j)
+        usage = cls(n)
+        for i, js in sources.items():
+            usage.add_edges(js, i)
         return usage
 
     def copy(self) -> "UsageGraph":
@@ -148,14 +153,29 @@ class UsageGraph:
 
     def add_edge(self, j: int, i: int) -> "UsageGraph":
         """Authorize i to use j's updates and update the closure in place."""
-        j, i = self._check(j), self._check(i)
-        if j == i:
-            raise ValueError(f"self-edge ({j}, {i}) is not a collaboration")
-        if self.x[j, i]:
-            raise ValueError(f"edge ({j}, {i}) already present")
-        self.x[j, i] = True
-        # the new paths are exactly p -> j -> i -> q
-        self.closure |= np.outer(self.closure[:, j], self.closure[i])
+        return self.add_edges([j], i)
+
+    def add_edges(self, js, i: int) -> "UsageGraph":
+        """Authorize i to use the updates of every j in ``js`` at once.
+
+        New edges all end at i, so a path that uses one can be cut at its
+        last visit to i: every new path is p ~> j -> i ~> q with p an old
+        ancestor of some j and q an old descendant of i, and i's own
+        descendants do not change. One row-restricted OR over the ancestors
+        therefore updates the closure exactly, cycles included.
+        """
+        i = self._check(i)
+        js = np.asarray(js, dtype=np.intp).reshape(-1)
+        seen: set[int] = set()
+        for j in js.tolist():  # the first offender in the order given raises
+            if self._check(j) == i:
+                raise ValueError(f"self-edge ({j}, {i}) is not a collaboration")
+            if self.x[j, i] or j in seen:
+                raise ValueError(f"edge ({j}, {i}) already present")
+            seen.add(j)
+        self.x[js, i] = True
+        ancestors = self.closure[:, js].any(axis=1)
+        self.closure[ancestors] |= self.closure[i]
         return self
 
     def reachable_from(self, i: int) -> set[int]:

@@ -2,18 +2,28 @@
 
 Participants are served in nonincreasing order of their potential (total
 benefit offered to others). For each participant i, candidates — the
-non-competing nodes whose data would benefit i — are scanned in
+non-competing nodes whose data would benefit i — are taken in
 nonincreasing benefit order, and a candidate j is accepted iff both
-conflict guards for the edge j -> i are empty against the current usage
-graph. Accepted edges update the reachability closure immediately, so
-later candidates of the same step see them. The result always satisfies
-the conflict-freedom constraint.
+conflict guards for the edge j -> i are empty against the usage graph.
+The result always satisfies the conflict-freedom constraint.
+
+All candidates of one step are decided together, on the graph as it
+stood before the step. This gives exactly the verdicts and guard sets of
+a scan that adds each accepted edge before it checks the next candidate.
+New paths through an edge j -> i all end in a descendant of i, so i's
+descendants ``closure[i]`` and ``desc_comp[i]`` do not change within the
+step. For a later candidate k, the upstream guard ``anc_comp[k] &
+closure[i]`` can only gain ``anc_comp[j] & closure[i]``, and the
+downstream guard ``desc_comp[i] & closure[:, k]`` can only gain
+``desc_comp[i] & closure[:, j]``. Those are j's own guards, which were
+empty when j was accepted, so no guard reads differently in scan order.
 
 Alongside the closure the engine keeps two conflict matrices (see
-:func:`conflict_matrices`) that turn each guard check into two row ANDs.
-A guard check is therefore O(n), and an accepted edge j -> i costs
-O(n·|desc(i)| + n·|anc(j)|) to update the matrices on top of the O(n^2)
-closure update.
+:func:`conflict_matrices`) that turn the guards into row ANDs. A step
+therefore costs one |C| x n AND per guard for its |C| candidates, and one
+update for all of its accepted edges: the closure and ``desc_comp`` rows
+of the accepted candidates' ancestors and the ``anc_comp`` rows of i's
+descendants, each ORed with one row.
 """
 from __future__ import annotations
 
@@ -35,16 +45,60 @@ class CandidateDecision:
     guard_downstream: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+def _sparse(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(entries per row, their columns in row order) of a boolean matrix."""
+    columns = np.flatnonzero(mask) % mask.shape[1]
+    return np.count_nonzero(mask, axis=1).astype(np.int32), columns.astype(np.int32)
+
+
+@dataclass(frozen=True, eq=False)
 class StepTrace:
+    """One participant's step, as columns over its candidates in scan order.
+
+    ``upstream`` and ``downstream`` hold the guard entries sparsely: the
+    number of guard nodes of each candidate, and all of them concatenated
+    in scan order, ascending within a candidate. Accepts have none.
+    """
+
     participant: int
     potential: float
-    decisions: tuple[CandidateDecision, ...]
     objective: float
+    candidates: np.ndarray
+    weights: np.ndarray
+    verdicts: np.ndarray  # True for an accepted candidate
+    upstream: tuple[np.ndarray, np.ndarray]
+    downstream: tuple[np.ndarray, np.ndarray]
+
+    def guards(self, labels: np.ndarray | None = None) -> tuple[list[list], list[list]]:
+        """Each candidate's upstream and downstream guard nodes, in scan
+        order; given ``labels``, an array indexed by node, their labels."""
+        sides = []
+        for counts, nodes in (self.upstream, self.downstream):
+            items = (nodes if labels is None else labels[nodes]).tolist()
+            ends = np.cumsum(counts).tolist()
+            sides.append([items[a:b] for a, b in zip([0, *ends], ends)])
+        return sides[0], sides[1]
+
+    @property
+    def decisions(self) -> tuple[CandidateDecision, ...]:
+        return tuple(CandidateDecision(j, w, ok, tuple(up), tuple(down))
+                     for j, w, ok, up, down in zip(self.candidates.tolist(),
+                                                   self.weights.tolist(),
+                                                   self.verdicts.tolist(), *self.guards()))
 
     @property
     def accepted(self) -> tuple[int, ...]:
-        return tuple(d.candidate for d in self.decisions if d.accepted)
+        return tuple(self.candidates[self.verdicts].tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StepTrace):
+            return NotImplemented
+        return ((self.participant, self.potential, self.objective)
+                == (other.participant, other.potential, other.objective)
+                and all(map(np.array_equal, self._columns(), other._columns())))
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.candidates, self.weights, self.verdicts, *self.upstream, *self.downstream)
 
 
 @dataclass(frozen=True)
@@ -72,9 +126,9 @@ def candidate_collaborators(instance: Instance, i: int) -> list[int]:
     the weights are inputs, not computed quantities.
     """
     i = instance.check_node(i)
-    w = instance.benefit[:, i]
-    js = [j for j in range(instance.n) if j != i and w[j] > 0.0 and not instance.competing[j, i]]
-    return sorted(js, key=lambda j: (-w[j], j))
+    w = instance.benefit[:, i]  # the diagonal is zero, so i is never its own candidate
+    js = np.flatnonzero((w > 0.0) & ~instance.competing[:, i])
+    return js[np.argsort(-w[js], kind="stable")].tolist()
 
 
 def conflict_matrices(instance: Instance, usage: UsageGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -101,7 +155,7 @@ def select_step(instance: Instance, usage: UsageGraph, i: int,
     ``pot`` is the :func:`fedcollab.graphs.potentials` vector and
     ``conflicts`` the :func:`conflict_matrices` of ``usage``; both are
     computed when omitted. Passed-in conflict matrices are updated in place
-    with every accepted edge, so a caller running several steps on one
+    with the accepted edges, so a caller running several steps on one
     usage graph keeps them in step by passing the same pair each time.
 
     Requires a conflict-free usage graph on entry; a violation here is a
@@ -117,34 +171,28 @@ def select_step(instance: Instance, usage: UsageGraph, i: int,
     if pot is None:
         pot = potentials(instance)
     anc_comp, desc_comp = conflicts
-    w = instance.benefit[:, i]
-    decisions = []
+    cand = np.array(candidate_collaborators(instance, i), dtype=np.intp)
+    clo = usage.closure
+    # every guard reads the same on the graph before the step (module docstring)
+    upstream = anc_comp[cand] & clo[i]
+    downstream = clo[:, cand].T & desc_comp[i]
+    verdicts = ~(upstream.any(axis=1) | downstream.any(axis=1))
+    # an edge authorized by an earlier step joins no competitors, so its
+    # guards are empty, and it is accepted as it stands
+    added = cand[verdicts & ~usage.x[cand, i]]
+    if added.size:
+        # the edges give every descendant of i the ancestors of the added
+        # candidates, and each of those ancestors the descendants of i; every
+        # right-hand row is read before the closure changes
+        anc_comp[clo[i]] |= anc_comp[added].any(axis=0)
+        desc_comp[clo[:, added].any(axis=1)] |= desc_comp[i]
+        usage.add_edges(added, i)
+    weights = instance.benefit[cand, i]
     objective = 0.0
-    for j in candidate_collaborators(instance, i):
-        # an edge authorized by an earlier step is accepted as it stands
-        if not usage.x[j, i]:
-            clo = usage.closure
-            upstream = (anc_comp[j] & clo[i]).nonzero()[0]
-            downstream = (desc_comp[i] & clo[:, j]).nonzero()[0]
-            if upstream.size or downstream.size:
-                decisions.append(CandidateDecision(
-                    candidate=j,
-                    weight=float(w[j]),
-                    accepted=False,
-                    guard_upstream=tuple(upstream.tolist()),
-                    guard_downstream=tuple(downstream.tolist()),
-                ))
-                continue
-            # the edge gives every descendant of i the ancestors of j, and
-            # every ancestor of j the descendants of i; both masks are read
-            # before the closure changes, each right-hand row before any write
-            anc_comp[clo[i]] |= anc_comp[j]
-            desc_comp[clo[:, j]] |= desc_comp[i]
-            usage.add_edge(j, i)
-        objective += float(w[j])
-        decisions.append(CandidateDecision(j, float(w[j]), True, (), ()))
-    return StepTrace(participant=i, potential=float(pot[i]),
-                     decisions=tuple(decisions), objective=objective)
+    for w in weights[verdicts].tolist():  # summed in scan order
+        objective += w
+    return StepTrace(int(i), float(pot[i]), objective, cand, weights, verdicts,
+                     _sparse(upstream), _sparse(downstream))
 
 
 def select_collaborators(instance: Instance) -> tuple[UsageGraph, SelectionTrace]:

@@ -223,6 +223,39 @@ class TestSimulate:
         assert "line 3" in err and f"limit of {formats.MAX_SAMPLES}" in err
         assert len(err.splitlines()) == 1 and not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("argv,text", [
+        (["--preset", "strong_noniid", "--reps", "4000"], None),
+        (["--config", "sim.txt"], SIM_CONFIG.replace("rounds 4", f"rounds {10**9}")),
+        (["--config", "sim.txt"], SIM_CONFIG.replace("reps 2", f"reps {10**9}")),
+        (["--config", "sim.txt", "--reps", str(10**9)], SIM_CONFIG),
+        (["--config", "sim.txt"], SIM_CONFIG + f"local_epochs {10**9}\n"),
+    ])
+    def test_oversized_training_exits_3_before_training(self, tmp_path, capsys, monkeypatch,
+                                                        argv, text):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oversized job reached training")
+
+        monkeypatch.setattr("fedcollab.cli.run_experiment", refuse)
+        monkeypatch.chdir(tmp_path)
+        if text is not None:
+            (tmp_path / "sim.txt").write_text(text)
+        assert main(["simulate", *argv, "--out", "t.csv"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invalid instance: ") and len(err.splitlines()) == 1
+        assert f"limit of {formats.MAX_TRAINING_WORK}" in err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("preset_name", ["weak_noniid", "strong_noniid"])
+    def test_presets_at_ten_reps_are_within_the_training_bound(self, preset_name):
+        from fedcollab.fedtrain import TrainConfig
+        from fedcollab.synthdata import preset
+
+        config, _ = preset(preset_name)
+        tc = TrainConfig()
+        formats.check_training_work(tc.rounds, tc.local_epochs, 10, config.samples)
+        with pytest.raises(formats.InvalidInstanceError):
+            formats.check_training_work(tc.rounds, tc.local_epochs, 10 * 10**3, config.samples)
+
     def test_zero_reps_in_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "sim.txt"
         cfg.write_text(SIM_CONFIG.replace("reps 2", "reps 0"))
@@ -307,6 +340,37 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith(f"error: line {line}, ") and message in err
         assert len(err.splitlines()) == 1 and not (tmp_path / "c.csv").exists()
+
+    def test_groups_that_are_not_a_partition_exit_2(self, tmp_path, capsys):
+        # the hand-made file (a repeated cover member, a coalition that leaves
+        # participants out, a repeated usage edge), then each fault alone
+        cfg = tmp_path / "sim.txt"
+        cfg.write_text(SIM_CONFIG)
+        rep_out = tmp_path / "report.txt"
+        assert main(["simulate", "--config", str(cfg), "--reps", "1",
+                     "--out", str(tmp_path / "a.csv"), "--report", str(rep_out)]) == 0
+        capsys.readouterr()
+        lines = rep_out.read_text().splitlines()
+        at = [k for k, line in enumerate(lines)
+              if line.split()[0] in ("cover", "coalition", "usage_edge")]
+        head, tail = lines[:at[0]], lines[at[-1] + 1:]
+        cases = [  # group lines, the line number of the error, the message
+            (["cover v1 v1", "coalition v2", "usage_edge v1 v2", "usage_edge v1 v2"], 1,
+             "participant v1 is in two 'cover' groups"),
+            (["cover v1 v2 v3", "coalition v2", "usage_edge v1 v2", "usage_edge v1 v2"], 4,
+             "duplicate usage edge (v1, v2)"),
+            (["cover v1 v2 v3", "coalition v2", "usage_edge v1 v2"], 2,
+             "the 'coalition' groups leave out participant v1"),
+            (["cover v1 v2 v3", "coalition v2 v3", "coalition v3 v1"], 3,
+             "participant v3 is in two 'coalition' groups"),
+        ]
+        bad = tmp_path / "r.txt"
+        for group_lines, offset, message in cases:
+            bad.write_text("\n".join(head + group_lines + tail) + "\n")
+            assert main(["report", "--in", str(bad), "--out", str(tmp_path / "c.csv")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: line {at[0] + offset}, column ") and message in err
+            assert len(err.splitlines()) == 1 and not (tmp_path / "c.csv").exists()
 
     def test_oversized_config_samples_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "r.txt"

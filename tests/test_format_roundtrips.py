@@ -86,11 +86,20 @@ def test_sim_config_round_trip(data):
 
 
 @st.composite
+def partitions(draw, n):
+    """Groups that hold each of 0..n-1 exactly once, or no groups at all."""
+    if draw(st.booleans()):
+        return ()
+    order = draw(st.permutations(range(n)))
+    bounds = [0, *sorted(draw(st.sets(st.integers(1, n - 1)))), n] if n > 1 else [0, n]
+    return tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+@st.composite
 def reports(draw):
     n = draw(st.integers(1, 6))
     methods = tuple(draw(st.lists(st.sampled_from(METHODS), min_size=1, unique=True)))
     nodes = st.integers(0, n - 1)
-    groups = st.lists(st.lists(nodes, min_size=1, max_size=n).map(tuple), max_size=n).map(tuple)
     mode = draw(st.sampled_from(["exact", "greedy"]))
     rows = {m: tuple(draw(st.lists(finite, min_size=n, max_size=n))) for m in methods}
     spread = {m: tuple(draw(st.lists(finite, min_size=n, max_size=n))) for m in methods}
@@ -99,9 +108,9 @@ def reports(draw):
         methods=methods, n=n, reps=draw(st.integers(1, 100)), seed=config.seed,
         mean=rows, std=spread, config=config, train_config=draw(train_configs),
         preset=draw(st.none() | st.sampled_from(PRESET_NAMES)),
-        clique_cover=Partition(draw(groups), "clique_cover", mode),
-        coalitions=Partition(draw(groups), "scc_coalitions", mode),
-        usage_edges=tuple(draw(st.lists(st.tuples(nodes, nodes), max_size=n))),
+        clique_cover=Partition(draw(partitions(n)), "clique_cover", mode),
+        coalitions=Partition(draw(partitions(n)), "scc_coalitions", mode),
+        usage_edges=tuple(draw(st.lists(st.tuples(nodes, nodes), max_size=n, unique=True))),
         benefit=draw(benefits(n)),
         aggregation=" ".join(draw(st.lists(st.text("abc=,-", min_size=1), max_size=4))))
 

@@ -185,6 +185,39 @@ class TestReportFormat:
         assert str(exc.value) == message
 
 
+class TestReportGroups:
+    BASE = TestReportFormat.MINIMAL + "cover v1 v2\ncoalition v1\ncoalition v2\nusage_edge v1 v2\n"
+
+    def test_groups_and_edges_parse(self):
+        report = formats.parse_report(self.BASE)
+        assert report.clique_cover.groups == ((0, 1),)
+        assert report.coalitions.groups == ((0,), (1,))
+        assert report.usage_edges == ((0, 1),)
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("cover v1 v2", "cover v1 v1",
+         "line 8, column 10: participant v1 is in two 'cover' groups"),
+        ("cover v1 v2", "cover v2\ncover v2",
+         "line 9, column 7: participant v2 is in two 'cover' groups"),
+        ("cover v1 v2", "cover v2",
+         "line 8, column 1: the 'cover' groups leave out participant v1"),
+        ("cover v1 v2", "cover", "line 8, column 1: 'cover' needs at least one participant"),
+        ("coalition v2\n", "", "line 9, column 1: the 'coalition' groups leave out participant v2"),
+        ("coalition v2", "coalition v1",
+         "line 10, column 11: participant v1 is in two 'coalition' groups"),
+        ("usage_edge v1 v2\n", "usage_edge v1 v2\nusage_edge v1 v2\n",
+         "line 12, column 1: duplicate usage edge (v1, v2)"),
+    ])
+    def test_rejects_groups_that_are_not_a_partition(self, old, new, message):
+        with pytest.raises(FileFormatError) as exc:
+            formats.parse_report(self.BASE.replace(old, new))
+        assert str(exc.value) == message
+
+    def test_report_without_groups_still_parses(self):
+        report = formats.parse_report(TestReportFormat.MINIMAL)
+        assert report.clique_cover.groups == report.coalitions.groups == ()
+
+
 PARSERS = [formats.parse_instance, formats.parse_usage, formats.parse_benefit,
            formats.parse_sim_config, formats.parse_report]
 

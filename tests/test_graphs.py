@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedcollab import formats
 from fedcollab.graphs import (Instance, InvalidInstanceError, PathWitness, UsageGraph,
                               competitor_guards, conflict_free, conflict_violations,
                               potentials)
 
-from conftest import bfs_reachable, closure_by_floyd_warshall, make_instance, make_usage
+from conftest import (bfs_reachable, closure_by_floyd_warshall, closure_by_squaring,
+                      make_instance, make_usage)
 
 
 def instance_no_competition(w: np.ndarray) -> Instance:
@@ -216,6 +218,15 @@ class TestClosureMaintenance:
         with pytest.raises(ValueError, match="already"):
             usage.add_edge(0, 1)
 
+    def test_bulk_edges_rejected_whole(self):
+        usage = UsageGraph(4).add_edge(0, 1)
+        for js, error, match in (([2, 1], ValueError, "self"), ([2, 0], ValueError, "already"),
+                                 ([2, 3, 2], ValueError, "already"), ([2, 4], IndexError, "range")):
+            x, closure = usage.x.copy(), usage.closure.copy()
+            with pytest.raises(error, match=match):
+                usage.add_edges(js, 1)
+            assert np.array_equal(usage.x, x) and np.array_equal(usage.closure, closure)
+
     def test_copy_isolates_state(self):
         usage = UsageGraph(3).add_edge(0, 1)
         dup = usage.copy()
@@ -241,6 +252,28 @@ def test_closure_exact_after_any_edge_sequence(seq):
     from conftest import closure_by_squaring
 
     assert np.array_equal(usage.closure, closure_by_squaring(usage.x))
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_sequences(), st.randoms(use_true_random=False))
+def test_bulk_closure_matches_per_edge_updates(seq, random):
+    # the edges in any order, cycles included, added per edge, per target
+    # through add_edges, through from_edges and through parse_usage
+    n, picks = seq
+    one_by_one = UsageGraph(n)
+    for j, i in picks:
+        one_by_one.add_edge(j, i)
+    targets = sorted({i for _, i in picks})
+    random.shuffle(targets)
+    per_target = UsageGraph(n)
+    for i in targets:
+        per_target.add_edges([j for j, k in picks if k == i], i)
+    text = "n %d\n" % n + "".join(f"edge v{j + 1} v{i + 1}\n" for j, i in picks)
+    expected = closure_by_squaring(one_by_one.x)
+    for usage in (one_by_one, per_target, UsageGraph.from_edges(n, picks),
+                  formats.parse_usage(text)):
+        assert usage == one_by_one
+        assert np.array_equal(usage.closure, expected)
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,12 +9,42 @@ from fedcollab import formats
 from fedcollab.cli import main
 from fedcollab.graphs import Instance, UsageGraph, competitor_guards, conflict_free
 from fedcollab.oracle import conflict_free_by_paths
-from fedcollab.selection import (candidate_collaborators, conflict_matrices, processing_order,
-                                 select_collaborators, select_step)
+from fedcollab.selection import (CandidateDecision, candidate_collaborators, conflict_matrices,
+                                 processing_order, select_collaborators, select_step)
 from fedcollab.synthdata import (STRONG_COMPETING_EDGES, WEAK_COMPETING_EDGES,
                                  competing_matrix)
 
 from conftest import make_instance, make_usage
+
+
+def sequential_select(instance, usage, i, conflicts):
+    """The per-candidate scan that the batched step replaced, kept as its
+    reference: each candidate's guards are read from the graph as the
+    accepts before it in scan order left it, and each accepted edge updates
+    the conflict matrices and the closure (one outer product) on the spot.
+    Returns the step's decisions and objective."""
+    n, w = instance.n, instance.benefit[:, i]
+    anc_comp, desc_comp = conflicts
+    scan = sorted((j for j in range(n) if j != i and w[j] > 0.0 and not instance.competing[j, i]),
+                  key=lambda j: (-w[j], j))
+    decisions, objective = [], 0.0
+    for j in scan:
+        if not usage.x[j, i]:
+            clo = usage.closure
+            upstream = (anc_comp[j] & clo[i]).nonzero()[0]
+            downstream = (desc_comp[i] & clo[:, j]).nonzero()[0]
+            if upstream.size or downstream.size:
+                decisions.append(CandidateDecision(j, float(w[j]), False,
+                                                   tuple(upstream.tolist()),
+                                                   tuple(downstream.tolist())))
+                continue
+            anc_comp[clo[i]] |= anc_comp[j]
+            desc_comp[clo[:, j]] |= desc_comp[i]
+            usage.x[j, i] = True
+            usage.closure |= np.outer(clo[:, j], clo[i])
+        objective += float(w[j])
+        decisions.append(CandidateDecision(j, float(w[j]), True, (), ()))
+    return tuple(decisions), objective
 
 
 def no_competition(w):
@@ -241,6 +271,46 @@ def test_recorded_guards_match_reference_scan(n, density, seed):
             if d.accepted:
                 replay.add_edge(d.candidate, i)
     assert replay == usage
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=60), st.floats(min_value=0.0, max_value=0.5),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_batched_step_matches_sequential_scan(n, density, seed):
+    # participants are served in a random order and some are served twice,
+    # so later steps meet edges that are already present; the batched step
+    # runs with kept matrices and on the hand-driven path (fresh matrices)
+    rng = np.random.default_rng(seed)
+    inst = make_instance(rng, n, edge_prob=density)
+    perm = rng.permutation(n).tolist()
+    served = perm + perm[:int(rng.integers(0, n + 1))]
+    ref, kept, hand = UsageGraph(n), UsageGraph(n), UsageGraph(n)
+    ref_conflicts, kept_conflicts = conflict_matrices(inst, ref), conflict_matrices(inst, kept)
+    for i in served:
+        decisions, objective = sequential_select(inst, ref, i, ref_conflicts)
+        for usage, step in ((kept, select_step(inst, kept, i, conflicts=kept_conflicts)),
+                            (hand, select_step(inst, hand, i))):
+            assert (step.participant, step.decisions, step.objective) == (i, decisions, objective)
+            assert np.array_equal(usage.x, ref.x)
+            assert np.array_equal(usage.closure, ref.closure)
+        for a, b, c in zip(kept_conflicts, conflict_matrices(inst, hand), ref_conflicts):
+            assert np.array_equal(a, c) and np.array_equal(b, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=30), st.floats(min_value=0.0, max_value=0.5),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_accepts_are_the_empty_guard_candidates_before_the_step(n, density, seed):
+    # the lemma behind the batched step: within a step, a candidate is
+    # accepted iff its edge is present or both of its guard sets are empty
+    # on the graph as it stood before the step
+    inst = make_instance(np.random.default_rng(seed), n, edge_prob=density)
+    usage = UsageGraph(n)
+    for i in processing_order(inst):
+        before = usage.copy()
+        expected = {j for j in candidate_collaborators(inst, i)
+                    if before.x[j, i] or competitor_guards(inst, before, i, j) == (set(), set())}
+        assert set(select_step(inst, usage, i).accepted) == expected
 
 
 def seeded_instance(seed: int, n: int, competition: float, benefit: float = 0.3) -> Instance:
