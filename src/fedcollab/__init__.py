@@ -7,7 +7,7 @@ from .graphs import (Instance, InvalidInstanceError, PathWitness, UsageGraph,
                      competitor_guards, conflict_free, conflict_violations, potentials)
 from .oracle import (OracleSizeError, OracleVerdict, conflict_free_by_paths,
                      optimal_step, simple_paths)
-from .partition import Partition, complement, min_clique_cover, scc_coalitions
+from .partition import Partition, min_clique_cover, scc_coalitions
 from .selection import (SelectionTrace, StepTrace, candidate_collaborators, conflict_matrices,
                         processing_order, select_collaborators, select_step)
 from .synthdata import (SyntheticConfig, SyntheticTask, generate_task, preset,
@@ -21,8 +21,7 @@ __all__ = [
     "SelectionTrace",
     "StepTrace", "SyntheticConfig", "SyntheticTask", "TrainConfig",
     "TrainingDivergenceError", "UsageGraph", "candidate_collaborators", "competitor_guards",
-    "complement", "conflict_free", "conflict_free_by_paths", "conflict_matrices",
-    "conflict_violations",
+    "conflict_free", "conflict_free_by_paths", "conflict_matrices", "conflict_violations",
     "estimate_benefit", "generate_task", "min_clique_cover", "optimal_step",
     "potentials", "preset", "processing_order", "run_experiment", "scc_coalitions",
     "select_collaborators", "select_step", "simple_paths", "strong_noniid_config",

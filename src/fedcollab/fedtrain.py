@@ -41,7 +41,7 @@ methods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -260,24 +260,14 @@ def estimate_benefit(task: SyntheticTask, train_config: TrainConfig = TrainConfi
     local = _mixing("local", None, None, [len(t) for t in task.train_idx])
     thetas, val_data = _round_loop(task, [local], cfg, seed)
 
-    n = task.n
-    cross = np.empty((n, n))
-    for j in range(n):
-        for i in range(n):
-            cross[j, i] = mean_squared_error(thetas[0, j], *val_data[i])
+    # cross[j, i]: j's local model on i's validation data
+    cross = np.array([[mean_squared_error(theta, *data) for data in val_data]
+                      for theta in thetas[0]])
     if not np.isfinite(cross).all():
         raise TrainingDivergenceError("non-finite validation loss during benefit estimation")
-
-    w = np.zeros((n, n))
-    for i in range(n):
-        base = cross[i, i]
-        for j in range(n):
-            if j == i:
-                continue
-            gain = base - cross[j, i]
-            if gain > cfg.benefit_threshold * base:
-                w[j, i] = gain
-    return w
+    base = cross.diagonal()
+    gain = base - cross  # gain[j, i] = base[i] - cross[j, i], 0 on the diagonal
+    return np.where(gain > cfg.benefit_threshold * base, gain, 0.0)
 
 
 @dataclass
@@ -302,15 +292,12 @@ class ExperimentReport:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExperimentReport):
             return NotImplemented
-        return (self.methods == other.methods and self.n == other.n
-                and self.reps == other.reps and self.seed == other.seed
-                and self.mean == other.mean and self.std == other.std
-                and self.config == other.config and self.train_config == other.train_config
-                and self.preset == other.preset and self.clique_cover == other.clique_cover
-                and self.coalitions == other.coalitions
-                and self.usage_edges == other.usage_edges
-                and np.array_equal(self.benefit, other.benefit)
-                and self.aggregation == other.aggregation)
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(mine, theirs) if isinstance(mine, np.ndarray)
+                    else mine == theirs):
+                return False
+        return True
 
 
 def _rep_seed(base: int, rep: int) -> int:

@@ -395,8 +395,9 @@ def serialize_selection(instance: Instance, usage: UsageGraph,
     for step in trace.steps:
         who = label[step.participant]
         lines.append(f"step {who} objective {step.objective!r}")
+        weights = instance.benefit[step.candidates, step.participant]
         for j, w, ok, upstream, downstream in zip(label[step.candidates].tolist(),
-                                                  step.weights.tolist(), step.verdicts.tolist(),
+                                                  weights.tolist(), step.verdicts.tolist(),
                                                   *step.guards(label)):
             lines.append(f"decision {who} {j} {w!r} {'accept' if ok else 'reject'} "
                          f"{','.join(upstream) or '-'} {','.join(downstream) or '-'}")

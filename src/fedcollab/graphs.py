@@ -178,14 +178,6 @@ class UsageGraph:
         self.closure[ancestors] |= self.closure[i]
         return self
 
-    def reachable_from(self, i: int) -> set[int]:
-        """Nodes reachable from i, including i itself."""
-        return set(np.flatnonzero(self.closure[self._check(i)]).tolist())
-
-    def reachable_to(self, j: int) -> set[int]:
-        """Nodes that reach j, including j itself."""
-        return set(np.flatnonzero(self.closure[:, self._check(j)]).tolist())
-
     def path_witness(self, j: int, i: int) -> PathWitness | None:
         """A shortest selected path j -> ... -> i, or None if unreachable."""
         j, i = self._check(j), self._check(i)

@@ -1,10 +1,10 @@
 """Independent brute-force references for testing the fast paths.
 
 Everything here deliberately avoids the incremental closure and the
-guard-set machinery: feasibility is decided by enumerating simple paths
-of the benefit graph, and per-step optimality by enumerating candidate
-subsets. Size guards are hard errors; a partial oracle is worse than
-none.
+guard-set machinery: feasibility is decided by searching the selected
+benefit edges for a simple path between competitors, and per-step
+optimality by enumerating candidate subsets. Size guards are hard
+errors; a partial oracle is worse than none.
 """
 
 from __future__ import annotations
@@ -75,18 +75,16 @@ def _benefit_adjacency(instance: Instance) -> np.ndarray:
 def _paths_feasible(instance: Instance, x: np.ndarray) -> bool:
     """Check conflict freedom from the decision matrix alone.
 
-    For every competing pair, every simple benefit-graph path between
-    them (both directions) must have at least one unselected edge. Walks
+    No competing pair may be joined, in either direction, by a simple
+    benefit-graph path whose edges are all selected, so the search runs on
+    the selected benefit edges and stops at the first path it finds. Walks
     need not be considered: any reachability witness contains a simple
     path.
     """
-    adj = _benefit_adjacency(instance)
+    adj = _benefit_adjacency(instance) & x
     pairs = np.transpose(np.nonzero(instance.competing))
-    for j, i in pairs.tolist():  # competing is symmetric: covers both directions
-        for path in simple_paths(adj, j, i):
-            if all(x[path[k], path[k + 1]] for k in range(len(path) - 1)):
-                return False
-    return True
+    # competing is symmetric: covers both directions
+    return not any(next(simple_paths(adj, j, i), None) for j, i in pairs.tolist())
 
 
 def conflict_free_by_paths(instance: Instance, usage: UsageGraph) -> bool:

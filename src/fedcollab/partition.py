@@ -27,16 +27,6 @@ class Partition:
     kind: str  # "clique_cover" | "scc_coalitions"
     mode: str | None = None  # "exact" | "greedy" for covers
 
-    @property
-    def n(self) -> int:
-        return sum(len(g) for g in self.groups)
-
-    def group_of(self, i: int) -> tuple[int, ...]:
-        for g in self.groups:
-            if i in g:
-                return g
-        raise KeyError(i)
-
     def validate_cover(self, instance: Instance) -> None:
         seen: set[int] = set()
         for g in self.groups:
@@ -58,13 +48,6 @@ def _canonical_groups(colors: list[int]) -> tuple[tuple[int, ...], ...]:
         by_color.setdefault(c, []).append(node)
     groups = [tuple(sorted(g)) for g in by_color.values()]
     return tuple(sorted(groups, key=lambda g: g[0]))
-
-
-def complement(instance: Instance) -> np.ndarray:
-    """Adjacency of the independence graph: non-competing distinct pairs."""
-    comp = ~instance.competing
-    np.fill_diagonal(comp, False)
-    return comp
 
 
 def _color_exact(adjacency: np.ndarray) -> list[int]:

@@ -24,6 +24,11 @@ therefore costs one |C| x n AND per guard for its |C| candidates, and one
 update for all of its accepted edges: the closure and ``desc_comp`` rows
 of the accepted candidates' ancestors and the ``anc_comp`` rows of i's
 descendants, each ORed with one row.
+
+The trace holds each fact once. A :class:`StepTrace` records a
+participant, its objective and, per candidate in scan order, the verdict
+and both guard sets; a :class:`SelectionTrace` is the steps in processing
+order. Potentials and candidate weights are read from the instance.
 """
 from __future__ import annotations
 
@@ -32,17 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Instance, UsageGraph, conflict_free, potentials
-
-
-@dataclass(frozen=True)
-class CandidateDecision:
-    """One accept/reject verdict, with the guard sets seen at decision time."""
-
-    candidate: int
-    weight: float
-    accepted: bool
-    guard_upstream: tuple[int, ...]
-    guard_downstream: tuple[int, ...]
 
 
 def _sparse(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -55,16 +49,17 @@ def _sparse(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class StepTrace:
     """One participant's step, as columns over its candidates in scan order.
 
-    ``upstream`` and ``downstream`` hold the guard entries sparsely: the
-    number of guard nodes of each candidate, and all of them concatenated
-    in scan order, ascending within a candidate. Accepts have none.
+    ``objective`` is the benefit i receives from its accepted candidates,
+    summed in scan order; a candidate's weight is read from the instance as
+    ``benefit[candidates, participant]``. ``upstream`` and ``downstream``
+    hold the guard entries sparsely: the number of guard nodes of each
+    candidate, and all of them concatenated in scan order, ascending within
+    a candidate. Accepts have none.
     """
 
     participant: int
-    potential: float
     objective: float
     candidates: np.ndarray
-    weights: np.ndarray
     verdicts: np.ndarray  # True for an accepted candidate
     upstream: tuple[np.ndarray, np.ndarray]
     downstream: tuple[np.ndarray, np.ndarray]
@@ -80,37 +75,28 @@ class StepTrace:
         return sides[0], sides[1]
 
     @property
-    def decisions(self) -> tuple[CandidateDecision, ...]:
-        return tuple(CandidateDecision(j, w, ok, tuple(up), tuple(down))
-                     for j, w, ok, up, down in zip(self.candidates.tolist(),
-                                                   self.weights.tolist(),
-                                                   self.verdicts.tolist(), *self.guards()))
-
-    @property
     def accepted(self) -> tuple[int, ...]:
         return tuple(self.candidates[self.verdicts].tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StepTrace):
             return NotImplemented
-        return ((self.participant, self.potential, self.objective)
-                == (other.participant, other.potential, other.objective)
+        return ((self.participant, self.objective) == (other.participant, other.objective)
                 and all(map(np.array_equal, self._columns(), other._columns())))
 
     def _columns(self) -> tuple[np.ndarray, ...]:
-        return (self.candidates, self.weights, self.verdicts, *self.upstream, *self.downstream)
+        return (self.candidates, self.verdicts, *self.upstream, *self.downstream)
 
 
 @dataclass(frozen=True)
 class SelectionTrace:
-    """Full replayable record of a selection run."""
+    """Full replayable record of a selection run: its steps in processing order."""
 
-    order: tuple[int, ...]
     steps: tuple[StepTrace, ...]
 
     @property
-    def objective(self) -> float:
-        return sum(step.objective for step in self.steps)
+    def order(self) -> tuple[int, ...]:
+        return tuple(step.participant for step in self.steps)
 
 
 def processing_order(instance: Instance) -> list[int]:
@@ -148,12 +134,10 @@ def conflict_matrices(instance: Instance, usage: UsageGraph) -> tuple[np.ndarray
 
 
 def select_step(instance: Instance, usage: UsageGraph, i: int,
-                pot: np.ndarray | None = None,
                 conflicts: tuple[np.ndarray, np.ndarray] | None = None) -> StepTrace:
     """Greedily pick i's collaborators, mutating `usage` in place.
 
-    ``pot`` is the :func:`fedcollab.graphs.potentials` vector and
-    ``conflicts`` the :func:`conflict_matrices` of ``usage``; both are
+    ``conflicts`` is the :func:`conflict_matrices` pair of ``usage``,
     computed when omitted. Passed-in conflict matrices are updated in place
     with the accepted edges, so a caller running several steps on one
     usage graph keeps them in step by passing the same pair each time.
@@ -168,8 +152,6 @@ def select_step(instance: Instance, usage: UsageGraph, i: int,
             raise RuntimeError("usage graph already violates conflict freedom "
                                "before selection step")
         conflicts = conflict_matrices(instance, usage)
-    if pot is None:
-        pot = potentials(instance)
     anc_comp, desc_comp = conflicts
     cand = np.array(candidate_collaborators(instance, i), dtype=np.intp)
     clo = usage.closure
@@ -187,12 +169,10 @@ def select_step(instance: Instance, usage: UsageGraph, i: int,
         anc_comp[clo[i]] |= anc_comp[added].any(axis=0)
         desc_comp[clo[:, added].any(axis=1)] |= desc_comp[i]
         usage.add_edges(added, i)
-    weights = instance.benefit[cand, i]
     objective = 0.0
-    for w in weights[verdicts].tolist():  # summed in scan order
+    for w in instance.benefit[cand[verdicts], i].tolist():  # summed in scan order
         objective += w
-    return StepTrace(int(i), float(pot[i]), objective, cand, weights, verdicts,
-                     _sparse(upstream), _sparse(downstream))
+    return StepTrace(int(i), objective, cand, verdicts, _sparse(upstream), _sparse(downstream))
 
 
 def select_collaborators(instance: Instance) -> tuple[UsageGraph, SelectionTrace]:
@@ -202,8 +182,7 @@ def select_collaborators(instance: Instance) -> tuple[UsageGraph, SelectionTrace
     graphs and traces. The returned graph is always conflict-free.
     """
     usage = UsageGraph(instance.n)
-    order = processing_order(instance)
-    pot = potentials(instance)
     conflicts = conflict_matrices(instance, usage)
-    steps = tuple(select_step(instance, usage, i, pot, conflicts) for i in order)
-    return usage, SelectionTrace(order=tuple(order), steps=steps)
+    steps = tuple(select_step(instance, usage, i, conflicts)
+                  for i in processing_order(instance))
+    return usage, SelectionTrace(steps)

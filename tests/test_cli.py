@@ -64,6 +64,12 @@ class TestSelect:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["select", "--instance", str(tmp_path / "nope.txt")]) == 2
 
+    def test_zero_participants_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "empty.txt"
+        bad.write_text("n 0\n")
+        assert main(["select", "--instance", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: line 1, column 3: n must be positive\n"
+
     def test_oversized_n_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "huge.txt"
         bad.write_text("n 100000000\n")
@@ -117,6 +123,16 @@ class TestVerify:
               "--usage", str(usage_file), "--out", str(out)])
         assert "unsupported_edge v2 v3" in out.read_text()
 
+    def test_self_edge_in_usage_exits_2(self, tmp_path, instance_file, capsys):
+        usage_file = tmp_path / "usage.txt"
+        usage_file.write_text("n 3\nedge v1 v1\n")
+        out = tmp_path / "o.txt"
+        assert main(["verify", "--instance", str(instance_file),
+                     "--usage", str(usage_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: line 2, column 1: self-edge (0, 0) "
+                                           "is not a collaboration\n")
+        assert not out.exists()
+
 
 class TestPartition:
     def test_partition_output(self, tmp_path, instance_file):
@@ -150,6 +166,19 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--methods", "local,ce",
                      "--reps", "1", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "participant,local,ce"
+
+    def test_seed_flag_overrides_config_seed(self, tmp_path):
+        def report(text, *flags):
+            cfg, out = tmp_path / "sim.txt", tmp_path / "report.txt"
+            cfg.write_text(text)
+            assert main(["simulate", "--config", str(cfg), "--methods", "local", "--reps", "1",
+                         *flags, "--out", str(tmp_path / "t.csv"), "--report", str(out)]) == 0
+            return out.read_text()
+
+        overridden = report(SIM_CONFIG, "--seed", "9")
+        assert overridden == report(SIM_CONFIG.replace("seed 5", "seed 9"))
+        assert overridden != report(SIM_CONFIG)
+        assert formats.parse_report(overridden).seed == 9
 
     def test_unknown_method_exits_2(self, tmp_path):
         cfg = tmp_path / "sim.txt"

@@ -299,6 +299,28 @@ class TestRunExperiment:
         report2, _ = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=3)
         assert report == report2
 
+    def test_equality_reads_every_field(self):
+        from dataclasses import fields, replace
+
+        def bumped(scores):
+            return {m: tuple(v + 1.0 for v in vs) for m, vs in scores.items()}
+
+        report, _ = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=1)
+        changed = {
+            "methods": report.methods[::-1], "n": report.n + 1, "reps": report.reps + 1,
+            "seed": report.seed + 1, "mean": bumped(report.mean), "std": bumped(report.std),
+            "config": with_seed(report.config, report.seed + 1),
+            "train_config": replace(report.train_config, rounds=report.train_config.rounds + 1),
+            "preset": "weak_noniid", "clique_cover": report.coalitions,
+            "coalitions": report.clique_cover, "usage_edges": report.usage_edges + ((1, 2),),
+            "benefit": report.benefit + 1.0, "aggregation": report.aggregation + " ",
+        }
+        # a field added to the report must be given a changed value here
+        assert sorted(changed) == sorted(f.name for f in fields(report))
+        assert report == replace(report, benefit=report.benefit.copy())
+        for name, value in changed.items():
+            assert report != replace(report, **{name: value}), name
+
     def test_user_supplied_benefit_bypasses_estimation(self):
         w = np.zeros((3, 3))
         w[0, 2] = 0.7
@@ -354,7 +376,6 @@ class TestRunExperiment:
                                                     reps=2)[0].mean[m]
 
 
-@pytest.mark.slow
 class TestPresetQualitative:
     def test_strong_noniid_orderings(self):
         cfg, edges = preset("strong_noniid", seed=7)

@@ -77,16 +77,12 @@ class TestPotentials:
 
 class TestReachability:
     def test_identity(self):
-        usage = UsageGraph(4)
-        for i in range(4):
-            assert usage.reachable_from(i) == {i}
-            assert usage.reachable_to(i) == {i}
+        assert np.array_equal(UsageGraph(4).closure, np.eye(4, dtype=bool))
 
     def test_chain(self):
         usage = UsageGraph(3).add_edge(0, 1).add_edge(1, 2)
-        assert usage.reachable_from(0) == {0, 1, 2}
-        assert usage.reachable_to(2) == {0, 1, 2}
-        assert usage.reachable_from(2) == {2}
+        assert usage.closure.tolist() == [[True, True, True], [False, True, True],
+                                          [False, False, True]]
 
     def test_random_matches_bfs(self):
         rng = np.random.default_rng(11)
@@ -94,15 +90,9 @@ class TestReachability:
             n = int(rng.integers(2, 9))
             usage = make_usage(rng, n, max_edges=2 * n)
             for i in range(n):
-                assert usage.reachable_from(i) == bfs_reachable(usage.x, i)
-                assert usage.reachable_to(i) == bfs_reachable(usage.x.T, i)
-
-    def test_index_errors(self):
-        usage = UsageGraph(3)
-        with pytest.raises(IndexError):
-            usage.reachable_from(3)
-        with pytest.raises(IndexError):
-            usage.reachable_to(-1)
+                assert set(np.flatnonzero(usage.closure[i]).tolist()) == bfs_reachable(usage.x, i)
+                assert (set(np.flatnonzero(usage.closure[:, i]).tolist())
+                        == bfs_reachable(usage.x.T, i))
 
 
 class TestCompetitorGuards:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fedcollab.graphs import Instance
-from fedcollab.partition import (Partition, complement, min_clique_cover,
-                                 scc_coalitions, strongly_connected_components)
+from fedcollab.partition import (Partition, min_clique_cover, scc_coalitions,
+                                 strongly_connected_components)
 from fedcollab.synthdata import (STRONG_COMPETING_EDGES, WEAK_COMPETING_EDGES,
                                  competing_matrix)
 
@@ -42,24 +42,6 @@ def brute_force_min_cover_size(instance) -> int:
 
     extend([], 0)
     return best
-
-
-class TestComplement:
-    def test_empty_competition_gives_complete_graph(self):
-        inst = instance_from_edges(3, [])
-        expected = ~np.eye(3, dtype=bool)
-        assert np.array_equal(complement(inst), expected)
-
-    def test_single_edge(self):
-        inst = instance_from_edges(3, [(0, 1)])
-        comp = complement(inst)
-        assert not comp[0, 1] and not comp[1, 0]
-        assert comp[0, 2] and comp[1, 2]
-
-    def test_double_complement_is_identity(self, rng):
-        inst = make_instance(rng, 6, edge_prob=0.4)
-        twice = Instance(6, ~complement(inst) & ~np.eye(6, dtype=bool), inst.benefit)
-        assert np.array_equal(complement(twice), complement(inst))
 
 
 class TestMinCliqueCover:
@@ -158,6 +140,17 @@ class TestSccCoalitions:
         bogus = Partition(groups=((0, 1), (2, 3)), kind="scc_coalitions")
         with pytest.raises(ValueError, match="clique_cover"):
             scc_coalitions(inst, bogus)
+
+    @pytest.mark.parametrize("groups,message", [
+        (((0, 1), (1, 2)), "node 1 appears in two groups"),
+        (((0, 2), (1,)), r"competing pair \(0, 2\) grouped together"),
+        (((0,), (1,)), "groups do not cover all nodes"),
+    ])
+    def test_rejects_a_clique_cover_that_is_not_one(self, groups, message):
+        inst = instance_from_edges(3, [(0, 2)])
+        cover = Partition(groups=groups, kind="clique_cover", mode="exact")
+        with pytest.raises(ValueError, match=message):
+            scc_coalitions(inst, cover)
 
 
 class TestTarjanDirect:

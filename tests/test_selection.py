@@ -9,8 +9,8 @@ from fedcollab import formats
 from fedcollab.cli import main
 from fedcollab.graphs import Instance, UsageGraph, competitor_guards, conflict_free
 from fedcollab.oracle import conflict_free_by_paths
-from fedcollab.selection import (CandidateDecision, candidate_collaborators, conflict_matrices,
-                                 processing_order, select_collaborators, select_step)
+from fedcollab.selection import (candidate_collaborators, conflict_matrices, processing_order,
+                                 select_collaborators, select_step)
 from fedcollab.synthdata import (STRONG_COMPETING_EDGES, WEAK_COMPETING_EDGES,
                                  competing_matrix)
 
@@ -22,29 +22,37 @@ def sequential_select(instance, usage, i, conflicts):
     reference: each candidate's guards are read from the graph as the
     accepts before it in scan order left it, and each accepted edge updates
     the conflict matrices and the closure (one outer product) on the spot.
-    Returns the step's decisions and objective."""
+    Returns the step's columns, as :func:`columns` reads them from a step."""
     n, w = instance.n, instance.benefit[:, i]
     anc_comp, desc_comp = conflicts
     scan = sorted((j for j in range(n) if j != i and w[j] > 0.0 and not instance.competing[j, i]),
                   key=lambda j: (-w[j], j))
-    decisions, objective = [], 0.0
+    verdicts, ups, downs, objective = [], [], [], 0.0
     for j in scan:
+        upstream = downstream = []
         if not usage.x[j, i]:
             clo = usage.closure
-            upstream = (anc_comp[j] & clo[i]).nonzero()[0]
-            downstream = (desc_comp[i] & clo[:, j]).nonzero()[0]
-            if upstream.size or downstream.size:
-                decisions.append(CandidateDecision(j, float(w[j]), False,
-                                                   tuple(upstream.tolist()),
-                                                   tuple(downstream.tolist())))
-                continue
-            anc_comp[clo[i]] |= anc_comp[j]
-            desc_comp[clo[:, j]] |= desc_comp[i]
-            usage.x[j, i] = True
-            usage.closure |= np.outer(clo[:, j], clo[i])
-        objective += float(w[j])
-        decisions.append(CandidateDecision(j, float(w[j]), True, (), ()))
-    return tuple(decisions), objective
+            upstream = (anc_comp[j] & clo[i]).nonzero()[0].tolist()
+            downstream = (desc_comp[i] & clo[:, j]).nonzero()[0].tolist()
+            if not (upstream or downstream):
+                anc_comp[clo[i]] |= anc_comp[j]
+                desc_comp[clo[:, j]] |= desc_comp[i]
+                usage.x[j, i] = True
+                usage.closure |= np.outer(clo[:, j], clo[i])
+        accepted = not (upstream or downstream)
+        if accepted:
+            objective += float(w[j])
+        verdicts.append(accepted)
+        ups.append(upstream)
+        downs.append(downstream)
+    return i, objective, scan, verdicts, ups, downs
+
+
+def columns(step):
+    """A step's participant, objective, candidates, verdicts and guard sets
+    as plain Python values."""
+    return (step.participant, step.objective, step.candidates.tolist(),
+            step.verdicts.tolist(), *step.guards())
 
 
 def no_competition(w):
@@ -110,13 +118,7 @@ class TestSelectStep:
         usage, trace = select_collaborators(inst)
         assert trace.order == (1, 2, 0)
         assert usage.edges() == [(2, 1)]
-        step0 = trace.steps[2]
-        assert step0.participant == 0
-        (decision,) = step0.decisions
-        assert decision.candidate == 1 and not decision.accepted
-        assert decision.guard_upstream == (0,)
-        assert decision.guard_downstream == (2,)
-        assert step0.objective == 0.0
+        assert columns(trace.steps[2]) == (0, 0.0, [1], [False], [[0]], [[2]])
 
     def test_precondition_violation_is_contract_error(self):
         s = np.zeros((3, 3), bool)
@@ -135,7 +137,7 @@ class TestSelectAll:
         usage, trace = select_collaborators(inst)
         assert usage.x.tolist() == [[True]]
         assert trace.order == (0,)
-        assert trace.steps[0].decisions == ()
+        assert columns(trace.steps[0]) == (0, 0.0, [], [], [], [])
 
     def test_no_competition_dense_benefit_selects_everything(self, rng):
         w = rng.uniform(0.1, 1.0, (6, 6))
@@ -179,13 +181,14 @@ class TestSelectAll:
             inst = make_instance(rng, edge_prob=0.35)
             usage, trace = select_collaborators(inst)
             for step in trace.steps:
-                for decision in step.decisions:
-                    if decision.accepted:
-                        assert decision.guard_upstream == ()
-                        assert decision.guard_downstream == ()
+                for j, accepted, upstream, downstream in zip(step.candidates.tolist(),
+                                                             step.verdicts.tolist(),
+                                                             *step.guards()):
+                    if accepted:
+                        assert upstream == downstream == []
                         continue
-                    has_guard = decision.guard_upstream or decision.guard_downstream
-                    forced = usage.copy().add_edge(decision.candidate, step.participant)
+                    has_guard = upstream or downstream
+                    forced = usage.copy().add_edge(j, step.participant)
                     assert has_guard or not conflict_free(inst, forced)
                     assert has_guard
 
@@ -260,16 +263,17 @@ def test_recorded_guards_match_reference_scan(n, density, seed):
     replay = UsageGraph(n)
     for step in trace.steps:
         i = step.participant
-        for d in step.decisions:
-            if replay.x[d.candidate, i]:
-                assert d.accepted and d.guard_upstream == d.guard_downstream == ()
+        for j, accepted, up, down in zip(step.candidates.tolist(), step.verdicts.tolist(),
+                                         *step.guards()):
+            if replay.x[j, i]:
+                assert accepted and up == down == []
                 continue
-            upstream, downstream = competitor_guards(inst, replay, i, d.candidate)
-            assert d.guard_upstream == tuple(sorted(upstream))
-            assert d.guard_downstream == tuple(sorted(downstream))
-            assert d.accepted == (not upstream and not downstream)
-            if d.accepted:
-                replay.add_edge(d.candidate, i)
+            upstream, downstream = competitor_guards(inst, replay, i, j)
+            assert up == sorted(upstream)
+            assert down == sorted(downstream)
+            assert accepted == (not upstream and not downstream)
+            if accepted:
+                replay.add_edge(j, i)
     assert replay == usage
 
 
@@ -287,10 +291,10 @@ def test_batched_step_matches_sequential_scan(n, density, seed):
     ref, kept, hand = UsageGraph(n), UsageGraph(n), UsageGraph(n)
     ref_conflicts, kept_conflicts = conflict_matrices(inst, ref), conflict_matrices(inst, kept)
     for i in served:
-        decisions, objective = sequential_select(inst, ref, i, ref_conflicts)
+        expected = sequential_select(inst, ref, i, ref_conflicts)
         for usage, step in ((kept, select_step(inst, kept, i, conflicts=kept_conflicts)),
                             (hand, select_step(inst, hand, i))):
-            assert (step.participant, step.decisions, step.objective) == (i, decisions, objective)
+            assert columns(step) == expected
             assert np.array_equal(usage.x, ref.x)
             assert np.array_equal(usage.closure, ref.closure)
         for a, b, c in zip(kept_conflicts, conflict_matrices(inst, hand), ref_conflicts):
