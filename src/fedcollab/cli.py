@@ -110,8 +110,8 @@ def _cmd_simulate(args) -> int:
     reps = args.reps if args.reps is not None else (file_reps if file_reps is not None else 10)
     formats.check_training_work(train_config.rounds, train_config.local_epochs, reps,
                                 config.samples)
-    report, _ = run_experiment(config, edges, methods=methods, train_config=train_config,
-                               reps=reps, benefit=benefit, preset=args.preset)
+    report = run_experiment(config, edges, methods=methods, train_config=train_config,
+                            reps=reps, benefit=benefit, preset=args.preset)
     _write(args.out, formats.report_to_csv(report))
     if args.report is not None:
         _write(args.report, formats.serialize_report(report))

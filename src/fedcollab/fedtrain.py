@@ -47,19 +47,13 @@ import numpy as np
 
 from .graphs import Instance, UsageGraph
 from .partition import Partition, min_clique_cover, scc_coalitions
-from .selection import SelectionTrace, select_collaborators
+from .selection import select_collaborators
 from .synthdata import (SyntheticConfig, SyntheticTask, competing_matrix,
                         generate_task, polynomial_features, with_seed)
 
 METHODS = ("local", "fedavg", "ce", "fedcompetitors")
 
 AGGREGATION_RULE = "self-weight = max collaborator benefit, normalized to sum 1"
-
-# One participant's model: the coefficient vector of the shared regression
-# head. Kept opaque behind this alias so a richer parameterization can be
-# swapped in without touching the pipelines.
-ModelParams = np.ndarray
-
 
 class TrainingDivergenceError(RuntimeError):
     """Raised when training produces non-finite parameters or losses."""
@@ -84,12 +78,12 @@ class TrainConfig:
             raise ValueError("benefit_threshold must be nonnegative")
 
 
-def mean_squared_error(theta: ModelParams, phi: np.ndarray, y: np.ndarray) -> float:
+def mean_squared_error(theta: np.ndarray, phi: np.ndarray, y: np.ndarray) -> float:
     r = phi @ theta - y
     return float(r @ r / len(y))
 
 
-def loss_gradient(theta: ModelParams, phi: np.ndarray, y: np.ndarray) -> np.ndarray:
+def loss_gradient(theta: np.ndarray, phi: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of mean_squared_error with respect to theta.
 
     Leading axes broadcast: theta (..., d), phi (..., b, d) and y (..., b)
@@ -177,7 +171,7 @@ def _mixing(method: str, grouping, benefit: np.ndarray | None,
     return rows, False
 
 
-def _mix(thetas: np.ndarray, row: Mixing) -> ModelParams:
+def _mix(thetas: np.ndarray, row: Mixing) -> np.ndarray:
     # an ordered Python sum, not a matrix product, so the rounding is fixed
     sources, coefs = row
     return sum(c * thetas[j] for c, j in zip(coefs, sources))
@@ -309,7 +303,7 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
                    train_config: TrainConfig = TrainConfig(),
                    reps: int = 10,
                    benefit: np.ndarray | None = None,
-                   preset: str | None = None) -> tuple[ExperimentReport, SelectionTrace]:
+                   preset: str | None = None) -> ExperimentReport:
     """Full pipeline: estimate benefit, select collaborators, build the
     baseline partitions, then train every requested method over `reps`
     freshly drawn repetitions of the task.
@@ -330,7 +324,7 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
     if benefit is None:
         benefit = estimate_benefit(generate_task(config), train_config)
     instance = Instance(config.n, competing_matrix(config.n, competing_edges), benefit)
-    usage, trace = select_collaborators(instance)
+    usage, _ = select_collaborators(instance)
     cover = min_clique_cover(instance)
     coalitions = scc_coalitions(instance, cover)
     grouping = {"local": None, "fedavg": cover, "ce": coalitions, "fedcompetitors": usage}
@@ -354,10 +348,9 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
 
     mean = {m: tuple(float(v) for v in np.mean(scores[m], axis=0)) for m in methods}
     std = {m: tuple(float(v) for v in np.std(scores[m], axis=0)) for m in methods}
-    report = ExperimentReport(
+    return ExperimentReport(
         methods=tuple(methods), n=config.n, reps=reps, seed=config.seed,
         mean=mean, std=std, config=config, train_config=train_config, preset=preset,
         clique_cover=cover, coalitions=coalitions,
         usage_edges=tuple(sorted(usage.edges())), benefit=instance.benefit,
     )
-    return report, trace

@@ -33,14 +33,22 @@ MAX_NODES = 4096
 """Largest participant count an input file may declare (exit code 3 above).
 
 Instance, benefit and report files become dense n x n float64 matrices,
-128 MiB each at this bound, and selection keeps five n x n boolean
-matrices besides; a larger count is refused before anything is allocated.
+128 MiB each at this bound, and selection keeps four n x n boolean
+matrices besides (16 MiB each); a larger count is refused before anything
+is allocated.
 """
 
 MAX_SAMPLES = 10_000_000
 """Largest total of the sample counts a config or report file may declare
 (exit code 3 above): about 80 MB per float64 array drawn over all
 participants, refused before any data is generated.
+"""
+
+MAX_DEGREE = 10
+"""Largest polynomial degree a config or report file may declare (exit
+code 3 above). Each sample's features are ``degree`` float64 values, 80
+bytes at this bound, so the feature matrix of ``MAX_SAMPLES`` samples
+takes 800 MB; a larger degree is refused before any data is generated.
 """
 
 MAX_TRAINING_WORK = 1_000_000_000
@@ -250,16 +258,18 @@ def _benefit_matrix(n: int, weights: dict) -> np.ndarray:
     return matrix
 
 
-def _samples(line: _Line) -> tuple[int, ...]:
-    """The counts of a 'samples' or 'config_samples' line, at most
-    MAX_SAMPLES in all."""
-    samples = tuple(line.values)
-    if not samples:
+def _check_size(line: _Line) -> None:
+    """Refuse a '[config_]samples' line with no counts or more than
+    MAX_SAMPLES in all, and a '[config_]degree' above MAX_DEGREE."""
+    kind, values = line.key.removeprefix("config_"), line.values
+    if kind == "samples" and not values:
         raise line.error(f"'{line.key}' needs one count per participant")
-    if sum(samples) > MAX_SAMPLES:
-        raise InvalidInstanceError(f"line {line.no}: {sum(samples)} samples exceed the limit "
+    if kind == "samples" and sum(values) > MAX_SAMPLES:
+        raise InvalidInstanceError(f"line {line.no}: {sum(values)} samples exceed the limit "
                                    f"of {MAX_SAMPLES}")
-    return samples
+    if kind == "degree" and values[0] > MAX_DEGREE:
+        raise InvalidInstanceError(f"line {line.no}: degree {values[0]} exceeds the limit "
+                                   f"of {MAX_DEGREE}")
 
 
 def check_training_work(rounds: int, local_epochs: int, reps: int, samples) -> None:
@@ -445,8 +455,7 @@ def parse_sim_config(text: str):
             _add_competing(competing, line)
         else:
             last[line.key] = line
-            if line.key == "samples":
-                _samples(line)
+            _check_size(line)
     if "samples" not in last:
         raise FileFormatError("config file declares no 'samples'", 1, 1)
     n = last["n"].values[0]
@@ -576,14 +585,14 @@ def parse_report(text: str) -> ExperimentReport:
             if (values[0], values[1]) in mse:
                 raise line.error(f"duplicate mse row ({values[0]}, {node_label(values[1])})")
             mse[values[0], values[1]] = line
-        elif key == "config_samples":
-            _samples(line)
         elif key == "methods":
             if not values:
                 raise line.error("'methods' needs at least one method")
             for k, method in enumerate(values):
                 if method in values[:k]:
                     raise line.error(f"duplicate method {method!r}", k + 1)
+        else:
+            _check_size(line)
 
     for key in ("methods", "config_samples"):
         if key not in last:

@@ -141,10 +141,7 @@ class UsageGraph:
             return NotImplemented
         return self.n == other.n and np.array_equal(self.x, other.x)
 
-    def _check(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(f"node index {i} out of range for n={self.n}")
-        return int(i)
+    _check = Instance.check_node  # the same bounds check, against this graph's n
 
     def edges(self) -> list[tuple[int, int]]:
         """Off-diagonal edges (j, i), meaning i uses j's updates."""
@@ -219,12 +216,14 @@ def competitor_guards(instance: Instance, usage: UsageGraph,
     Returns ``(upstream, downstream)``: upstream holds competitors of
     nodes that reach j which are already reachable from i; downstream
     holds competitors of nodes reachable from i which already reach j.
-    Equivalently, upstream is the intersection of i's descendants with
-    the competitors of j's ancestors, and symmetrically for downstream.
+    They are the two ends of the competing pairs (ancestor of j,
+    descendant of i), so on any usage graph each is empty exactly when
+    the other is.
 
     This direct O(n^2) scan is the reference form: the selection engine
-    reads the same sets in O(n) from the conflict matrices it maintains
-    (:func:`fedcollab.selection.conflict_matrices`).
+    decides on the downstream set, read in O(n) from i's rivals, and
+    reads the upstream set for its trace from the conflict matrix it
+    keeps (:func:`fedcollab.selection.ancestor_conflicts`).
     """
     i, j = instance.check_node(i), instance.check_node(j)
     if i == j:

@@ -66,12 +66,6 @@ def simple_paths(adjacency: np.ndarray, source: int, target: int) -> Iterator[tu
         yield from walk(source)
 
 
-def _benefit_adjacency(instance: Instance) -> np.ndarray:
-    adj = instance.benefit > 0.0
-    np.fill_diagonal(adj, False)
-    return adj
-
-
 def _paths_feasible(instance: Instance, x: np.ndarray) -> bool:
     """Check conflict freedom from the decision matrix alone.
 
@@ -81,7 +75,7 @@ def _paths_feasible(instance: Instance, x: np.ndarray) -> bool:
     need not be considered: any reachability witness contains a simple
     path.
     """
-    adj = _benefit_adjacency(instance) & x
+    adj = (instance.benefit > 0.0) & x
     pairs = np.transpose(np.nonzero(instance.competing))
     # competing is symmetric: covers both directions
     return not any(next(simple_paths(adj, j, i), None) for j, i in pairs.tolist())
@@ -156,7 +150,7 @@ def optimal_step_by_full_matrices(instance: Instance, usage: UsageGraph, i: int,
     because extra off-column edges never raise the column objective and
     removing them never breaks feasibility.
     """
-    adj = _benefit_adjacency(instance)
+    adj = instance.benefit > 0.0
     free = [(int(j), int(k)) for j, k in np.transpose(np.nonzero(adj & ~usage.x)).tolist()]
     if len(free) > max_free_edges:
         raise OracleSizeError(f"full-matrix enumeration is limited to {max_free_edges} "

@@ -170,7 +170,6 @@ def scc_coalitions(instance: Instance, within: Partition) -> Partition:
         raise ValueError(f"expected a clique_cover partition, got kind={within.kind!r}")
     within.validate_cover(instance)
     benefit_adj = instance.benefit > 0.0
-    np.fill_diagonal(benefit_adj, False)
     groups: list[tuple[int, ...]] = []
     for clique in within.groups:
         groups.extend(strongly_connected_components(benefit_adj, list(clique)))

@@ -7,23 +7,26 @@ nonincreasing benefit order, and a candidate j is accepted iff both
 conflict guards for the edge j -> i are empty against the usage graph.
 The result always satisfies the conflict-freedom constraint.
 
-All candidates of one step are decided together, on the graph as it
-stood before the step. This gives exactly the verdicts and guard sets of
-a scan that adds each accepted edge before it checks the next candidate.
-New paths through an edge j -> i all end in a descendant of i, so i's
-descendants ``closure[i]`` and ``desc_comp[i]`` do not change within the
-step. For a later candidate k, the upstream guard ``anc_comp[k] &
-closure[i]`` can only gain ``anc_comp[j] & closure[i]``, and the
-downstream guard ``desc_comp[i] & closure[:, k]`` can only gain
-``desc_comp[i] & closure[:, j]``. Those are j's own guards, which were
-empty when j was accepted, so no guard reads differently in scan order.
+The guards are the two ends of the competing pairs (ancestor of j,
+descendant of i) that the edge would join, so each is empty exactly when
+the other is, and the verdict reads the downstream one: j is accepted iff
+no ancestor of j is one of i's *rivals*, the competitors of i's
+descendants. All candidates of one step are decided together, on the
+graph as it stood before the step. This gives exactly the verdicts and
+guard sets of a scan that adds each accepted edge before it checks the
+next candidate. New paths through an edge j -> i all end in a descendant
+of i, so ``closure[i]`` and i's rivals do not change within the step.
+For a later candidate k, the upstream guard ``anc_comp[k] & closure[i]``
+can only gain ``anc_comp[j] & closure[i]``, and the downstream guard
+``rivals & closure[:, k]`` can only gain ``rivals & closure[:, j]``.
+Those are j's own guards, which were empty when j was accepted, so no
+guard reads differently in scan order.
 
-Alongside the closure the engine keeps two conflict matrices (see
-:func:`conflict_matrices`) that turn the guards into row ANDs. A step
-therefore costs one |C| x n AND per guard for its |C| candidates, and one
-update for all of its accepted edges: the closure and ``desc_comp`` rows
-of the accepted candidates' ancestors and the ``anc_comp`` rows of i's
-descendants, each ORed with one row.
+A step decides its |C| candidates with one |C| x n AND; the one kept
+conflict matrix, :func:`ancestor_conflicts`, gives the upstream guards
+for the trace with one more. The step's accepted edges then take one
+update: the closure rows of the accepted candidates' ancestors and the
+``anc_comp`` rows of i's descendants, each ORed with one row.
 
 The trace holds each fact once. A :class:`StepTrace` records a
 participant, its objective and, per candidate in scan order, the verdict
@@ -117,57 +120,50 @@ def candidate_collaborators(instance: Instance, i: int) -> list[int]:
     return js[np.argsort(-w[js], kind="stable")].tolist()
 
 
-def conflict_matrices(instance: Instance, usage: UsageGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The two n x n boolean matrices behind the O(n) guard check.
-
-    Returns ``(anc_comp, desc_comp)``: ``anc_comp[q, k]`` is true when k
-    competes with an ancestor-or-self of q in ``usage``, ``desc_comp[q, k]``
-    when k competes with a descendant-or-self of q. For the edge j -> i the
-    guard sets of :func:`fedcollab.graphs.competitor_guards` are then
-    ``anc_comp[j] & closure[i]`` (upstream) and ``desc_comp[i] & closure[:, j]``
-    (downstream). On an empty usage graph both equal ``competing``.
-    """
+def ancestor_conflicts(instance: Instance, usage: UsageGraph) -> np.ndarray:
+    """``anc_comp[q, k]``: k competes with an ancestor-or-self of q in
+    ``usage``, so that ``anc_comp[j] & closure[i]`` is the upstream guard
+    of :func:`fedcollab.graphs.competitor_guards` for the edge j -> i."""
     comp = instance.competing.astype(np.float32)
     clo = usage.closure.astype(np.float32)
     # entries count witnesses, at most n, so float32 sums are exact
-    return clo.T @ comp > 0, clo @ comp > 0
+    return clo.T @ comp > 0
 
 
 def select_step(instance: Instance, usage: UsageGraph, i: int,
-                conflicts: tuple[np.ndarray, np.ndarray] | None = None) -> StepTrace:
+                anc_comp: np.ndarray | None = None) -> StepTrace:
     """Greedily pick i's collaborators, mutating `usage` in place.
 
-    ``conflicts`` is the :func:`conflict_matrices` pair of ``usage``,
-    computed when omitted. Passed-in conflict matrices are updated in place
-    with the accepted edges, so a caller running several steps on one
-    usage graph keeps them in step by passing the same pair each time.
+    ``anc_comp`` is the :func:`ancestor_conflicts` matrix of ``usage``,
+    computed when omitted. A passed-in matrix is updated in place with the
+    accepted edges, so a caller running several steps on one usage graph
+    keeps it in step by passing the same array each time.
 
     Requires a conflict-free usage graph on entry; a violation here is a
     programming error, not an input condition, hence the hard failure. The
-    check runs only when ``conflicts`` is omitted: matrices kept in step
-    through :func:`select_collaborators` already rule a violation out.
+    check runs only when ``anc_comp`` is omitted: a matrix kept in step
+    through :func:`select_collaborators` already rules a violation out.
     """
-    if conflicts is None:
+    if anc_comp is None:
         if not conflict_free(instance, usage):
             raise RuntimeError("usage graph already violates conflict freedom "
                                "before selection step")
-        conflicts = conflict_matrices(instance, usage)
-    anc_comp, desc_comp = conflicts
+        anc_comp = ancestor_conflicts(instance, usage)
     cand = np.array(candidate_collaborators(instance, i), dtype=np.intp)
     clo = usage.closure
-    # every guard reads the same on the graph before the step (module docstring)
-    upstream = anc_comp[cand] & clo[i]
-    downstream = clo[:, cand].T & desc_comp[i]
-    verdicts = ~(upstream.any(axis=1) | downstream.any(axis=1))
+    # every guard reads the same on the graph before the step (module
+    # docstring), and the downstream guard alone decides
+    rivals = instance.competing[clo[i]].any(axis=0)
+    downstream = clo[:, cand].T & rivals
+    verdicts = ~downstream.any(axis=1)
+    upstream = anc_comp[cand] & clo[i]  # for the trace only
     # an edge authorized by an earlier step joins no competitors, so its
     # guards are empty, and it is accepted as it stands
     added = cand[verdicts & ~usage.x[cand, i]]
     if added.size:
         # the edges give every descendant of i the ancestors of the added
-        # candidates, and each of those ancestors the descendants of i; every
-        # right-hand row is read before the closure changes
+        # candidates, and so their competitors
         anc_comp[clo[i]] |= anc_comp[added].any(axis=0)
-        desc_comp[clo[:, added].any(axis=1)] |= desc_comp[i]
         usage.add_edges(added, i)
     objective = 0.0
     for w in instance.benefit[cand[verdicts], i].tolist():  # summed in scan order
@@ -182,7 +178,7 @@ def select_collaborators(instance: Instance) -> tuple[UsageGraph, SelectionTrace
     graphs and traces. The returned graph is always conflict-free.
     """
     usage = UsageGraph(instance.n)
-    conflicts = conflict_matrices(instance, usage)
-    steps = tuple(select_step(instance, usage, i, conflicts)
+    anc_comp = instance.competing.copy()  # the empty graph's closure is the identity
+    steps = tuple(select_step(instance, usage, i, anc_comp)
                   for i in processing_order(instance))
     return usage, SelectionTrace(steps)

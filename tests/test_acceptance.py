@@ -115,7 +115,7 @@ def test_criterion_5_greedy_oracle_gap():
 def test_criterion_6_strong_noniid_table():
     start = time.perf_counter()
     cfg, edges = preset("strong_noniid", seed=7)
-    rep, _ = run_experiment(cfg, edges, reps=10, preset="strong_noniid")
+    rep = run_experiment(cfg, edges, reps=10, preset="strong_noniid")
     local = np.array(rep.mean["local"])
     fedavg = np.array(rep.mean["fedavg"])
     ce = np.array(rep.mean["ce"])
@@ -132,7 +132,7 @@ def test_criterion_6_strong_noniid_table():
 def test_criterion_7_weak_noniid_table():
     start = time.perf_counter()
     cfg, edges = preset("weak_noniid", seed=7)
-    rep, _ = run_experiment(cfg, edges, reps=10, preset="weak_noniid")
+    rep = run_experiment(cfg, edges, reps=10, preset="weak_noniid")
     local = np.array(rep.mean["local"])
     ce = np.array(rep.mean["ce"])
     fcomp = np.array(rep.mean["fedcompetitors"])

@@ -274,6 +274,19 @@ class TestSimulate:
         assert f"limit of {formats.MAX_TRAINING_WORK}" in err
         assert not (tmp_path / "t.csv").exists()
 
+    def test_oversized_degree_exits_3_before_training(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oversized degree reached training")
+
+        monkeypatch.setattr("fedcollab.cli.run_experiment", refuse)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sim.txt").write_text("n 2\nsamples 20 20\ndegree 1000000000000\n")
+        assert main(["simulate", "--config", "sim.txt", "--out", "t.csv"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invalid instance: line 3: ") and len(err.splitlines()) == 1
+        assert f"limit of {formats.MAX_DEGREE}" in err
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("preset_name", ["weak_noniid", "strong_noniid"])
     def test_presets_at_ten_reps_are_within_the_training_bound(self, preset_name):
         from fedcollab.fedtrain import TrainConfig

@@ -290,13 +290,13 @@ class TestRunExperiment:
     CFG = SyntheticConfig(n=3, samples=(200, 200, 60), flipped=(False,) * 3, seed=8)
 
     def test_report_shape_and_determinism(self):
-        report, trace = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=3)
+        report = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=3)
         assert report.methods == METHODS
         assert report.n == 3 and report.reps == 3
         for m in METHODS:
             assert len(report.mean[m]) == 3
             assert all(s >= 0 for s in report.std[m])
-        report2, _ = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=3)
+        report2 = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=3)
         assert report == report2
 
     def test_equality_reads_every_field(self):
@@ -305,7 +305,7 @@ class TestRunExperiment:
         def bumped(scores):
             return {m: tuple(v + 1.0 for v in vs) for m, vs in scores.items()}
 
-        report, _ = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=1)
+        report = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=1)
         changed = {
             "methods": report.methods[::-1], "n": report.n + 1, "reps": report.reps + 1,
             "seed": report.seed + 1, "mean": bumped(report.mean), "std": bumped(report.std),
@@ -324,8 +324,8 @@ class TestRunExperiment:
     def test_user_supplied_benefit_bypasses_estimation(self):
         w = np.zeros((3, 3))
         w[0, 2] = 0.7
-        report, _ = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=2,
-                                   benefit=w, methods=("fedcompetitors",))
+        report = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=2,
+                                benefit=w, methods=("fedcompetitors",))
         assert report.usage_edges == ((0, 2),)
         assert np.array_equal(report.benefit, w)
 
@@ -357,8 +357,8 @@ class TestRunExperiment:
         if mutual:
             w[0, 2], w[2, 0] = 0.5, 0.4
         monkeypatch.setattr(fedtrain, "_round_loop", counting_loop)
-        report, _ = run_experiment(self.CFG, [(0, 1)], methods=methods, benefit=w,
-                                   train_config=FAST, reps=2)
+        report = run_experiment(self.CFG, [(0, 1)], methods=methods, benefit=w,
+                                train_config=FAST, reps=2)
         usage = UsageGraph(3)
         for j, i in report.usage_edges:
             usage.add_edge(j, i)
@@ -373,13 +373,13 @@ class TestRunExperiment:
         for m in methods:  # the reused scores are the ones m trains on its own
             assert report.mean[m] == run_experiment(self.CFG, [(0, 1)], methods=(m,),
                                                     benefit=w, train_config=FAST,
-                                                    reps=2)[0].mean[m]
+                                                    reps=2).mean[m]
 
 
 class TestPresetQualitative:
     def test_strong_noniid_orderings(self):
         cfg, edges = preset("strong_noniid", seed=7)
-        report, _ = run_experiment(cfg, edges, reps=3, preset="strong_noniid")
+        report = run_experiment(cfg, edges, reps=3, preset="strong_noniid")
         local = np.array(report.mean["local"])
         fedavg = np.array(report.mean["fedavg"])
         fcomp = np.array(report.mean["fedcompetitors"])
@@ -388,8 +388,8 @@ class TestPresetQualitative:
 
     def test_weak_noniid_small_participants_gain(self):
         cfg, edges = preset("weak_noniid", seed=7)
-        report, _ = run_experiment(cfg, edges, reps=3, preset="weak_noniid",
-                                   methods=("local", "fedcompetitors"))
+        report = run_experiment(cfg, edges, reps=3, preset="weak_noniid",
+                                methods=("local", "fedcompetitors"))
         local = np.array(report.mean["local"])
         fcomp = np.array(report.mean["fedcompetitors"])
         for i in (2, 3, 6, 7):

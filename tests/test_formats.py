@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fedcollab import formats
-from fedcollab.fedtrain import TrainConfig, run_experiment
+from fedcollab.fedtrain import ExperimentReport, TrainConfig, run_experiment
 from fedcollab.formats import FileFormatError
 from fedcollab.graphs import Instance, InvalidInstanceError, UsageGraph
 from fedcollab.selection import select_collaborators
@@ -148,15 +148,15 @@ class TestReportFormat:
     def test_round_trip(self):
         cfg = SyntheticConfig(n=3, samples=(80, 60, 50), flipped=(False, True, False),
                               seed=4)
-        report, _ = run_experiment(cfg, [(0, 2)], train_config=TrainConfig(rounds=3),
-                                   reps=2, preset=None)
+        report = run_experiment(cfg, [(0, 2)], train_config=TrainConfig(rounds=3),
+                                reps=2, preset=None)
         text = formats.serialize_report(report)
         assert formats.parse_report(text) == report
 
     def test_csv_layout(self):
         cfg = SyntheticConfig(n=2, samples=(40, 40), flipped=(False, False), seed=1)
-        report, _ = run_experiment(cfg, [], train_config=TrainConfig(rounds=2),
-                                   reps=2, methods=("local", "fedavg"))
+        report = run_experiment(cfg, [], train_config=TrainConfig(rounds=2),
+                                reps=2, methods=("local", "fedavg"))
         csv = formats.report_to_csv(report)
         lines = csv.strip().splitlines()
         assert lines[0] == "participant,local,fedavg"
@@ -250,6 +250,19 @@ def test_total_samples_are_bounded(parse, line):
         parse(f"n 2\n{line} {half} {half}\nbogus\n")  # the bound itself parses
 
 
+@pytest.mark.parametrize("parse,line", [
+    (formats.parse_sim_config, "samples 20 20\ndegree"),
+    (formats.parse_report, "config_samples 20 20\nconfig_degree"),
+])
+def test_degree_is_bounded(parse, line):
+    # refused at parse time, before any feature matrix is built
+    with pytest.raises(InvalidInstanceError,
+                       match=f"line 3: degree {10**12} exceeds the limit of {formats.MAX_DEGREE}"):
+        parse(f"n 2\n{line} {10**12}\n")
+    with pytest.raises(FileFormatError, match="line 4, column 1: unknown keyword 'bogus'"):
+        parse(f"n 2\n{line} {formats.MAX_DEGREE}\nbogus\n")  # the bound itself parses
+
+
 @pytest.mark.parametrize("parse,text,line,col", [
     (formats.parse_instance, "n 3\ncompeting v² v1\n", 2, 11),
     (formats.parse_instance, "n 3\ncompeting ٣ v1\n", 2, 11),
@@ -296,6 +309,16 @@ def test_readme_examples_parse():
     assert formats.parse_instance(instance).n == 3
     cfg, edges, tc, reps = formats.parse_sim_config(config)
     assert (cfg.n, cfg.flipped, edges, reps) == (3, (False, False, True), ((0, 1),), 10)
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library entry points", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
+    scope: dict = {}
+    exec(code, scope)
+    assert isinstance(scope["report"], ExperimentReport)
+    assert scope["report"].preset is None and scope["report"].reps == 10
 
 
 @pytest.mark.parametrize("grammar", [formats._INSTANCE, formats._USAGE, formats._BENEFIT_FILE,

@@ -9,7 +9,7 @@ from fedcollab import formats
 from fedcollab.cli import main
 from fedcollab.graphs import Instance, UsageGraph, competitor_guards, conflict_free
 from fedcollab.oracle import conflict_free_by_paths
-from fedcollab.selection import (candidate_collaborators, conflict_matrices, processing_order,
+from fedcollab.selection import (ancestor_conflicts, candidate_collaborators, processing_order,
                                  select_collaborators, select_step)
 from fedcollab.synthdata import (STRONG_COMPETING_EDGES, WEAK_COMPETING_EDGES,
                                  competing_matrix)
@@ -17,34 +17,30 @@ from fedcollab.synthdata import (STRONG_COMPETING_EDGES, WEAK_COMPETING_EDGES,
 from conftest import make_instance, make_usage
 
 
-def sequential_select(instance, usage, i, conflicts):
+def sequential_select(instance, usage, i):
     """The per-candidate scan that the batched step replaced, kept as its
-    reference: each candidate's guards are read from the graph as the
-    accepts before it in scan order left it, and each accepted edge updates
-    the conflict matrices and the closure (one outer product) on the spot.
-    Returns the step's columns, as :func:`columns` reads them from a step."""
+    reference: each candidate's guards are read by the direct scan
+    :func:`competitor_guards` on the graph as the accepts before it in scan
+    order left it, and each accepted edge updates the closure (one outer
+    product) on the spot; no conflict matrix is kept. Returns the step's
+    columns, as :func:`columns` reads them from a step."""
     n, w = instance.n, instance.benefit[:, i]
-    anc_comp, desc_comp = conflicts
     scan = sorted((j for j in range(n) if j != i and w[j] > 0.0 and not instance.competing[j, i]),
                   key=lambda j: (-w[j], j))
     verdicts, ups, downs, objective = [], [], [], 0.0
     for j in scan:
-        upstream = downstream = []
+        upstream = downstream = frozenset()
         if not usage.x[j, i]:
-            clo = usage.closure
-            upstream = (anc_comp[j] & clo[i]).nonzero()[0].tolist()
-            downstream = (desc_comp[i] & clo[:, j]).nonzero()[0].tolist()
+            upstream, downstream = competitor_guards(instance, usage, i, j)
             if not (upstream or downstream):
-                anc_comp[clo[i]] |= anc_comp[j]
-                desc_comp[clo[:, j]] |= desc_comp[i]
                 usage.x[j, i] = True
-                usage.closure |= np.outer(clo[:, j], clo[i])
+                usage.closure |= np.outer(usage.closure[:, j], usage.closure[i])
         accepted = not (upstream or downstream)
         if accepted:
             objective += float(w[j])
         verdicts.append(accepted)
-        ups.append(upstream)
-        downs.append(downstream)
+        ups.append(sorted(upstream))
+        downs.append(sorted(downstream))
     return i, objective, scan, verdicts, ups, downs
 
 
@@ -226,21 +222,22 @@ class TestConflictMatrices:
             n = inst.n
             usage = make_usage(rng, n, max_edges=2 * n)
             c, s = usage.closure, inst.competing
-            anc_comp, desc_comp = conflict_matrices(inst, usage)
+            anc_comp = ancestor_conflicts(inst, usage)
             for q in range(n):
                 for k in range(n):
                     assert anc_comp[q, k] == any(c[a, q] and s[a, k] for a in range(n))
-                    assert desc_comp[q, k] == any(c[q, d] and s[d, k] for d in range(n))
 
     def test_passed_matrices_track_the_usage_graph(self, rng):
+        # the kept matrix starts as select_collaborators starts it, from
+        # competing, and equals a fresh one after every step
         for _ in range(30):
             inst = make_instance(rng, edge_prob=0.3)
             usage = UsageGraph(inst.n)
-            conflicts = conflict_matrices(inst, usage)
+            anc_comp = inst.competing.copy()
+            assert np.array_equal(anc_comp, ancestor_conflicts(inst, usage))
             for i in processing_order(inst):
-                select_step(inst, usage, i, conflicts=conflicts)
-                for kept, fresh in zip(conflicts, conflict_matrices(inst, usage)):
-                    assert np.array_equal(kept, fresh)
+                select_step(inst, usage, i, anc_comp=anc_comp)
+                assert np.array_equal(anc_comp, ancestor_conflicts(inst, usage))
 
     def test_steps_without_matrices_match_full_run(self, rng):
         for _ in range(20):
@@ -283,22 +280,38 @@ def test_recorded_guards_match_reference_scan(n, density, seed):
 def test_batched_step_matches_sequential_scan(n, density, seed):
     # participants are served in a random order and some are served twice,
     # so later steps meet edges that are already present; the batched step
-    # runs with kept matrices and on the hand-driven path (fresh matrices)
+    # runs with a kept matrix and on the hand-driven path (a fresh matrix)
     rng = np.random.default_rng(seed)
     inst = make_instance(rng, n, edge_prob=density)
     perm = rng.permutation(n).tolist()
     served = perm + perm[:int(rng.integers(0, n + 1))]
     ref, kept, hand = UsageGraph(n), UsageGraph(n), UsageGraph(n)
-    ref_conflicts, kept_conflicts = conflict_matrices(inst, ref), conflict_matrices(inst, kept)
+    anc_comp = inst.competing.copy()
     for i in served:
-        expected = sequential_select(inst, ref, i, ref_conflicts)
-        for usage, step in ((kept, select_step(inst, kept, i, conflicts=kept_conflicts)),
+        expected = sequential_select(inst, ref, i)
+        for usage, step in ((kept, select_step(inst, kept, i, anc_comp=anc_comp)),
                             (hand, select_step(inst, hand, i))):
             assert columns(step) == expected
             assert np.array_equal(usage.x, ref.x)
             assert np.array_equal(usage.closure, ref.closure)
-        for a, b, c in zip(kept_conflicts, conflict_matrices(inst, hand), ref_conflicts):
-            assert np.array_equal(a, c) and np.array_equal(b, c)
+        assert np.array_equal(anc_comp, ancestor_conflicts(inst, ref))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=2, max_value=20), st.floats(min_value=0.0, max_value=0.6),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_guard_sets_are_empty_together(n, density, seed):
+    # the fact the one-row verdict rests on: on any usage graph, cycles and
+    # conflicts included, the upstream and downstream guards of j -> i are
+    # the two ends of the same competing pairs, so neither is empty alone
+    rng = np.random.default_rng(seed)
+    inst = make_instance(rng, n, edge_prob=density)
+    usage = make_usage(rng, n, max_edges=2 * n)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                upstream, downstream = competitor_guards(inst, usage, i, j)
+                assert bool(upstream) == bool(downstream)
 
 
 @settings(max_examples=60, deadline=None)
