@@ -5,8 +5,12 @@ are ignored, and each remaining line is a keyword followed by
 whitespace-separated fields. Participants may be written either as
 1-based labels ``v1``..``vn`` or as bare 0-based indices, in ASCII digits;
 labels are the canonical output form. Each file kind has a grammar table
-(keyword -> usage and field parsers) read by one loop, :func:`_lines`,
-which raises :class:`FileFormatError` with line and column positions. The
+(keyword -> usage and field parsers) read by one checked loop,
+:func:`_lines`, which words every diagnostic as a :class:`FileFormatError`
+with line and column positions. The edge-list kinds (instance, usage and
+benefit files) are first read in bulk, a column at a time, by
+:func:`_plain`; it only accepts texts that the loop would read without
+error to the same values, and hands every other text to the loop. The
 scalar keys of configs and reports are the defaulted fields of
 :class:`SyntheticConfig` and :class:`TrainConfig`, for parser and
 serializer alike.
@@ -15,6 +19,7 @@ serializer alike.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import re
 from typing import Callable, NamedTuple
@@ -215,6 +220,91 @@ def _lines(text: str, kind: str, grammar: dict[str, _Rule], skip=()):
 
 
 # ---------------------------------------------------------------------------
+# edge lists in bulk
+
+_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"  # ASCII line breaks of str.splitlines besides "\n"
+_CHUNK = 1 << 16  # characters read at a time: only one chunk's tokens are held at once
+
+
+def _plain(text: str, grammar: dict[str, _Rule], skip=()):
+    """``(n, {key: matrix})`` for an edge-list text of the plain shape,
+    read column-wise, ``_CHUNK`` characters at a time; ``None`` for any
+    other text, which :func:`_lines` then reads line by line.
+
+    Plain means: ASCII, lines broken by "\\n" alone, comments only at the
+    start of a line, and every other line blank, a ``skip`` key followed by a
+    space, ``n`` (first and once, 1..MAX_NODES) or a key of ``grammar``
+    with exactly its field count. Participants are canonical ``v<k>``
+    labels or indices in range, no pair joins a participant to itself or
+    comes twice, and weights (a third field) are finite and positive. Such
+    a text parses through :func:`_lines` without error to the same values,
+    so this never raises. A pair key's matrix is boolean, symmetric for
+    ``competing``; a weighted key's holds its weights.
+    """
+    if not text.isascii() or any(c in text for c in _BREAKS):
+        return None
+    skip = ("#", *(f"{key} " for key in skip))  # comment lines and skipped keys
+    names = {key: c for c, key in enumerate(["n", *grammar])}
+    arity = np.array([2] + [len(rule.fixed) + 1 for rule in grammar.values()])
+    n, node, columns = None, {}, {key: [] for key in grammar}  # columns: one list per chunk
+    begin = 0
+    while begin < len(text):
+        end = text.find("\n", begin + _CHUNK)
+        end = len(text) if end < 0 else end
+        lines = [line for line in text[begin:end].split("\n") if not line.startswith(skip)]
+        begin = end + 1
+        widths = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+        tokens = " ".join(lines).split()  # any other '#' is in a token no check below accepts
+        starts = (np.cumsum(widths) - widths)[widths > 0]  # each content line's key
+        widths = widths[widths > 0]
+        pick = tokens.__getitem__
+        code = np.fromiter(map(names.get, map(pick, starts.tolist()), itertools.repeat(-1)),
+                           np.intp, starts.size)
+        if (code < 0).any() or (widths != arity[code]).any():
+            return None
+        if n is None and code.size:  # the first content line must declare n
+            try:
+                n = int(tokens[1]) if code[0] == 0 else 0
+            except ValueError:
+                return None
+            if not 1 <= n <= MAX_NODES:
+                return None
+            node = {f"v{k + 1}": k for k in range(n)} | {str(k): k for k in range(n)}
+            code[0] = -1  # read, so it is no key's row
+        if (code == 0).any():  # a second n
+            return None
+        for c, key in enumerate(grammar, start=1):
+            rows = starts[code == c]
+            fields = [np.fromiter(map(node.get, map(pick, (rows + f).tolist()),
+                                      itertools.repeat(-1)), np.intp, rows.size) for f in (1, 2)]
+            if arity[c] == 4:
+                try:
+                    fields.append(np.fromiter(map(float, map(pick, (rows + 3).tolist())),
+                                              np.float64, rows.size))
+                except ValueError:
+                    return None
+            columns[key].append(fields)
+    if n is None:
+        return None
+    matrices = {}
+    for key, chunks in columns.items():
+        j, i, *w = map(np.concatenate, zip(*chunks))
+        if (j < 0).any() or (i < 0).any() or (j == i).any():
+            return None
+        if w and not ((w[0] > 0) & (w[0] < np.inf)).all():
+            return None
+        matrix = np.zeros((n, n), dtype=np.float64 if w else bool)
+        matrix[j, i] = w[0] if w else True
+        cells = j.size
+        if key == "competing":  # an unordered pair: either order repeats it
+            matrix[i, j], cells = True, 2 * j.size
+        if np.count_nonzero(matrix) != cells:  # a repeated pair fills one cell twice
+            return None
+        matrices[key] = matrix
+    return n, matrices
+
+
+# ---------------------------------------------------------------------------
 # checks and keys shared by several kinds
 
 
@@ -258,18 +348,19 @@ def _benefit_matrix(n: int, weights: dict) -> np.ndarray:
     return matrix
 
 
-def _check_size(line: _Line) -> None:
-    """Refuse a '[config_]samples' line with no counts or more than
-    MAX_SAMPLES in all, and a '[config_]degree' above MAX_DEGREE."""
-    kind, values = line.key.removeprefix("config_"), line.values
-    if kind == "samples" and not values:
-        raise line.error(f"'{line.key}' needs one count per participant")
-    if kind == "samples" and sum(values) > MAX_SAMPLES:
-        raise InvalidInstanceError(f"line {line.no}: {sum(values)} samples exceed the limit "
-                                   f"of {MAX_SAMPLES}")
-    if kind == "degree" and values[0] > MAX_DEGREE:
-        raise InvalidInstanceError(f"line {line.no}: degree {values[0]} exceeds the limit "
-                                   f"of {MAX_DEGREE}")
+def _check_sizes(last: dict[str, _Line], prefix: str = "") -> None:
+    """Refuse the latest '<prefix>samples' line of ``last`` if it has no
+    counts or more than MAX_SAMPLES in all, and the latest '<prefix>degree'
+    if above MAX_DEGREE; earlier lines of either key do not count."""
+    samples, degree = last.get(prefix + "samples"), last.get(prefix + "degree")
+    if samples is not None and not samples.values:
+        raise samples.error(f"'{samples.key}' needs one count per participant")
+    if samples is not None and sum(samples.values) > MAX_SAMPLES:
+        raise InvalidInstanceError(f"line {samples.no}: {sum(samples.values)} samples exceed "
+                                   f"the limit of {MAX_SAMPLES}")
+    if degree is not None and degree.values[0] > MAX_DEGREE:
+        raise InvalidInstanceError(f"line {degree.no}: degree {degree.values[0]} exceeds the "
+                                   f"limit of {MAX_DEGREE}")
 
 
 def check_training_work(rounds: int, local_epochs: int, reps: int, samples) -> None:
@@ -325,6 +416,10 @@ _INSTANCE = _grammar({"competing": _COMPETING, "benefit": _BENEFIT})
 
 
 def parse_instance(text: str) -> Instance:
+    plain = _plain(text, _INSTANCE)
+    if plain is not None:
+        n, matrices = plain
+        return Instance(n, matrices["competing"], matrices["benefit"])
     competing: dict = {}
     weights: dict = {}
     for line in _lines(text, "instance", _INSTANCE):
@@ -363,6 +458,11 @@ _USAGE = _grammar({"edge": ("<from> <to>", (_node, _node))})
 def parse_usage(text: str, expected_n: int | None = None) -> UsageGraph:
     """The usage graph of the ``edge`` lines, its closure rebuilt by
     :meth:`UsageGraph.from_edges`; ``closure`` lines are never read."""
+    plain = _plain(text, _USAGE, skip=_SELECTION_KEYS)
+    if plain is not None and expected_n in (None, plain[0]):
+        n, matrices = plain
+        js, is_ = np.nonzero(matrices["edge"])
+        return UsageGraph.from_edges(n, zip(js.tolist(), is_.tolist()))
     edges: dict[tuple[int, int], None] = {}
     for line in _lines(text, "usage-graph", _USAGE, skip=_SELECTION_KEYS):
         if line.key == "n":
@@ -372,10 +472,11 @@ def parse_usage(text: str, expected_n: int | None = None) -> UsageGraph:
                                  f"n={expected_n}", 1)
             continue
         j, i = line.values
+        pair = f"({node_label(j)}, {node_label(i)})"
         if j == i:
-            raise line.error(f"self-edge ({j}, {i}) is not a collaboration")
+            raise line.error(f"self-edge {pair} is not a collaboration")
         if (j, i) in edges:
-            raise line.error(f"edge ({j}, {i}) already present")
+            raise line.error(f"edge {pair} already present")
         edges[j, i] = None
     return UsageGraph.from_edges(n, edges)
 
@@ -421,6 +522,9 @@ _BENEFIT_FILE = _grammar({"benefit": _BENEFIT})
 
 
 def parse_benefit(text: str) -> np.ndarray:
+    plain = _plain(text, _BENEFIT_FILE)
+    if plain is not None:
+        return plain[1]["benefit"]
     weights: dict = {}
     for line in _lines(text, "benefit", _BENEFIT_FILE):
         if line.key == "n":
@@ -455,7 +559,7 @@ def parse_sim_config(text: str):
             _add_competing(competing, line)
         else:
             last[line.key] = line
-            _check_size(line)
+    _check_sizes(last)
     if "samples" not in last:
         raise FileFormatError("config file declares no 'samples'", 1, 1)
     n = last["n"].values[0]
@@ -591,9 +695,8 @@ def parse_report(text: str) -> ExperimentReport:
             for k, method in enumerate(values):
                 if method in values[:k]:
                     raise line.error(f"duplicate method {method!r}", k + 1)
-        else:
-            _check_size(line)
 
+    _check_sizes(last, "config_")
     for key in ("methods", "config_samples"):
         if key not in last:
             raise FileFormatError(f"report file declares no '{key}'", 1, 1)

@@ -129,7 +129,7 @@ class TestVerify:
         out = tmp_path / "o.txt"
         assert main(["verify", "--instance", str(instance_file),
                      "--usage", str(usage_file), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == ("error: line 2, column 1: self-edge (0, 0) "
+        assert capsys.readouterr().err == ("error: line 2, column 1: self-edge (v1, v1) "
                                            "is not a collaboration\n")
         assert not out.exists()
 

@@ -1,5 +1,8 @@
 """Property tests of the text dialect: parse∘serialize round trips for every
-kind that has a serializer, and a token-stream fuzz of every parser."""
+kind that has a serializer, a token-stream fuzz of every parser, and the
+bulk edge-list reader against the checked loop."""
+
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from fedcollab.graphs import Instance, InvalidInstanceError
 from fedcollab.partition import Partition
 from fedcollab.selection import select_collaborators
 from fedcollab.synthdata import PRESET_NAMES, SyntheticConfig
+
+from conftest import make_instance
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -149,3 +154,125 @@ def test_token_fuzz_ends_in_a_value_or_a_documented_error(parse, data):
         parse(text)
     except (FileFormatError, InvalidInstanceError):
         pass
+
+
+# edge-list kinds: the bulk reader against the checked loop alone
+def _benefit_text(instance):
+    return "".join(line for line in formats.serialize_instance(instance).splitlines(True)
+                   if not line.startswith("competing"))
+
+
+def _usage_text(instance):
+    return formats.serialize_selection(instance, *select_collaborators(instance))
+
+
+EDGE_LISTS = {formats.parse_instance: formats.serialize_instance,
+              formats.parse_usage: _usage_text,
+              formats.parse_benefit: _benefit_text}
+ODD = ["v01", "V2", "３", "v²", "1_0", "+1", "-0.0", "nan", "1e400", "#", "\x0b", "\x85", "\r"]
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` with a few lines edited: a field swapped for an odd token,
+    a field dropped or inserted, a line repeated, 'n' moved or repeated."""
+    lines = text.split("\n")
+    n_line = next(line for line in lines if line.startswith("n "))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        fields = lines[k].split(" ")
+        op = draw(st.sampled_from(["swap", "drop", "insert", "repeat", "move n", "repeat n"]))
+        if op == "swap":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(ODD))
+        elif op == "drop":
+            del fields[draw(st.integers(0, len(fields) - 1))]
+        elif op == "insert":
+            fields.insert(draw(st.integers(0, len(fields))), draw(st.sampled_from(ODD + ["v1"])))
+        lines[k] = " ".join(fields)
+        if op == "repeat":
+            lines.insert(k, lines[k])
+        elif op == "move n" and n_line in lines:
+            lines.remove(n_line)
+            lines.insert(k, n_line)
+        elif op == "repeat n":
+            lines.insert(k, n_line)
+    return "\n".join(lines)
+
+
+def _outcome(parse, text, *args):
+    try:
+        value = parse(text, *args)
+    except (FileFormatError, InvalidInstanceError) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, np.ndarray):  # a benefit matrix
+        return value.tobytes(), value.shape
+    if isinstance(value, Instance):
+        return value.n, value.competing.tobytes(), value.benefit.tobytes()
+    return value.n, value.x.tobytes(), value.closure.tobytes()  # a usage graph
+
+
+@pytest.mark.parametrize("parse", list(EDGE_LISTS), ids=lambda p: p.__name__)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_bulk_reader_agrees_with_the_checked_loop(parse, data):
+    instance = data.draw(instances())
+    text = data.draw(mutated(EDGE_LISTS[parse](instance)))
+    args = [data.draw(st.sampled_from([None, instance.n, instance.n + 1]))] \
+        if parse is formats.parse_usage else []
+    with patch.object(formats, "_plain", return_value=None):
+        checked = _outcome(parse, text, *args)
+    # a chunk of one or a few lines puts every edit next to a chunk boundary
+    with patch.object(formats, "_CHUNK", data.draw(st.sampled_from([1, 16, formats._CHUNK]))):
+        assert _outcome(parse, text, *args) == checked
+
+
+GRID = {
+    formats.parse_instance: "# instance\nn 4\ncompeting 0 2\ncompeting v2 v4\nbenefit 1 0 0.25\n"
+                            "benefit v3 v2 1.5\nbenefit v4 v1 0.125\n",
+    formats.parse_usage: "# selection\nn 4\npotential v1 0.5\nedge 2 3\nedge v1 v2\n"
+                         "closure v1 v2\ndecision v2 v1 0.5 accept - -\n",
+    formats.parse_benefit: "n 4\nbenefit 1 0 0.25\nbenefit v3 v2 1.5\n",
+}
+
+
+@pytest.mark.parametrize("chunk", [1, formats._CHUNK])
+@pytest.mark.parametrize("parse", list(GRID), ids=lambda p: p.__name__)
+def test_every_single_edit_agrees_with_the_checked_loop(parse, chunk):
+    # each odd token in each field of each line, and each line dropped,
+    # repeated, or preceded by an 'n' line (moved or repeated)
+    lines = GRID[parse].split("\n")
+    texts = []
+    for k, line in enumerate(lines):
+        fields = line.split(" ")
+        for f in range(len(fields)):
+            for token in ODD + ["0", "3", "v4", "v5", "n", "edge", "benefit"]:
+                texts.append("\n".join(lines[:k] + [" ".join(fields[:f] + [token] + fields[f + 1:])]
+                                       + lines[k + 1:]))
+        texts.append("\n".join(lines[:k] + lines[k + 1:]))
+        texts.append("\n".join(lines[:k + 1] + lines[k:]))
+        texts.append("\n".join(lines[:k] + ["n 4"] + lines[k:]))
+        texts.append("\n".join([x for x in lines[:k] if x != "n 4"] + ["n 4"]
+                               + [x for x in lines[k:] if x != "n 4"]))
+    args = [4] if parse is formats.parse_usage else []
+    for text in texts:
+        with patch.object(formats, "_plain", return_value=None):
+            checked = _outcome(parse, text, *args)
+        with patch.object(formats, "_CHUNK", chunk):
+            assert _outcome(parse, text, *args) == checked, text
+
+
+@pytest.mark.parametrize("chunk", [64, formats._CHUNK])
+def test_plain_edge_lists_skip_the_checked_loop(rng, chunk):
+    # every serializer's output is read in bulk, in one chunk or in many;
+    # the loop is never entered
+    instance = make_instance(rng, 12)
+    usage, trace = select_collaborators(instance)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the checked loop read a plain edge list")
+
+    with patch.object(formats, "_lines", refuse), patch.object(formats, "_CHUNK", chunk):
+        assert formats.parse_instance(formats.serialize_instance(instance)) == instance
+        parsed = formats.parse_usage(formats.serialize_selection(instance, usage, trace), 12)
+        assert parsed == usage and np.array_equal(parsed.closure, usage.closure)
+        assert np.array_equal(formats.parse_benefit(_benefit_text(instance)), instance.benefit)

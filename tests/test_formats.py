@@ -263,6 +263,30 @@ def test_degree_is_bounded(parse, line):
         parse(f"n 2\n{line} {formats.MAX_DEGREE}\nbogus\n")  # the bound itself parses
 
 
+def _sim_config(lines: str) -> SyntheticConfig:
+    return formats.parse_sim_config(f"n 2\n{lines}")[0]
+
+
+def _report(lines: str) -> SyntheticConfig:
+    minimal = TestReportFormat.MINIMAL.replace("config_samples 5 5\n", "")  # 6 lines left
+    return formats.parse_report(minimal + lines.replace("samples", "config_samples")
+                                .replace("degree", "config_degree")).config
+
+
+@pytest.mark.parametrize("parse,first", [(_sim_config, 2), (_report, 7)],
+                         ids=["config", "report"])
+def test_only_the_last_size_line_counts(parse, first):
+    # the later line of a repeated key counts, for the size bounds too
+    big = formats.MAX_SAMPLES
+    assert parse(f"samples 20 20\nsamples 20 {big}\nsamples 20 20\n").samples == (20, 20)
+    assert parse("samples 20 20\ndegree 50\ndegree 3\n").degree == 3
+    with pytest.raises(InvalidInstanceError,
+                       match=f"line {first + 1}: {big + 20} samples exceed the limit"):
+        parse(f"samples 20 20\nsamples 20 {big}\n")
+    with pytest.raises(InvalidInstanceError, match=f"line {first + 2}: degree 50 exceeds"):
+        parse("samples 20 20\ndegree 3\ndegree 50\n")
+
+
 @pytest.mark.parametrize("parse,text,line,col", [
     (formats.parse_instance, "n 3\ncompeting v² v1\n", 2, 11),
     (formats.parse_instance, "n 3\ncompeting ٣ v1\n", 2, 11),
