@@ -49,7 +49,7 @@ from .graphs import Instance, UsageGraph
 from .partition import Partition, min_clique_cover, scc_coalitions
 from .selection import select_collaborators
 from .synthdata import (SyntheticConfig, SyntheticTask, competing_matrix,
-                        generate_task, polynomial_features, with_seed)
+                        generate_task, with_seed)
 
 METHODS = ("local", "fedavg", "ce", "fedcompetitors")
 
@@ -99,14 +99,8 @@ def _participant_streams(seed: int, n: int) -> list[np.random.Generator]:
 
 
 def _prepared(task: SyntheticTask):
-    degree = task.config.degree
-    train, val = [], []
-    for i in range(task.n):
-        x, y = task.train_data(i)
-        xv, yv = task.val_data(i)
-        train.append((polynomial_features(x, degree), y))
-        val.append((polynomial_features(xv, degree), yv))
-    return train, val
+    return ([task.train_data(i) for i in range(task.n)],
+            [task.val_data(i) for i in range(task.n)])
 
 
 def _check_finite(thetas: np.ndarray, context: str) -> None:

@@ -8,10 +8,13 @@ labels are the canonical output form. Each file kind has a grammar table
 (keyword -> usage and field parsers) read by one checked loop,
 :func:`_lines`, which words every diagnostic as a :class:`FileFormatError`
 with line and column positions. The edge-list kinds (instance, usage and
-benefit files) are first read in bulk, a column at a time, by
-:func:`_plain`; it only accepts texts that the loop would read without
-error to the same values, and hands every other text to the loop. The
-scalar keys of configs and reports are the defaulted fields of
+benefit files) have one reader body, :func:`_edge_lists`: :func:`_plain`
+reads a plain text in bulk, a column at a time, to the values the loop
+would give, and any other text takes the loop, each line checked by its
+key's ``_CHECKS`` entry and the matrices built by :func:`_matrix`. Writers
+share :func:`_edge_lines` for ``<key> <label> <label>[ <weight>]`` lines
+and :func:`_group_lines` for the cover and coalition groups. The scalar
+keys of configs and reports are the defaulted fields of
 :class:`SyntheticConfig` and :class:`TrainConfig`, for parser and
 serializer alike.
 """
@@ -27,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fedtrain import METHODS, ExperimentReport, TrainConfig
-from .graphs import Instance, InvalidInstanceError, UsageGraph
+from .graphs import Instance, InvalidInstanceError, UsageGraph, potentials
 from .partition import Partition
 from .selection import SelectionTrace
 from .synthdata import SyntheticConfig
@@ -316,7 +319,7 @@ def _add_competing(pairs: dict, line: _Line) -> None:
     if pair in pairs:
         raise line.error(f"duplicate competing edge ({node_label(pair[0])}, "
                          f"{node_label(pair[1])})")
-    pairs[pair] = None
+    pairs[pair] = True
 
 
 def _add_benefit(weights: dict, line: _Line) -> None:
@@ -330,6 +333,16 @@ def _add_benefit(weights: dict, line: _Line) -> None:
     weights[j, i] = w
 
 
+def _add_edge(edges: dict, line: _Line) -> None:
+    j, i = line.values
+    pair = f"({node_label(j)}, {node_label(i)})"
+    if j == i:
+        raise line.error(f"self-edge {pair} is not a collaboration")
+    if (j, i) in edges:
+        raise line.error(f"edge {pair} already present")
+    edges[j, i] = True
+
+
 def _add_group(members: set[int], line: _Line) -> None:
     """Check that a 'cover' or 'coalition' line is a new, nonempty group."""
     if not line.values:
@@ -338,14 +351,6 @@ def _add_group(members: set[int], line: _Line) -> None:
         if i in members:
             raise line.error(f"participant {node_label(i)} is in two '{line.key}' groups", k)
         members.add(i)
-
-
-def _benefit_matrix(n: int, weights: dict) -> np.ndarray:
-    matrix = np.zeros((n, n))
-    if weights:
-        j, i = zip(*weights)
-        matrix[j, i] = list(weights.values())
-    return matrix
 
 
 def _check_sizes(last: dict[str, _Line], prefix: str = "") -> None:
@@ -410,41 +415,80 @@ _REPORT_TRAIN = _scalar_keys(TrainConfig, "train_")
 
 
 # ---------------------------------------------------------------------------
+# edge and group lists: one reader body, one matrix builder, two line writers
+
+
+def _matrix(n: int, cells: dict, key: str = "benefit") -> np.ndarray:
+    """The n x n matrix of ``cells`` ({(j, i): value}): float64 weights for
+    'benefit', booleans for a pair key, mirrored for 'competing'."""
+    matrix = np.zeros((n, n), dtype=np.float64 if key == "benefit" else bool)
+    if cells:
+        j, i = zip(*cells)
+        matrix[j, i] = list(cells.values())
+        if key == "competing":
+            matrix[i, j] = True
+    return matrix
+
+
+_CHECKS = {"competing": _add_competing, "benefit": _add_benefit, "edge": _add_edge}
+
+
+def _edge_lists(text: str, kind: str, grammar: dict[str, _Rule], skip=(),
+                expected_n: int | None = None) -> tuple[int, dict[str, np.ndarray]]:
+    """``(n, {key: matrix})`` of an edge-list file: :func:`_plain`'s result
+    if it reads the text, else the checked loop's, each line checked by its
+    key's ``_CHECKS`` entry; an 'n' other than ``expected_n`` is refused."""
+    plain = _plain(text, grammar, skip)
+    if plain is not None and expected_n in (None, plain[0]):
+        return plain
+    cells: dict[str, dict] = {key: {} for key in grammar}
+    for line in _lines(text, kind, grammar, skip):
+        if line.key == "n":
+            n = line.values[0]
+            if expected_n not in (None, n):
+                raise line.error(f"usage graph has n={n} but the instance has n={expected_n}", 1)
+        else:
+            _CHECKS[line.key](cells[line.key], line)
+    return n, {key: _matrix(n, found, key) for key, found in cells.items()}
+
+
+def _labels(n: int) -> np.ndarray:
+    return np.array([node_label(i) for i in range(n)], dtype=object)
+
+
+def _edge_lines(key: str, matrix: np.ndarray, label: np.ndarray) -> list[str]:
+    """A '<key> <j> <i>' line per nonzero cell (j, i) of ``matrix``, row by
+    row, each ending in the weight's repr when ``matrix`` is not boolean."""
+    js, is_ = np.nonzero(matrix)
+    pairs = zip(label[js].tolist(), label[is_].tolist())
+    if matrix.dtype == bool:
+        return [f"{key} {j} {i}" for j, i in pairs]
+    return [f"{key} {j} {i} {w!r}" for (j, i), w in zip(pairs, matrix[js, is_].tolist())]
+
+
+def _group_lines(cover: Partition, coalitions: Partition) -> list[str]:
+    """The 'cover_mode' line, then a 'cover' or 'coalition' line per group."""
+    return [f"cover_mode {cover.mode}",
+            *("cover " + " ".join(map(node_label, group)) for group in cover.groups),
+            *("coalition " + " ".join(map(node_label, group)) for group in coalitions.groups)]
+
+
+# ---------------------------------------------------------------------------
 # instances
 
 _INSTANCE = _grammar({"competing": _COMPETING, "benefit": _BENEFIT})
 
 
 def parse_instance(text: str) -> Instance:
-    plain = _plain(text, _INSTANCE)
-    if plain is not None:
-        n, matrices = plain
-        return Instance(n, matrices["competing"], matrices["benefit"])
-    competing: dict = {}
-    weights: dict = {}
-    for line in _lines(text, "instance", _INSTANCE):
-        if line.key == "n":
-            n = line.values[0]
-        elif line.key == "competing":
-            _add_competing(competing, line)
-        else:
-            _add_benefit(weights, line)
-    s = np.zeros((n, n), dtype=bool)
-    if competing:
-        a, b = zip(*competing)
-        s[a, b] = s[b, a] = True
-    return Instance(n, s, _benefit_matrix(n, weights))
+    n, matrices = _edge_lists(text, "instance", _INSTANCE)
+    return Instance(n, matrices["competing"], matrices["benefit"])
 
 
 def serialize_instance(instance: Instance) -> str:
-    lines = ["# problem instance: competition edges and benefit weights",
-             f"n {instance.n}"]
-    a_idx, b_idx = np.nonzero(np.triu(instance.competing))
-    for a, b in zip(a_idx.tolist(), b_idx.tolist()):
-        lines.append(f"competing {node_label(a)} {node_label(b)}")
-    j_idx, i_idx = np.nonzero(instance.benefit)
-    for j, i in zip(j_idx.tolist(), i_idx.tolist()):
-        lines.append(f"benefit {node_label(j)} {node_label(i)} {float(instance.benefit[j, i])!r}")
+    label = _labels(instance.n)
+    lines = ["# problem instance: competition edges and benefit weights", f"n {instance.n}",
+             *_edge_lines("competing", np.triu(instance.competing), label),
+             *_edge_lines("benefit", instance.benefit, label)]
     return "\n".join(lines) + "\n"
 
 
@@ -458,51 +502,28 @@ _USAGE = _grammar({"edge": ("<from> <to>", (_node, _node))})
 def parse_usage(text: str, expected_n: int | None = None) -> UsageGraph:
     """The usage graph of the ``edge`` lines, its closure rebuilt by
     :meth:`UsageGraph.from_edges`; ``closure`` lines are never read."""
-    plain = _plain(text, _USAGE, skip=_SELECTION_KEYS)
-    if plain is not None and expected_n in (None, plain[0]):
-        n, matrices = plain
-        js, is_ = np.nonzero(matrices["edge"])
-        return UsageGraph.from_edges(n, zip(js.tolist(), is_.tolist()))
-    edges: dict[tuple[int, int], None] = {}
-    for line in _lines(text, "usage-graph", _USAGE, skip=_SELECTION_KEYS):
-        if line.key == "n":
-            n = line.values[0]
-            if expected_n is not None and n != expected_n:
-                raise line.error(f"usage graph has n={n} but the instance has "
-                                 f"n={expected_n}", 1)
-            continue
-        j, i = line.values
-        pair = f"({node_label(j)}, {node_label(i)})"
-        if j == i:
-            raise line.error(f"self-edge {pair} is not a collaboration")
-        if (j, i) in edges:
-            raise line.error(f"edge {pair} already present")
-        edges[j, i] = None
-    return UsageGraph.from_edges(n, edges)
+    n, matrices = _edge_lists(text, "usage-graph", _USAGE, _SELECTION_KEYS, expected_n)
+    return UsageGraph.from_edges(n, np.argwhere(matrices["edge"]).tolist())
 
 
 def serialize_usage(usage: UsageGraph) -> str:
+    edges = _edge_lines("edge", usage.x & ~np.eye(usage.n, dtype=bool), _labels(usage.n))
     lines = ["# data-usage graph: 'edge j i' authorizes i to use j's updates",
-             f"n {usage.n}"]
-    for j, i in sorted(usage.edges()):
-        lines.append(f"edge {node_label(j)} {node_label(i)}")
+             f"n {usage.n}", *edges]
     return "\n".join(lines) + "\n"
 
 
 def serialize_selection(instance: Instance, usage: UsageGraph,
                         trace: SelectionTrace) -> str:
     """Full selection result: usage edges, closure, potentials, decisions."""
-    from .graphs import potentials
-
-    label = np.array([node_label(i) for i in range(instance.n)], dtype=object)
+    label = _labels(instance.n)
     lines = ["# collaborator selection result", f"n {instance.n}"]
     for name, pot in zip(label.tolist(), potentials(instance).tolist()):
         lines.append(f"potential {name} {pot!r}")
     lines.append("order " + " ".join(label[list(trace.order)].tolist()))
     off_diag = ~np.eye(usage.n, dtype=bool)
-    for key, pairs in (("edge", usage.x & off_diag), ("closure", usage.closure & off_diag)):
-        for j, i in zip(*(label[idx].tolist() for idx in np.nonzero(pairs))):
-            lines.append(f"{key} {j} {i}")
+    lines += _edge_lines("edge", usage.x & off_diag, label)
+    lines += _edge_lines("closure", usage.closure & off_diag, label)
     for step in trace.steps:
         who = label[step.participant]
         lines.append(f"step {who} objective {step.objective!r}")
@@ -522,16 +543,7 @@ _BENEFIT_FILE = _grammar({"benefit": _BENEFIT})
 
 
 def parse_benefit(text: str) -> np.ndarray:
-    plain = _plain(text, _BENEFIT_FILE)
-    if plain is not None:
-        return plain[1]["benefit"]
-    weights: dict = {}
-    for line in _lines(text, "benefit", _BENEFIT_FILE):
-        if line.key == "n":
-            n = line.values[0]
-        else:
-            _add_benefit(weights, line)
-    return _benefit_matrix(n, weights)
+    return _edge_lists(text, "benefit", _BENEFIT_FILE)[1]["benefit"]
 
 
 # ---------------------------------------------------------------------------
@@ -603,11 +615,7 @@ def serialize_sim_config(config: SyntheticConfig, competing_edges,
 
 
 def serialize_partitions(cover: Partition, coalitions: Partition, n: int) -> str:
-    lines = ["# baseline groupings", f"n {n}", f"cover_mode {cover.mode}"]
-    for group in cover.groups:
-        lines.append("cover " + " ".join(node_label(i) for i in group))
-    for group in coalitions.groups:
-        lines.append("coalition " + " ".join(node_label(i) for i in group))
+    lines = ["# baseline groupings", f"n {n}", *_group_lines(cover, coalitions)]
     return "\n".join(lines) + "\n"
 
 
@@ -628,20 +636,11 @@ def serialize_report(report: ExperimentReport) -> str:
               "config_flipped " + (" ".join(node_label(i) for i, f in enumerate(cfg.flipped) if f)
                                    or "-")]
     lines += _scalar_lines(tc, _REPORT_TRAIN)
-    lines.append(f"cover_mode {report.clique_cover.mode}")
-    for group in report.clique_cover.groups:
-        lines.append("cover " + " ".join(node_label(i) for i in group))
-    for group in report.coalitions.groups:
-        lines.append("coalition " + " ".join(node_label(i) for i in group))
-    for j, i in report.usage_edges:
-        lines.append(f"usage_edge {node_label(j)} {node_label(i)}")
-    j_idx, i_idx = np.nonzero(report.benefit)
-    for j, i in zip(j_idx.tolist(), i_idx.tolist()):
-        lines.append(f"benefit {node_label(j)} {node_label(i)} {float(report.benefit[j, i])!r}")
-    for method in report.methods:
-        for i in range(report.n):
-            lines.append(f"mse {method} {node_label(i)} "
-                         f"{report.mean[method][i]!r} {report.std[method][i]!r}")
+    lines += _group_lines(report.clique_cover, report.coalitions)
+    lines += [f"usage_edge {node_label(j)} {node_label(i)}" for j, i in report.usage_edges]
+    lines += _edge_lines("benefit", report.benefit, _labels(report.n))
+    lines += [f"mse {m} {node_label(i)} {report.mean[m][i]!r} {report.std[m][i]!r}"
+              for m in report.methods for i in range(report.n)]
     return "\n".join(lines) + "\n"
 
 
@@ -731,7 +730,7 @@ def parse_report(text: str) -> ExperimentReport:
         config=config, train_config=train_config, preset=_last(last, "preset"),
         clique_cover=Partition(tuple(lists["cover"]), "clique_cover", cover_mode),
         coalitions=Partition(tuple(lists["coalition"]), "scc_coalitions", cover_mode),
-        usage_edges=tuple(usage_edges), benefit=_benefit_matrix(n, weights),
+        usage_edges=tuple(usage_edges), benefit=_matrix(n, weights),
         aggregation=" ".join(last["aggregation"].values) if "aggregation" in last else "",
     )
 

@@ -163,13 +163,16 @@ class UsageGraph:
         """
         i = self._check(i)
         js = np.asarray(js, dtype=np.intp).reshape(-1)
-        seen: set[int] = set()
-        for j in js.tolist():  # the first offender in the order given raises
-            if self._check(j) == i:
+        clipped = js.clip(0, self.n - 1)  # reads some cell for an out-of-range j, flagged anyway
+        bad = (clipped != js) | (js == i) | self.x[clipped, i]
+        order = js.argsort(kind="stable")
+        ordered = js[order]
+        bad[order[1:]] |= ordered[1:] == ordered[:-1]  # a repeat of an earlier j
+        if bad.any():  # the first offender in the order given raises
+            j = self._check(int(js[bad.argmax()]))
+            if j == i:
                 raise ValueError(f"self-edge ({j}, {i}) is not a collaboration")
-            if self.x[j, i] or j in seen:
-                raise ValueError(f"edge ({j}, {i}) already present")
-            seen.add(j)
+            raise ValueError(f"edge ({j}, {i}) already present")
         self.x[js, i] = True
         ancestors = self.closure[:, js].any(axis=1)
         self.closure[ancestors] |= self.closure[i]

@@ -8,7 +8,10 @@ where the ground-truth weights u[i, l] = v[l] + r[i, l] share a base
 v ~ U[0, 1] drawn once for the whole task and differ by per-participant
 perturbations r[i, l] ~ N(0, rho^2); eps ~ N(0, noise_std^2) and
 s_i = -1 for label-flipped participants. rho controls how non-IID the
-feature-to-label maps are; flips create outright conflicting tasks.
+feature-to-label maps are; flips create outright conflicting tasks. A
+task keeps each participant's matrix of powers (x, x^2, ..., x^degree),
+the one its labels were computed from, and hands out its train and
+validation rows, so training never recomputes the powers.
 
 Two fixed eight-participant presets are bundled:
 
@@ -73,6 +76,7 @@ class SyntheticTask:
 
     config: SyntheticConfig
     features: list[np.ndarray]
+    phi: list[np.ndarray]  # polynomial_features of each features array, the labels' design
     labels: list[np.ndarray]
     weights: np.ndarray  # (n, degree) ground-truth coefficients
     train_idx: list[np.ndarray]
@@ -83,10 +87,12 @@ class SyntheticTask:
         return self.config.n
 
     def train_data(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.features[i][self.train_idx[i]], self.labels[i][self.train_idx[i]]
+        """Participant i's training rows of ``phi`` and their labels."""
+        return self.phi[i][self.train_idx[i]], self.labels[i][self.train_idx[i]]
 
     def val_data(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.features[i][self.val_idx[i]], self.labels[i][self.val_idx[i]]
+        """Participant i's validation rows of ``phi`` and their labels."""
+        return self.phi[i][self.val_idx[i]], self.labels[i][self.val_idx[i]]
 
 
 def polynomial_features(x: np.ndarray, degree: int) -> np.ndarray:
@@ -105,7 +111,7 @@ def generate_task(config: SyntheticConfig) -> SyntheticTask:
     shared, *per_part = root.spawn(config.n + 1)
     base = np.random.default_rng(shared).uniform(0.0, 1.0, size=config.degree)
 
-    features, labels, train_idx, val_idx = [], [], [], []
+    features, phi, labels, train_idx, val_idx = [], [], [], [], []
     weights = np.empty((config.n, config.degree))
     for i in range(config.n):
         rng = np.random.default_rng(per_part[i])
@@ -115,7 +121,8 @@ def generate_task(config: SyntheticConfig) -> SyntheticTask:
         x = rng.uniform(-1.0, 1.0, size=m)
         noise = rng.normal(0.0, config.noise_std, size=m)
         sign = -1.0 if config.flipped[i] else 1.0
-        y = sign * polynomial_features(x, config.degree) @ u + noise
+        phi.append(polynomial_features(x, config.degree))
+        y = sign * phi[i] @ u + noise
         perm = rng.permutation(m)
         features.append(x)
         labels.append(y)
@@ -127,7 +134,7 @@ def generate_task(config: SyntheticConfig) -> SyntheticTask:
             n_val = min(max(1, int(round(m * config.val_fraction))), m - 1)
             val_idx.append(np.sort(perm[:n_val]))
             train_idx.append(np.sort(perm[n_val:]))
-    return SyntheticTask(config=config, features=features, labels=labels,
+    return SyntheticTask(config=config, features=features, phi=phi, labels=labels,
                          weights=weights, train_idx=train_idx, val_idx=val_idx)
 
 

@@ -324,6 +324,21 @@ def test_simulate_report_is_byte_stable(tmp_path, preset, digest):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of `partition --preset` (seed 0) as written before the cover and
+# coalition lines came from one helper shared with the report writer.
+GOLDEN_PARTITION = [
+    ("weak_noniid", "9768a343d00574b2bea9d9eeb0e72f39dfef75cf032e7f00f2ad12bf9584e96b"),
+    ("strong_noniid", "91d8017c4481089284d56e5706a3f0e4f9dc9c03aa82804ad22a1fb7e7781a4d"),
+]
+
+
+@pytest.mark.parametrize("preset,digest", GOLDEN_PARTITION)
+def test_partition_output_is_byte_stable(tmp_path, preset, digest):
+    out = tmp_path / "groups.txt"
+    assert main(["partition", "--preset", preset, "--seed", "0", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestReport:
     def test_report_converts_to_csv(self, tmp_path):
         cfg = tmp_path / "sim.txt"

@@ -273,6 +273,8 @@ def test_plain_edge_lists_skip_the_checked_loop(rng, chunk):
 
     with patch.object(formats, "_lines", refuse), patch.object(formats, "_CHUNK", chunk):
         assert formats.parse_instance(formats.serialize_instance(instance)) == instance
-        parsed = formats.parse_usage(formats.serialize_selection(instance, usage, trace), 12)
-        assert parsed == usage and np.array_equal(parsed.closure, usage.closure)
+        for text in (formats.serialize_selection(instance, usage, trace),
+                     formats.serialize_usage(usage)):
+            parsed = formats.parse_usage(text, 12)
+            assert parsed == usage and np.array_equal(parsed.closure, usage.closure)
         assert np.array_equal(formats.parse_benefit(_benefit_text(instance)), instance.benefit)

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from pathlib import Path
 
@@ -94,6 +95,29 @@ class TestUsageFormat:
         usage, trace = select_collaborators(inst)
         text = formats.serialize_selection(inst, usage, trace)
         assert formats.parse_usage(text, expected_n=6) == usage
+
+
+# SHA-256 of serialize_instance and serialize_usage (the graph `select`
+# returns) on seeded make_instance inputs, as written before the writers
+# shared one edge-line helper; any byte drift in either writer fails here.
+GOLDEN_WRITERS = [
+    (21, 30, 0.2, "fe79ceb810fb0b21c2f89fe5aa9857ebf77b47581edbe3fd314b1e7632297b6d",
+     "b2d67f8caf7adb165c3affc968c1cdc54b5a6139573b2d6f7ab9f2b9b431461a"),
+    (22, 90, 0.05, "5636dd8d8d3e5bfd77d698ad251f76512b85e7ca20c8eb938a86f45df11c1116",
+     "7d745c7bddb9845890a97f128d65d16de7725cf5da1d3f43d941f29a7535cbef"),
+    (23, 1, 0.2, "e88c13fed8d1a8aff22ee90ea18682f9add1706ca0d2e56e1d8733a4faee1ba9",
+     "f039f4d0fd538c9fa63eef546659572bb0575288deb91558925dcb2dd2675d38"),
+]
+
+
+@pytest.mark.parametrize("seed,n,edge_prob,instance_digest,usage_digest", GOLDEN_WRITERS)
+def test_instance_and_usage_writers_are_byte_stable(seed, n, edge_prob, instance_digest,
+                                                    usage_digest):
+    instance = make_instance(np.random.default_rng(seed), n, edge_prob=edge_prob)
+    usage, _ = select_collaborators(instance)
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    assert digest(formats.serialize_instance(instance)) == instance_digest
+    assert digest(formats.serialize_usage(usage)) == usage_digest
 
 
 class TestBenefitFormat:

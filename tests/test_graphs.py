@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +217,23 @@ class TestClosureMaintenance:
             x, closure = usage.x.copy(), usage.closure.copy()
             with pytest.raises(error, match=match):
                 usage.add_edges(js, 1)
+            assert np.array_equal(usage.x, x) and np.array_equal(usage.closure, closure)
+
+    def test_first_of_several_offenders_wins(self):
+        # one offender of each kind, each in front in some order: out of
+        # range on either side, self-edge, already present, and a repeat of
+        # the valid source 2 that leads every call
+        usage = UsageGraph(4).add_edge(0, 1)
+        x, closure = usage.x.copy(), usage.closure.copy()
+        offenders = [(7, IndexError, "node index 7 out of range for n=4"),
+                     (-1, IndexError, "node index -1 out of range for n=4"),
+                     (1, ValueError, "self-edge (1, 1) is not a collaboration"),
+                     (0, ValueError, "edge (0, 1) already present"),
+                     (2, ValueError, "edge (2, 1) already present")]
+        for order in itertools.permutations(offenders):
+            with pytest.raises(order[0][1]) as exc:
+                usage.add_edges([2, *(j for j, _, _ in order)], 1)
+            assert str(exc.value) == order[0][2]
             assert np.array_equal(usage.x, x) and np.array_equal(usage.closure, closure)
 
     def test_copy_isolates_state(self):
