@@ -5,8 +5,7 @@ from .fedtrain import (METHODS, ExperimentReport, TrainConfig, TrainingDivergenc
                        estimate_benefit, run_experiment, train)
 from .graphs import (Instance, InvalidInstanceError, PathWitness, UsageGraph,
                      competitor_guards, conflict_free, conflict_violations, potentials)
-from .oracle import (OracleSizeError, OracleVerdict, conflict_free_by_paths,
-                     optimal_step, simple_paths)
+from .oracle import OracleSizeError, conflict_free_by_paths, optimal_step
 from .partition import Partition, min_clique_cover, scc_coalitions
 from .selection import (SelectionTrace, StepTrace, ancestor_conflicts, candidate_collaborators,
                         processing_order, select_collaborators, select_step)
@@ -17,13 +16,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExperimentReport", "Instance", "InvalidInstanceError", "METHODS",
-    "OracleSizeError", "OracleVerdict", "Partition", "PathWitness",
-    "SelectionTrace",
+    "OracleSizeError", "Partition", "PathWitness", "SelectionTrace",
     "StepTrace", "SyntheticConfig", "SyntheticTask", "TrainConfig",
     "TrainingDivergenceError", "UsageGraph", "ancestor_conflicts", "candidate_collaborators",
     "competitor_guards", "conflict_free", "conflict_free_by_paths", "conflict_violations",
     "estimate_benefit", "generate_task", "min_clique_cover", "optimal_step",
     "potentials", "preset", "processing_order", "run_experiment", "scc_coalitions",
-    "select_collaborators", "select_step", "simple_paths", "strong_noniid_config",
+    "select_collaborators", "select_step", "strong_noniid_config",
     "train", "weak_noniid_config",
 ]

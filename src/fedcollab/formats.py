@@ -33,7 +33,7 @@ from .fedtrain import METHODS, ExperimentReport, TrainConfig
 from .graphs import Instance, InvalidInstanceError, UsageGraph, potentials
 from .partition import Partition
 from .selection import SelectionTrace
-from .synthdata import SyntheticConfig
+from .synthdata import SyntheticConfig, competing_matrix
 
 _TOKEN = re.compile(r"\S+")
 
@@ -601,8 +601,12 @@ def serialize_sim_config(config: SyntheticConfig, competing_edges,
     flips = [node_label(i) for i, f in enumerate(config.flipped) if f]
     if flips:
         lines.append("flipped " + " ".join(flips))
-    for a, b in sorted(tuple(sorted(e)) for e in competing_edges):
-        lines.append(f"competing {node_label(a)} {node_label(b)}")
+    pairs = [tuple(e) for e in competing_edges]
+    bad = [(a, b) for a, b in pairs if a == b or not (0 <= a < config.n and 0 <= b < config.n)]
+    if bad:
+        raise ValueError(f"competing pair {bad[0]} is not two distinct nodes of n={config.n}")
+    competing = np.triu(competing_matrix(config.n, pairs))
+    lines += _edge_lines("competing", competing, _labels(config.n))
     if train_config is not None:
         lines += _scalar_lines(train_config, _CONFIG_TRAIN)
     if reps is not None:

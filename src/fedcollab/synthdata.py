@@ -11,7 +11,8 @@ s_i = -1 for label-flipped participants. rho controls how non-IID the
 feature-to-label maps are; flips create outright conflicting tasks. A
 task keeps each participant's matrix of powers (x, x^2, ..., x^degree),
 the one its labels were computed from, and hands out its train and
-validation rows, so training never recomputes the powers.
+validation rows, so training never recomputes the powers; the features
+x themselves are its first column.
 
 Two fixed eight-participant presets are bundled:
 
@@ -75,8 +76,7 @@ class SyntheticTask:
     """Per-participant data with ground truth and a fixed train/val split."""
 
     config: SyntheticConfig
-    features: list[np.ndarray]
-    phi: list[np.ndarray]  # polynomial_features of each features array, the labels' design
+    phi: list[np.ndarray]  # polynomial_features of each participant's x, the labels' design
     labels: list[np.ndarray]
     weights: np.ndarray  # (n, degree) ground-truth coefficients
     train_idx: list[np.ndarray]
@@ -111,7 +111,7 @@ def generate_task(config: SyntheticConfig) -> SyntheticTask:
     shared, *per_part = root.spawn(config.n + 1)
     base = np.random.default_rng(shared).uniform(0.0, 1.0, size=config.degree)
 
-    features, phi, labels, train_idx, val_idx = [], [], [], [], []
+    phi, labels, train_idx, val_idx = [], [], [], []
     weights = np.empty((config.n, config.degree))
     for i in range(config.n):
         rng = np.random.default_rng(per_part[i])
@@ -124,7 +124,6 @@ def generate_task(config: SyntheticConfig) -> SyntheticTask:
         phi.append(polynomial_features(x, config.degree))
         y = sign * phi[i] @ u + noise
         perm = rng.permutation(m)
-        features.append(x)
         labels.append(y)
         if m == 1:
             # degenerate holder: the single sample serves both roles
@@ -134,8 +133,8 @@ def generate_task(config: SyntheticConfig) -> SyntheticTask:
             n_val = min(max(1, int(round(m * config.val_fraction))), m - 1)
             val_idx.append(np.sort(perm[:n_val]))
             train_idx.append(np.sort(perm[n_val:]))
-    return SyntheticTask(config=config, features=features, phi=phi, labels=labels,
-                         weights=weights, train_idx=train_idx, val_idx=val_idx)
+    return SyntheticTask(config=config, phi=phi, labels=labels, weights=weights,
+                         train_idx=train_idx, val_idx=val_idx)
 
 
 def weak_noniid_config(seed: int = 0) -> SyntheticConfig:

@@ -96,12 +96,12 @@ def test_criterion_5_greedy_oracle_gap():
         inst = make_instance(rng, 6, edge_prob=0.3, density=0.5)
         usage = UsageGraph(6)
         for i in processing_order(inst):
-            verdict = optimal_step(inst, usage, i)
+            value, _ = optimal_step(inst, usage, i)
+            step = select_step(inst, usage, i)
             steps += 1
-            dominated += verdict.optimal_value >= verdict.greedy_value - 1e-12
-            feasible += verdict.feasible
-            gaps.append(verdict.gap_ratio)
-            select_step(inst, usage, i)
+            dominated += value >= step.objective - 1e-12
+            feasible += conflict_free_by_paths(inst, usage)
+            gaps.append(step.objective / value if value else 1.0)
     elapsed = time.perf_counter() - start
     assert dominated == steps
     assert feasible == steps

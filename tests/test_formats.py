@@ -159,6 +159,18 @@ reps 4
         text = formats.serialize_sim_config(cfg, edges, tc, reps)
         assert formats.parse_sim_config(text) == (cfg, edges, tc, reps)
 
+    def test_writer_folds_repeated_and_reversed_pairs(self):
+        cfg = SyntheticConfig(n=6, samples=(10,) * 6, flipped=(False,) * 6)
+        text = formats.serialize_sim_config(cfg, [(0, 1), (1, 0), (5, 2)])
+        assert formats.parse_sim_config(text)[1] == ((0, 1), (2, 5))
+
+    @pytest.mark.parametrize("pair", [(2, 2), (-1, 0), (0, 3)])
+    def test_writer_refuses_pairs_its_parser_would(self, pair):
+        # a self pair, and nodes outside 0..n-1, which numpy would wrap or refuse
+        cfg = SyntheticConfig(n=3, samples=(10,) * 3, flipped=(False,) * 3)
+        with pytest.raises(ValueError, match="two distinct nodes of n=3"):
+            formats.serialize_sim_config(cfg, [(0, 1), pair])
+
     def test_missing_samples(self):
         with pytest.raises(FileFormatError, match="samples"):
             formats.parse_sim_config("n 2\n")

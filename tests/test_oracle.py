@@ -1,26 +1,48 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fedcollab import oracle
 from fedcollab.graphs import Instance, UsageGraph, conflict_free
-from fedcollab.oracle import (OracleSizeError, conflict_free_by_paths, optimal_step,
-                              optimal_step_by_full_matrices, simple_paths)
-from fedcollab.selection import candidate_collaborators, select_collaborators
+from fedcollab.oracle import (OracleSizeError, _candidates, _reaches, conflict_free_by_paths,
+                              optimal_step, optimal_step_by_full_matrices)
+from fedcollab.selection import candidate_collaborators, processing_order, select_step
 
 from conftest import make_instance, make_usage
 
 
-class TestSimplePaths:
-    def test_enumerates_exactly_the_simple_paths(self):
-        adj = np.zeros((4, 4), bool)
-        for a, b in [(0, 1), (1, 3), (0, 2), (2, 3), (1, 2)]:
-            adj[a, b] = True
-        found = sorted(simple_paths(adj, 0, 3))
-        assert found == [(0, 1, 2, 3), (0, 1, 3), (0, 2, 3)]
+def adjacency(n, edges):
+    adj = np.zeros((n, n), bool)
+    for a, b in edges:
+        adj[a, b] = True
+    return adj
 
-    def test_no_paths_from_sink(self):
-        adj = np.zeros((2, 2), bool)
-        adj[0, 1] = True
-        assert list(simple_paths(adj, 1, 0)) == []
+
+class TestReaches:
+    def test_follows_paths_of_any_length(self):
+        adj = adjacency(4, [(0, 1), (1, 3), (0, 2), (2, 3), (1, 2)])
+        assert _reaches(adj, 0, 3) and _reaches(adj, 1, 3) and _reaches(adj, 0, 2)
+        assert not _reaches(adj, 3, 0) and not _reaches(adj, 2, 1)
+
+    def test_no_path_from_sink(self):
+        assert not _reaches(adjacency(2, [(0, 1)]), 1, 0)
+
+    def test_cycle_without_the_target_ends_false(self):
+        adj = adjacency(5, [(0, 1), (1, 2), (2, 0), (2, 1), (4, 0)])
+        assert not _reaches(adj, 0, 4)
+        assert not _reaches(adj, 1, 3)
+        assert _reaches(adj, 4, 2)
+
+    def test_matches_the_closure(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(1, 9))
+            usage = make_usage(rng, n, max_edges=2 * n)
+            for a in range(n):
+                for b in range(n):
+                    if a != b:
+                        assert _reaches(usage.x, a, b) == usage.closure[a, b]
 
 
 class TestConflictFreeByPaths:
@@ -56,17 +78,14 @@ class TestOptimalStep:
     def test_no_competition_takes_all_candidates(self, rng):
         w = rng.uniform(0.1, 1, (5, 5))
         inst = Instance(5, np.zeros((5, 5), bool), w)
-        verdict = optimal_step(inst, UsageGraph(5), 1)
-        assert sorted(verdict.optimal_set) == sorted(candidate_collaborators(inst, 1))
-        assert verdict.gap_ratio == 1.0
-        assert verdict.feasible
+        value, chosen = optimal_step(inst, UsageGraph(5), 1)
+        assert chosen == tuple(sorted(candidate_collaborators(inst, 1)))
+        assert value == pytest.approx(inst.benefit[:, 1].sum(), abs=1e-12)
+        assert select_step(inst, UsageGraph(5), 1).objective == pytest.approx(value, abs=1e-12)
 
     def test_single_node(self):
         inst = Instance(1, np.zeros((1, 1), bool), np.zeros((1, 1)))
-        verdict = optimal_step(inst, UsageGraph(1), 0)
-        assert verdict.optimal_value == 0.0
-        assert verdict.greedy_value == 0.0
-        assert verdict.gap_ratio == 1.0
+        assert optimal_step(inst, UsageGraph(1), 0) == (0.0, ())
 
     def test_oversize_guard(self, rng):
         inst = make_instance(rng, 13)
@@ -86,15 +105,14 @@ class TestOptimalStep:
         for _ in range(100):
             inst = make_instance(rng, 6, edge_prob=0.3)
             usage = UsageGraph(6)
-            from fedcollab.selection import processing_order, select_step
-
             for i in processing_order(inst):
-                verdict = optimal_step(inst, usage, i)
-                assert verdict.feasible
-                assert verdict.greedy_value <= verdict.optimal_value + 1e-12
-                assert 0.0 <= verdict.gap_ratio <= 1.0 + 1e-12
-                gaps.append(verdict.gap_ratio)
-                select_step(inst, usage, i)  # advance the real state
+                value, _ = optimal_step(inst, usage, i)
+                step = select_step(inst, usage, i)  # advance the real state
+                assert conflict_free_by_paths(inst, usage)
+                assert step.objective <= value + 1e-12
+                gap = step.objective / value if value else 1.0
+                assert 0.0 <= gap <= 1.0 + 1e-12
+                gaps.append(gap)
         assert gaps and min(gaps) >= 0.0
 
     def test_matches_full_matrix_enumeration_on_tiny_instances(self):
@@ -109,7 +127,39 @@ class TestOptimalStep:
             if free_edges > 14:
                 continue
             i = int(rng.integers(0, inst.n))
-            column = optimal_step(inst, usage, i).optimal_value
+            column, _ = optimal_step(inst, usage, i)
             full = optimal_step_by_full_matrices(inst, usage, i)
             assert column == pytest.approx(full, abs=1e-12)
             checked += 1
+
+
+def test_candidates_match_the_engine():
+    # weights from {0, 0.5, 1} so that ties occur in every instance
+    rng = np.random.default_rng(37)
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        s = np.triu(rng.random((n, n)) < 0.2, 1)
+        if n > 1 and s.sum() == n * (n - 1) // 2:
+            continue  # complete competition is not a valid instance
+        w = rng.choice([0.0, 0.5, 1.0], (n, n))
+        np.fill_diagonal(w, 0.0)
+        inst = Instance(n, s | s.T, w)
+        for i in range(n):
+            assert _candidates(inst, i) == candidate_collaborators(inst, i)
+
+
+def test_oracle_imports_nothing_from_selection():
+    # the referee shares no code with the engine it checks
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "fedcollab" if node.level else ""
+            module = ".".join(filter(None, [base, node.module]))
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    assert "fedcollab.graphs" in imported
+    assert not any(m == "fedcollab.selection" or m.startswith("fedcollab.selection.")
+                   for m in imported)

@@ -208,9 +208,9 @@ class TestSelectAll:
         inst = Instance(8, competing_matrix(8, edges), w)
         usage = UsageGraph(8)
         for i in processing_order(inst):
-            verdict = optimal_step(inst, usage, i)
+            value, _ = optimal_step(inst, usage, i)
             step = select_step(inst, usage, i)
-            assert step.objective == pytest.approx(verdict.optimal_value, abs=1e-12)
+            assert step.objective == pytest.approx(value, abs=1e-12)
             assert conflict_free(inst, usage)
 
 
@@ -355,3 +355,54 @@ def test_select_output_is_byte_stable(tmp_path, seed, n, competition, digest):
     src.write_text(formats.serialize_instance(seeded_instance(seed, n, competition)))
     assert main(["select", "--instance", str(src), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of `fedcollab verify` output on n=12 select outputs, where the
+# path oracle also runs, as written and with the first rejected edge added
+# back; recorded while the oracle enumerated simple paths.
+GOLDEN_VERIFY = [
+    (31, 0.1, "9b287f1da1b8480f017ccf58d71408f65c097ebd268c403ce5c02a67459404ee",
+     "e2e46aca57a1d61b862100313a1a272a94d33b009c807a401444e1233b6ea05d"),
+    (32, 0.2, "9b287f1da1b8480f017ccf58d71408f65c097ebd268c403ce5c02a67459404ee",
+     "e64cfce80b33eac183dcc877fab05f6c2bb83a0470575d957a6a1e9ce786fec7"),
+    (33, 0.3, "9b287f1da1b8480f017ccf58d71408f65c097ebd268c403ce5c02a67459404ee",
+     "6c1ac55e98f20e01a27b4d3385d1b4b5864956899785b7027c7989be70c67e26"),
+]
+
+
+@pytest.mark.parametrize("seed,competition,clean_digest,conflict_digest", GOLDEN_VERIFY)
+def test_verify_output_is_byte_stable(tmp_path, seed, competition, clean_digest,
+                                      conflict_digest):
+    inst = seeded_instance(seed, 12, competition, benefit=0.4)
+    src, selection = tmp_path / "instance.txt", tmp_path / "selection.txt"
+    src.write_text(formats.serialize_instance(inst))
+    assert main(["select", "--instance", str(src), "--out", str(selection)]) == 0
+    _, trace = select_collaborators(inst)
+    j, i = next((j, step.participant) for step in trace.steps
+                for j, ok in zip(step.candidates.tolist(), step.verdicts.tolist()) if not ok)
+    conflict = tmp_path / "conflict.txt"
+    conflict.write_text(selection.read_text()
+                        + f"edge {formats.node_label(j)} {formats.node_label(i)}\n")
+    out = tmp_path / "verdict.txt"
+    for usage, code, digest in ((selection, 0, clean_digest), (conflict, 1, conflict_digest)):
+        assert main(["verify", "--instance", str(src), "--usage", str(usage),
+                     "--out", str(out)]) == code
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of serialize_sim_config on both presets with the default
+# TrainConfig and reps, as written while it sorted the pairs it was given.
+GOLDEN_SIM_CONFIG = [
+    ("weak_noniid", "a33b545f37114bd3e41cbc430f979e8ab0fc22b58b44efeed31f3987db5fe771"),
+    ("strong_noniid", "849892cace8845fa5b14803459e10ec6e93aa7ce988c9317e72e892f11ed690e"),
+]
+
+
+@pytest.mark.parametrize("preset_name,digest", GOLDEN_SIM_CONFIG)
+def test_sim_config_writer_is_byte_stable(preset_name, digest):
+    from fedcollab.fedtrain import TrainConfig
+    from fedcollab.synthdata import preset
+
+    config, edges = preset(preset_name)
+    text = formats.serialize_sim_config(config, edges, TrainConfig(), reps=3)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -60,7 +60,7 @@ class TestGeneration:
         cfg = weak_noniid_config(seed=5)
         t1, t2 = generate_task(cfg), generate_task(cfg)
         for i in range(8):
-            assert np.array_equal(t1.features[i], t2.features[i])
+            assert np.array_equal(t1.phi[i][:, 0], t2.phi[i][:, 0])
             assert np.array_equal(t1.labels[i], t2.labels[i])
             assert np.array_equal(t1.train_idx[i], t2.train_idx[i])
         assert np.array_equal(t1.weights, t2.weights)
@@ -68,7 +68,7 @@ class TestGeneration:
     def test_different_seed_changes_data(self):
         t1 = generate_task(weak_noniid_config(seed=5))
         t2 = generate_task(weak_noniid_config(seed=6))
-        assert not np.array_equal(t1.features[0], t2.features[0])
+        assert not np.array_equal(t1.phi[0][:, 0], t2.phi[0][:, 0])
 
     def test_split_sizes_and_feature_range(self):
         task = generate_task(strong_noniid_config(seed=2))
@@ -77,14 +77,14 @@ class TestGeneration:
             assert len(task.val_idx[i]) == round(0.2 * m)
             assert len(task.train_idx[i]) == m - round(0.2 * m)
             assert set(task.val_idx[i]) | set(task.train_idx[i]) == set(range(m))
-            assert np.abs(task.features[i]).max() <= 1.0
+            assert np.abs(task.phi[i][:, 0]).max() <= 1.0
 
     def test_labels_match_generative_model(self):
         cfg = SyntheticConfig(n=2, samples=(4000, 4000), flipped=(False, True),
                               rho=0.05, seed=9)
         task = generate_task(cfg)
         for i, sign in ((0, 1.0), (1, -1.0)):
-            clean = sign * polynomial_features(task.features[i], 3) @ task.weights[i]
+            clean = sign * polynomial_features(task.phi[i][:, 0], 3) @ task.weights[i]
             residual = task.labels[i] - clean
             assert abs(residual.mean()) < 0.01
             assert abs(residual.std() - cfg.noise_std) < 0.01
