@@ -7,7 +7,7 @@ from .graphs import (Instance, InvalidInstanceError, PathWitness, UsageGraph,
                      competitor_guards, conflict_free, conflict_violations, potentials)
 from .oracle import OracleSizeError, conflict_free_by_paths, optimal_step
 from .partition import Partition, min_clique_cover, scc_coalitions
-from .selection import (SelectionTrace, StepTrace, ancestor_conflicts, candidate_collaborators,
+from .selection import (Selection, SelectionTrace, StepTrace, candidate_collaborators,
                         processing_order, select_collaborators, select_step)
 from .synthdata import (SyntheticConfig, SyntheticTask, generate_task, preset,
                         strong_noniid_config, weak_noniid_config)
@@ -16,9 +16,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExperimentReport", "Instance", "InvalidInstanceError", "METHODS",
-    "OracleSizeError", "Partition", "PathWitness", "SelectionTrace",
+    "OracleSizeError", "Partition", "PathWitness", "Selection", "SelectionTrace",
     "StepTrace", "SyntheticConfig", "SyntheticTask", "TrainConfig",
-    "TrainingDivergenceError", "UsageGraph", "ancestor_conflicts", "candidate_collaborators",
+    "TrainingDivergenceError", "UsageGraph", "candidate_collaborators",
     "competitor_guards", "conflict_free", "conflict_free_by_paths", "conflict_violations",
     "estimate_benefit", "generate_task", "min_clique_cover", "optimal_step",
     "potentials", "preset", "processing_order", "run_experiment", "scc_coalitions",

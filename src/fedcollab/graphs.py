@@ -225,8 +225,8 @@ def competitor_guards(instance: Instance, usage: UsageGraph,
 
     This direct O(n^2) scan is the reference form: the selection engine
     decides on the downstream set, read in O(n) from i's rivals, and
-    reads the upstream set for its trace from the conflict matrix it
-    keeps (:func:`fedcollab.selection.ancestor_conflicts`).
+    reads the upstream set for its trace from the conflict matrix that
+    a :class:`fedcollab.selection.Selection` keeps.
     """
     i, j = instance.check_node(i), instance.check_node(j)
     if i == j:
@@ -242,8 +242,8 @@ def competitor_guards(instance: Instance, usage: UsageGraph,
 
 def conflict_free(instance: Instance, usage: UsageGraph) -> bool:
     """True iff no competing pair is connected (either way) in the usage graph."""
-    c = usage.closure
-    return not (instance.competing & (c | c.T)).any()
+    # competing is symmetric, so this reads each pair in both directions
+    return not (instance.competing & usage.closure).any()
 
 
 def conflict_violations(instance: Instance, usage: UsageGraph) -> list[tuple[int, int, PathWitness]]:

@@ -22,11 +22,11 @@ can only gain ``anc_comp[j] & closure[i]``, and the downstream guard
 Those are j's own guards, which were empty when j was accepted, so no
 guard reads differently in scan order.
 
-A step decides its |C| candidates with one |C| x n AND; the one kept
-conflict matrix, :func:`ancestor_conflicts`, gives the upstream guards
-for the trace with one more. The step's accepted edges then take one
-update: the closure rows of the accepted candidates' ancestors and the
-``anc_comp`` rows of i's descendants, each ORed with one row.
+A step decides its |C| candidates with one |C| x n AND; one more, on the
+conflict matrix ``anc_comp`` that the run's :class:`Selection` keeps,
+gives the upstream guards for the trace. The step's accepted edges then
+take one update: the closure rows of the accepted candidates' ancestors
+and the ``anc_comp`` rows of i's descendants, each ORed with one row.
 
 The trace holds each fact once. A :class:`StepTrace` records a
 participant, its objective and, per candidate in scan order, the verdict
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Instance, UsageGraph, conflict_free, potentials
+from .graphs import Instance, UsageGraph, potentials
 
 
 def _sparse(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,35 +120,27 @@ def candidate_collaborators(instance: Instance, i: int) -> list[int]:
     return js[np.argsort(-w[js], kind="stable")].tolist()
 
 
-def ancestor_conflicts(instance: Instance, usage: UsageGraph) -> np.ndarray:
-    """``anc_comp[q, k]``: k competes with an ancestor-or-self of q in
-    ``usage``, so that ``anc_comp[j] & closure[i]`` is the upstream guard
-    of :func:`fedcollab.graphs.competitor_guards` for the edge j -> i."""
-    comp = instance.competing.astype(np.float32)
-    clo = usage.closure.astype(np.float32)
-    # entries count witnesses, at most n, so float32 sums are exact
-    return clo.T @ comp > 0
-
-
-def select_step(instance: Instance, usage: UsageGraph, i: int,
-                anc_comp: np.ndarray | None = None) -> StepTrace:
-    """Greedily pick i's collaborators, mutating `usage` in place.
-
-    ``anc_comp`` is the :func:`ancestor_conflicts` matrix of ``usage``,
-    computed when omitted. A passed-in matrix is updated in place with the
-    accepted edges, so a caller running several steps on one usage graph
-    keeps it in step by passing the same array each time.
-
-    Requires a conflict-free usage graph on entry; a violation here is a
-    programming error, not an input condition, hence the hard failure. The
-    check runs only when ``anc_comp`` is omitted: a matrix kept in step
-    through :func:`select_collaborators` already rules a violation out.
+class Selection:
+    """A run's state: the usage graph built so far and the conflict matrix
+    ``_anc_comp``, true at [q, k] when k competes with an ancestor-or-self
+    of q, so ``_anc_comp[j] & closure[i]`` is the upstream guard of j -> i.
+    A run starts empty and changes only through :func:`select_step`, so
+    its graph stays conflict-free. Callers may read ``usage`` but must not
+    write it: an edge added from outside (``usage.add_edge``) leaves
+    ``_anc_comp`` stale, and later steps then trace wrong upstream guards.
     """
-    if anc_comp is None:
-        if not conflict_free(instance, usage):
-            raise RuntimeError("usage graph already violates conflict freedom "
-                               "before selection step")
-        anc_comp = ancestor_conflicts(instance, usage)
+
+    __slots__ = ("instance", "usage", "_anc_comp")
+
+    def __init__(self, instance: Instance) -> None:
+        self.instance = instance
+        self.usage = UsageGraph(instance.n)
+        self._anc_comp = instance.competing.copy()  # the empty graph's closure is the identity
+
+
+def select_step(selection: Selection, i: int) -> StepTrace:
+    """Greedily pick i's collaborators and add their edges to ``selection``."""
+    instance, usage, anc_comp = selection.instance, selection.usage, selection._anc_comp
     cand = np.array(candidate_collaborators(instance, i), dtype=np.intp)
     clo = usage.closure
     # every guard reads the same on the graph before the step (module
@@ -177,8 +169,6 @@ def select_collaborators(instance: Instance) -> tuple[UsageGraph, SelectionTrace
     Deterministic: two runs on the same instance produce identical usage
     graphs and traces. The returned graph is always conflict-free.
     """
-    usage = UsageGraph(instance.n)
-    anc_comp = instance.competing.copy()  # the empty graph's closure is the identity
-    steps = tuple(select_step(instance, usage, i, anc_comp)
-                  for i in processing_order(instance))
-    return usage, SelectionTrace(steps)
+    selection = Selection(instance)
+    steps = tuple(select_step(selection, i) for i in processing_order(instance))
+    return selection.usage, SelectionTrace(steps)

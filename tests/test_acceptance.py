@@ -14,7 +14,7 @@ from fedcollab.fedtrain import run_experiment
 from fedcollab.graphs import Instance, UsageGraph, conflict_free
 from fedcollab.oracle import conflict_free_by_paths, optimal_step
 from fedcollab.partition import min_clique_cover
-from fedcollab.selection import processing_order, select_collaborators, select_step
+from fedcollab.selection import Selection, processing_order, select_collaborators, select_step
 from fedcollab.synthdata import (STRONG_COMPETING_EDGES, WEAK_COMPETING_EDGES,
                                  competing_matrix, preset)
 
@@ -94,13 +94,13 @@ def test_criterion_5_greedy_oracle_gap():
     dominated = feasible = steps = 0
     for _ in range(200):
         inst = make_instance(rng, 6, edge_prob=0.3, density=0.5)
-        usage = UsageGraph(6)
+        selection = Selection(inst)
         for i in processing_order(inst):
-            value, _ = optimal_step(inst, usage, i)
-            step = select_step(inst, usage, i)
+            value, _ = optimal_step(inst, selection.usage, i)
+            step = select_step(selection, i)
             steps += 1
             dominated += value >= step.objective - 1e-12
-            feasible += conflict_free_by_paths(inst, usage)
+            feasible += conflict_free_by_paths(inst, selection.usage)
             gaps.append(step.objective / value if value else 1.0)
     elapsed = time.perf_counter() - start
     assert dominated == steps

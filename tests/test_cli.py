@@ -61,6 +61,20 @@ class TestSelect:
         assert main(["select", "--instance", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_label_v0_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("n 3\ncompeting v0 v1\n")
+        assert main(["select", "--instance", str(bad)]) == 2
+        assert capsys.readouterr().err == ("error: line 2, column 11: participant labels "
+                                           "start at v1, got 'v0'\n")
+
+    def test_output_goes_to_stdout_without_out(self, tmp_path, instance_file, capsys):
+        out = tmp_path / "selection.txt"
+        assert main(["select", "--instance", str(instance_file), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["select", "--instance", str(instance_file)]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["select", "--instance", str(tmp_path / "nope.txt")]) == 2
 

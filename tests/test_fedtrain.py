@@ -82,6 +82,15 @@ class TestTrainContracts:
             with pytest.raises(TrainingDivergenceError):
                 train(task, "local", train_config=TrainConfig(rounds=3, learning_rate=1e30))
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("learning_rate", 0.0, "learning_rate must be positive"),
+        ("learning_rate", -0.5, "learning_rate must be positive"),
+        ("benefit_threshold", -1e-9, "benefit_threshold must be nonnegative"),
+    ])
+    def test_config_rejects_out_of_range_values(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
+
     def test_deterministic(self):
         task = small_task(seed=3)
         a = train(task, "local", train_config=FAST, seed=11)
@@ -332,6 +341,10 @@ class TestRunExperiment:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
             run_experiment(self.CFG, [], methods=("magic",), train_config=FAST, reps=1)
+
+    def test_rejects_zero_reps(self):
+        with pytest.raises(ValueError, match="reps must be positive"):
+            run_experiment(self.CFG, [], train_config=FAST, reps=0)
 
     def test_rejects_repeated_method(self):
         # a report listing a method twice would not parse back

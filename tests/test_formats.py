@@ -287,6 +287,16 @@ def test_total_samples_are_bounded(parse, line):
 
 
 @pytest.mark.parametrize("parse,line", [
+    (formats.parse_sim_config, "samples"),
+    (formats.parse_report, "config_samples"),
+])
+def test_samples_line_needs_counts(parse, line):
+    with pytest.raises(FileFormatError) as exc:
+        parse(f"n 2\n{line}\n")
+    assert str(exc.value) == f"line 2, column 1: '{line}' needs one count per participant"
+
+
+@pytest.mark.parametrize("parse,line", [
     (formats.parse_sim_config, "samples 20 20\ndegree"),
     (formats.parse_report, "config_samples 20 20\nconfig_degree"),
 ])

@@ -24,6 +24,14 @@ class TestInstanceValidation:
         with pytest.raises(InvalidInstanceError):
             Instance(0, np.zeros((0, 0), bool), np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("competing,benefit,message", [
+        ((3, 2), (3, 3), r"competing adjacency must be 3x3, got \(3, 2\)"),
+        ((3, 3), (2, 3), r"benefit matrix must be 3x3, got \(2, 3\)"),
+    ])
+    def test_rejects_wrongly_shaped_matrices(self, competing, benefit, message):
+        with pytest.raises(InvalidInstanceError, match=message):
+            Instance(3, np.zeros(competing, bool), np.zeros(benefit))
+
     def test_rejects_asymmetric_competition(self):
         s = np.zeros((3, 3), bool)
         s[0, 1] = True
@@ -80,6 +88,10 @@ class TestPotentials:
 class TestReachability:
     def test_identity(self):
         assert np.array_equal(UsageGraph(4).closure, np.eye(4, dtype=bool))
+
+    def test_rejects_an_empty_graph(self):
+        with pytest.raises(ValueError, match="at least one node"):
+            UsageGraph(0)
 
     def test_chain(self):
         usage = UsageGraph(3).add_edge(0, 1).add_edge(1, 2)
@@ -283,6 +295,19 @@ def test_bulk_closure_matches_per_edge_updates(seq, random):
                   formats.parse_usage(text)):
         assert usage == one_by_one
         assert np.array_equal(usage.closure, expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=20), st.floats(min_value=0.0, max_value=0.6),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_conflict_free_matches_the_two_sided_check(n, density, seed):
+    # on any usage graph, cycles and conflicts included, the one AND with
+    # the closure agrees with the closure and its transpose read together
+    rng = np.random.default_rng(seed)
+    inst = make_instance(rng, n, edge_prob=density)
+    usage = make_usage(rng, n, max_edges=2 * n)
+    c = usage.closure
+    assert conflict_free(inst, usage) == (not (inst.competing & (c | c.T)).any())
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ from fedcollab import oracle
 from fedcollab.graphs import Instance, UsageGraph, conflict_free
 from fedcollab.oracle import (OracleSizeError, _candidates, _reaches, conflict_free_by_paths,
                               optimal_step, optimal_step_by_full_matrices)
-from fedcollab.selection import candidate_collaborators, processing_order, select_step
+from fedcollab.selection import Selection, candidate_collaborators, processing_order, select_step
 
 from conftest import make_instance, make_usage
 
@@ -81,7 +81,7 @@ class TestOptimalStep:
         value, chosen = optimal_step(inst, UsageGraph(5), 1)
         assert chosen == tuple(sorted(candidate_collaborators(inst, 1)))
         assert value == pytest.approx(inst.benefit[:, 1].sum(), abs=1e-12)
-        assert select_step(inst, UsageGraph(5), 1).objective == pytest.approx(value, abs=1e-12)
+        assert select_step(Selection(inst), 1).objective == pytest.approx(value, abs=1e-12)
 
     def test_single_node(self):
         inst = Instance(1, np.zeros((1, 1), bool), np.zeros((1, 1)))
@@ -104,11 +104,11 @@ class TestOptimalStep:
         gaps = []
         for _ in range(100):
             inst = make_instance(rng, 6, edge_prob=0.3)
-            usage = UsageGraph(6)
+            selection = Selection(inst)
             for i in processing_order(inst):
-                value, _ = optimal_step(inst, usage, i)
-                step = select_step(inst, usage, i)  # advance the real state
-                assert conflict_free_by_paths(inst, usage)
+                value, _ = optimal_step(inst, selection.usage, i)
+                step = select_step(selection, i)  # advance the real state
+                assert conflict_free_by_paths(inst, selection.usage)
                 assert step.objective <= value + 1e-12
                 gap = step.objective / value if value else 1.0
                 assert 0.0 <= gap <= 1.0 + 1e-12

@@ -145,12 +145,20 @@ class TestSccCoalitions:
         (((0, 1), (1, 2)), "node 1 appears in two groups"),
         (((0, 2), (1,)), r"competing pair \(0, 2\) grouped together"),
         (((0,), (1,)), "groups do not cover all nodes"),
+        (((0,), (1,), (2,), (5,)), "groups do not cover all nodes"),
     ])
     def test_rejects_a_clique_cover_that_is_not_one(self, groups, message):
         inst = instance_from_edges(3, [(0, 2)])
         cover = Partition(groups=groups, kind="clique_cover", mode="exact")
         with pytest.raises(ValueError, match=message):
             scc_coalitions(inst, cover)
+
+    def test_reports_the_first_competing_pair_in_group_order(self):
+        # pairs (a, b) with a < b are read with a, then b, in the group's order
+        inst = instance_from_edges(5, [(0, 2), (1, 3), (2, 4)])
+        cover = Partition(groups=((4,), (3, 1, 0, 2)), kind="clique_cover", mode="exact")
+        with pytest.raises(ValueError, match=r"competing pair \(1, 3\) grouped together"):
+            cover.validate_cover(inst)
 
 
 class TestTarjanDirect:

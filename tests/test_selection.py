@@ -9,7 +9,7 @@ from fedcollab import formats
 from fedcollab.cli import main
 from fedcollab.graphs import Instance, UsageGraph, competitor_guards, conflict_free
 from fedcollab.oracle import conflict_free_by_paths
-from fedcollab.selection import (ancestor_conflicts, candidate_collaborators, processing_order,
+from fedcollab.selection import (Selection, candidate_collaborators, processing_order,
                                  select_collaborators, select_step)
 from fedcollab.synthdata import (STRONG_COMPETING_EDGES, WEAK_COMPETING_EDGES,
                                  competing_matrix)
@@ -42,6 +42,12 @@ def sequential_select(instance, usage, i):
         ups.append(sorted(upstream))
         downs.append(sorted(downstream))
     return i, objective, scan, verdicts, ups, downs
+
+
+def ancestor_conflicts(instance, usage):
+    """The definition of the conflict matrix a :class:`Selection` keeps:
+    entry [q, k] is true when k competes with an ancestor-or-self of q."""
+    return (usage.closure[:, :, None] & instance.competing[:, None, :]).any(axis=0)
 
 
 def columns(step):
@@ -96,8 +102,7 @@ class TestSelectStep:
     def test_accepts_everything_without_competition(self, rng):
         w = rng.uniform(0.1, 1, (5, 5))
         inst = no_competition(w)
-        usage = UsageGraph(5)
-        step = select_step(inst, usage, 2)
+        step = select_step(Selection(inst), 2)
         assert step.accepted == tuple(candidate_collaborators(inst, 2))
         assert step.objective == pytest.approx(sum(inst.benefit[j, 2] for j in step.accepted))
 
@@ -115,16 +120,6 @@ class TestSelectStep:
         assert trace.order == (1, 2, 0)
         assert usage.edges() == [(2, 1)]
         assert columns(trace.steps[2]) == (0, 0.0, [1], [False], [[0]], [[2]])
-
-    def test_precondition_violation_is_contract_error(self):
-        s = np.zeros((3, 3), bool)
-        s[0, 1] = s[1, 0] = True
-        w = np.ones((3, 3))
-        # a usage graph that already connects the competitors
-        inst = Instance(3, s, w)
-        usage = UsageGraph(3).add_edge(0, 1)
-        with pytest.raises(RuntimeError, match="conflict"):
-            select_step(inst, usage, 0)
 
 
 class TestSelectAll:
@@ -206,47 +201,26 @@ class TestSelectAll:
         w = np.random.default_rng(31).uniform(0.1, 1.0, (8, 8))
         np.fill_diagonal(w, 0.0)
         inst = Instance(8, competing_matrix(8, edges), w)
-        usage = UsageGraph(8)
+        selection = Selection(inst)
         for i in processing_order(inst):
-            value, _ = optimal_step(inst, usage, i)
-            step = select_step(inst, usage, i)
+            value, _ = optimal_step(inst, selection.usage, i)
+            step = select_step(selection, i)
             assert step.objective == pytest.approx(value, abs=1e-12)
-            assert conflict_free(inst, usage)
+            assert conflict_free(inst, selection.usage)
 
 
 class TestConflictMatrices:
     def test_match_definition(self, rng):
-        # arbitrary usage graphs, cycles and conflicts included
+        # the kept matrix starts from competing, the empty graph's, and
+        # equals the definition after every step
         for _ in range(30):
             inst = make_instance(rng, edge_prob=0.3)
-            n = inst.n
-            usage = make_usage(rng, n, max_edges=2 * n)
-            c, s = usage.closure, inst.competing
-            anc_comp = ancestor_conflicts(inst, usage)
-            for q in range(n):
-                for k in range(n):
-                    assert anc_comp[q, k] == any(c[a, q] and s[a, k] for a in range(n))
-
-    def test_passed_matrices_track_the_usage_graph(self, rng):
-        # the kept matrix starts as select_collaborators starts it, from
-        # competing, and equals a fresh one after every step
-        for _ in range(30):
-            inst = make_instance(rng, edge_prob=0.3)
-            usage = UsageGraph(inst.n)
-            anc_comp = inst.competing.copy()
-            assert np.array_equal(anc_comp, ancestor_conflicts(inst, usage))
+            selection = Selection(inst)
+            assert np.array_equal(selection._anc_comp, ancestor_conflicts(inst, selection.usage))
             for i in processing_order(inst):
-                select_step(inst, usage, i, anc_comp=anc_comp)
-                assert np.array_equal(anc_comp, ancestor_conflicts(inst, usage))
-
-    def test_steps_without_matrices_match_full_run(self, rng):
-        for _ in range(20):
-            inst = make_instance(rng, edge_prob=0.3)
-            usage, trace = select_collaborators(inst)
-            replay = UsageGraph(inst.n)
-            steps = tuple(select_step(inst, replay, i) for i in trace.order)
-            assert steps == trace.steps
-            assert replay == usage
+                select_step(selection, i)
+                assert np.array_equal(selection._anc_comp,
+                                      ancestor_conflicts(inst, selection.usage))
 
 
 @settings(max_examples=80, deadline=None)
@@ -279,22 +253,18 @@ def test_recorded_guards_match_reference_scan(n, density, seed):
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_batched_step_matches_sequential_scan(n, density, seed):
     # participants are served in a random order and some are served twice,
-    # so later steps meet edges that are already present; the batched step
-    # runs with a kept matrix and on the hand-driven path (a fresh matrix)
+    # so later steps meet edges that are already present
     rng = np.random.default_rng(seed)
     inst = make_instance(rng, n, edge_prob=density)
     perm = rng.permutation(n).tolist()
     served = perm + perm[:int(rng.integers(0, n + 1))]
-    ref, kept, hand = UsageGraph(n), UsageGraph(n), UsageGraph(n)
-    anc_comp = inst.competing.copy()
+    ref, selection = UsageGraph(n), Selection(inst)
     for i in served:
         expected = sequential_select(inst, ref, i)
-        for usage, step in ((kept, select_step(inst, kept, i, anc_comp=anc_comp)),
-                            (hand, select_step(inst, hand, i))):
-            assert columns(step) == expected
-            assert np.array_equal(usage.x, ref.x)
-            assert np.array_equal(usage.closure, ref.closure)
-        assert np.array_equal(anc_comp, ancestor_conflicts(inst, ref))
+        assert columns(select_step(selection, i)) == expected
+        assert np.array_equal(selection.usage.x, ref.x)
+        assert np.array_equal(selection.usage.closure, ref.closure)
+        assert np.array_equal(selection._anc_comp, ancestor_conflicts(inst, ref))
 
 
 @settings(max_examples=80, deadline=None)
@@ -322,12 +292,12 @@ def test_accepts_are_the_empty_guard_candidates_before_the_step(n, density, seed
     # accepted iff its edge is present or both of its guard sets are empty
     # on the graph as it stood before the step
     inst = make_instance(np.random.default_rng(seed), n, edge_prob=density)
-    usage = UsageGraph(n)
+    selection = Selection(inst)
     for i in processing_order(inst):
-        before = usage.copy()
+        before = selection.usage.copy()
         expected = {j for j in candidate_collaborators(inst, i)
                     if before.x[j, i] or competitor_guards(inst, before, i, j) == (set(), set())}
-        assert set(select_step(inst, usage, i).accepted) == expected
+        assert set(select_step(selection, i).accepted) == expected
 
 
 def seeded_instance(seed: int, n: int, competition: float, benefit: float = 0.3) -> Instance:

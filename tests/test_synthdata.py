@@ -11,6 +11,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SyntheticConfig(n=2, samples=(10,), flipped=(False, False))
 
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(n=0, samples=(), flipped=()), "need at least one participant"),
+        (dict(n=2, samples=(10, 10), flipped=(False,)), "flipped must list a flag"),
+        (dict(n=1, samples=(10,), flipped=(False,), degree=0), "degree must be positive"),
+    ])
+    def test_rejects_bad_shape(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SyntheticConfig(**kwargs)
+
     def test_negative_rho(self):
         with pytest.raises(ValueError):
             SyntheticConfig(n=1, samples=(10,), flipped=(False,), rho=-0.1)
