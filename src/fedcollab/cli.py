@@ -12,6 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import formats
 from .fedtrain import (METHODS, TrainConfig, TrainingDivergenceError,
                        estimate_benefit, run_experiment)
@@ -63,10 +65,11 @@ def _cmd_verify(args) -> int:
     closure_ok = conflict_free(instance, usage)
     lines = [f"closure_check {'pass' if closure_ok else 'fail'}"]
     # edges outside the benefit support violate the data model and are the
-    # one case where the closure and path checks can legitimately diverge
-    for j, i in sorted(usage.edges()):
-        if instance.benefit[j, i] <= 0.0:
-            lines.append(f"unsupported_edge {formats.node_label(j)} {formats.node_label(i)}")
+    # one case where the closure and path checks can legitimately diverge;
+    # argwhere lists them row-major, so sorted by (j, i)
+    unsupported = usage.x & ~np.eye(instance.n, dtype=bool) & (instance.benefit <= 0.0)
+    for j, i in np.argwhere(unsupported).tolist():
+        lines.append(f"unsupported_edge {formats.node_label(j)} {formats.node_label(i)}")
     if instance.n <= PATH_ENUM_MAX_NODES:
         path_ok = conflict_free_by_paths(instance, usage)
         lines.append(f"path_check {'pass' if path_ok else 'fail'}")

@@ -235,58 +235,57 @@ def _plain(text: str, grammar: dict[str, _Rule], skip=()):
     other text, which :func:`_lines` then reads line by line.
 
     Plain means: ASCII, lines broken by "\\n" alone, comments only at the
-    start of a line, and every other line blank, a ``skip`` key followed by a
-    space, ``n`` (first and once, 1..MAX_NODES) or a key of ``grammar``
-    with exactly its field count. Participants are canonical ``v<k>``
-    labels or indices in range, no pair joins a participant to itself or
-    comes twice, and weights (a third field) are finite and positive. Such
-    a text parses through :func:`_lines` without error to the same values,
-    so this never raises. A pair key's matrix is boolean, symmetric for
+    start of a line, and every other line empty, a ``skip`` key followed by
+    a space, ``n`` (first and once, 1..MAX_NODES) or a key of ``grammar``
+    followed by a space and exactly its field count. Participants are
+    canonical ``v<k>`` labels or indices in range, no pair joins a
+    participant to itself or comes twice, and weights (a third field) are
+    finite and positive. Such a text parses through :func:`_lines` without
+    error to the same values, so this never raises. A key's lines are
+    joined into one token list and field f of every line read as the
+    strided slice ``tokens[f::arity]``: a line of the wrong width shifts a
+    later key word off the stride, where it is read as a participant or a
+    weight and refused. A pair key's matrix is boolean, symmetric for
     ``competing``; a weighted key's holds its weights.
     """
     if not text.isascii() or any(c in text for c in _BREAKS):
         return None
     skip = ("#", *(f"{key} " for key in skip))  # comment lines and skipped keys
-    names = {key: c for c, key in enumerate(["n", *grammar])}
-    arity = np.array([2] + [len(rule.fixed) + 1 for rule in grammar.values()])
     n, node, columns = None, {}, {key: [] for key in grammar}  # columns: one list per chunk
     begin = 0
     while begin < len(text):
         end = text.find("\n", begin + _CHUNK)
         end = len(text) if end < 0 else end
-        lines = [line for line in text[begin:end].split("\n") if not line.startswith(skip)]
+        lines = [line for line in text[begin:end].split("\n") if line and not line.startswith(skip)]
         begin = end + 1
-        widths = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
-        tokens = " ".join(lines).split()  # any other '#' is in a token no check below accepts
-        starts = (np.cumsum(widths) - widths)[widths > 0]  # each content line's key
-        widths = widths[widths > 0]
-        pick = tokens.__getitem__
-        code = np.fromiter(map(names.get, map(pick, starts.tolist()), itertools.repeat(-1)),
-                           np.intp, starts.size)
-        if (code < 0).any() or (widths != arity[code]).any():
-            return None
-        if n is None and code.size:  # the first content line must declare n
+        if n is None and lines:  # the first content line must declare n
+            head = lines.pop(0).split()
             try:
-                n = int(tokens[1]) if code[0] == 0 else 0
+                n = int(head[1]) if len(head) == 2 and head[0] == "n" else 0
             except ValueError:
                 return None
             if not 1 <= n <= MAX_NODES:
                 return None
             node = {f"v{k + 1}": k for k in range(n)} | {str(k): k for k in range(n)}
-            code[0] = -1  # read, so it is no key's row
-        if (code == 0).any():  # a second n
-            return None
-        for c, key in enumerate(grammar, start=1):
-            rows = starts[code == c]
-            fields = [np.fromiter(map(node.get, map(pick, (rows + f).tolist()),
-                                      itertools.repeat(-1)), np.intp, rows.size) for f in (1, 2)]
-            if arity[c] == 4:
+        read = 0  # lines of a grammar key; any other line (a second n) is not plain
+        for key, rule in grammar.items():
+            picked = [line for line in lines if line.startswith(key + " ")]
+            read += len(picked)
+            arity = len(rule.fixed) + 1
+            tokens = " ".join(picked).split()
+            if len(tokens) != arity * len(picked):
+                return None
+            fields = [np.fromiter(map(node.get, tokens[f::arity], itertools.repeat(-1)),
+                                  np.intp, len(picked)) for f in (1, 2)]
+            if arity == 4:
                 try:
-                    fields.append(np.fromiter(map(float, map(pick, (rows + 3).tolist())),
-                                              np.float64, rows.size))
+                    fields.append(np.fromiter(map(float, tokens[3::arity]), np.float64,
+                                              len(picked)))
                 except ValueError:
                     return None
             columns[key].append(fields)
+        if read != len(lines):
+            return None
     if n is None:
         return None
     matrices = {}
@@ -500,10 +499,11 @@ _USAGE = _grammar({"edge": ("<from> <to>", (_node, _node))})
 
 
 def parse_usage(text: str, expected_n: int | None = None) -> UsageGraph:
-    """The usage graph of the ``edge`` lines, its closure rebuilt by
-    :meth:`UsageGraph.from_edges`; ``closure`` lines are never read."""
+    """The usage graph of the ``edge`` lines: the edge matrix's ``argwhere``
+    array goes straight to :meth:`UsageGraph.from_edges`, which rebuilds the
+    closure once; ``closure`` lines are never read."""
     n, matrices = _edge_lists(text, "usage-graph", _USAGE, _SELECTION_KEYS, expected_n)
-    return UsageGraph.from_edges(n, np.argwhere(matrices["edge"]).tolist())
+    return UsageGraph.from_edges(n, np.argwhere(matrices["edge"]))
 
 
 def serialize_usage(usage: UsageGraph) -> str:

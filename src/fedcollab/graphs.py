@@ -103,10 +103,10 @@ class UsageGraph:
     """Decision matrix ``x`` plus an exactly maintained transitive closure.
 
     Both matrices start as the identity (every participant trivially uses
-    its own data and reaches itself). ``add_edges`` is the only mutator
-    (``add_edge`` is its one-edge form); it keeps ``closure`` equal to the
-    reflexive-transitive closure of the off-diagonal edges of ``x`` at all
-    times.
+    its own data and reaches itself). ``from_edges`` builds a graph from a
+    whole edge set, and ``add_edges`` (``add_edge`` is its one-edge form) is
+    the only mutator of a built one; both keep ``closure`` equal to the
+    reflexive-transitive closure of the off-diagonal edges of ``x``.
     """
 
     __slots__ = ("n", "x", "closure")
@@ -120,13 +120,15 @@ class UsageGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "UsageGraph":
-        """The graph of ``edges`` (pairs (j, i)), one closure update per target."""
-        sources: dict[int, list[int]] = {}
-        for j, i in edges:
-            sources.setdefault(i, []).append(j)
+        """The graph of ``edges`` ((j, i) pairs or an (E, 2) array), checked as
+        :meth:`add_edges` checks, its closure computed in place by one row-OR
+        per pivot k (Warshall): every row that reaches k gains k's row."""
         usage = cls(n)
-        for i, js in sources.items():
-            usage.add_edges(js, i)
+        js, is_ = usage._checked(*np.asarray(edges, dtype=np.intp).reshape(-1, 2).T)
+        usage.x[js, is_] = usage.closure[js, is_] = True
+        clo = usage.closure
+        for k in range(usage.n):
+            clo[clo[:, k]] |= clo[k]
         return usage
 
     def copy(self) -> "UsageGraph":
@@ -162,21 +164,31 @@ class UsageGraph:
         therefore updates the closure exactly, cycles included.
         """
         i = self._check(i)
-        js = np.asarray(js, dtype=np.intp).reshape(-1)
-        clipped = js.clip(0, self.n - 1)  # reads some cell for an out-of-range j, flagged anyway
-        bad = (clipped != js) | (js == i) | self.x[clipped, i]
-        order = js.argsort(kind="stable")
-        ordered = js[order]
-        bad[order[1:]] |= ordered[1:] == ordered[:-1]  # a repeat of an earlier j
-        if bad.any():  # the first offender in the order given raises
-            j = self._check(int(js[bad.argmax()]))
-            if j == i:
-                raise ValueError(f"self-edge ({j}, {i}) is not a collaboration")
-            raise ValueError(f"edge ({j}, {i}) already present")
+        js, _ = self._checked(js, i)
         self.x[js, i] = True
         ancestors = self.closure[:, js].any(axis=1)
         self.closure[ancestors] |= self.closure[i]
         return self
+
+    def _checked(self, js, is_) -> tuple[np.ndarray, np.ndarray]:
+        """``js`` and ``is_`` (one target or one per source) as index arrays of
+        new edges; the first pair in the order given that is out of range (i,
+        then j), a self-edge, in ``x`` already or a repeat raises."""
+        js, is_ = np.broadcast_arrays(np.asarray(js, dtype=np.intp).reshape(-1),
+                                      np.asarray(is_, dtype=np.intp))
+        cj, ci = js.clip(0, self.n - 1), is_.clip(0, self.n - 1)  # flagged if clipped
+        bad = (cj != js) | (ci != is_) | self.x[cj, ci]  # the diagonal of x flags self-edges
+        key = cj * self.n + ci
+        order = key.argsort(kind="stable")
+        ordered = key[order]
+        bad[order[1:]] |= ordered[1:] == ordered[:-1]  # a repeat of an earlier pair
+        if bad.any():
+            k = bad.argmax()
+            i, j = self._check(int(is_[k])), self._check(int(js[k]))
+            if j == i:
+                raise ValueError(f"self-edge ({j}, {i}) is not a collaboration")
+            raise ValueError(f"edge ({j}, {i}) already present")
+        return js, is_
 
     def path_witness(self, j: int, i: int) -> PathWitness | None:
         """A shortest selected path j -> ... -> i, or None if unreachable."""

@@ -31,6 +31,9 @@ class Partition:
         seen: set[int] = set()
         for g in self.groups:
             for a in g:
+                if not isinstance(a, (int, np.integer)) or not 0 <= a < instance.n:
+                    raise ValueError(f"groups do not cover all nodes exactly: node {a} "
+                                     f"is not in 0..{instance.n - 1}")
                 if a in seen:
                     raise ValueError(f"node {a} appears in two groups")
                 seen.add(a)

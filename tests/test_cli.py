@@ -137,6 +137,19 @@ class TestVerify:
               "--usage", str(usage_file), "--out", str(out)])
         assert "unsupported_edge v2 v3" in out.read_text()
 
+    def test_unsupported_edges_listed_in_sorted_order(self, tmp_path, instance_file):
+        # three edges outside the benefit support, given in reverse order,
+        # are reported sorted by (j, i)
+        usage_file = tmp_path / "usage.txt"
+        usage_file.write_text("n 3\nedge v3 v1\nedge v2 v3\nedge v1 v3\n")
+        out = tmp_path / "o.txt"
+        main(["verify", "--instance", str(instance_file),
+              "--usage", str(usage_file), "--out", str(out)])
+        reported = [line for line in out.read_text().splitlines()
+                    if line.startswith("unsupported_edge")]
+        assert reported == ["unsupported_edge v1 v3", "unsupported_edge v2 v3",
+                            "unsupported_edge v3 v1"]
+
     def test_self_edge_in_usage_exits_2(self, tmp_path, instance_file, capsys):
         usage_file = tmp_path / "usage.txt"
         usage_file.write_text("n 3\nedge v1 v1\n")

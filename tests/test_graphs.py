@@ -248,6 +248,50 @@ class TestClosureMaintenance:
             assert str(exc.value) == order[0][2]
             assert np.array_equal(usage.x, x) and np.array_equal(usage.closure, closure)
 
+    def test_from_edges_refuses_a_bad_pair(self):
+        for edges, error, message in (
+                ([(0, 1), (4, 1)], IndexError, "node index 4 out of range for n=4"),
+                ([(0, 1), (1, -1)], IndexError, "node index -1 out of range for n=4"),
+                ([(9, 8)], IndexError, "node index 8 out of range for n=4"),  # i is read first
+                ([(0, 1), (2, 2)], ValueError, "self-edge (2, 2) is not a collaboration"),
+                ([(0, 1), (2, 1), (0, 1)], ValueError, "edge (0, 1) already present")):
+            with pytest.raises(error) as exc:
+                UsageGraph.from_edges(4, edges)
+            assert str(exc.value) == message
+
+    def test_from_edges_first_of_several_offenders_wins(self):
+        # a valid pair leads, then one offender of each kind in every order:
+        # i out of range, j out of range, a self pair and a repeat
+        offenders = [((0, 7), IndexError, "node index 7 out of range for n=4"),
+                     ((-1, 2), IndexError, "node index -1 out of range for n=4"),
+                     ((3, 3), ValueError, "self-edge (3, 3) is not a collaboration"),
+                     ((0, 1), ValueError, "edge (0, 1) already present")]
+        for order in itertools.permutations(offenders):
+            with pytest.raises(order[0][1]) as exc:
+                UsageGraph.from_edges(4, [(0, 1), *(pair for pair, _, _ in order)])
+            assert str(exc.value) == order[0][2]
+
+    def test_from_edges_without_edges(self):
+        for n in (1, 4):
+            for edges in ([], np.empty((0, 2), dtype=int)):
+                usage = UsageGraph.from_edges(n, edges)
+                assert usage == UsageGraph(n)
+                assert np.array_equal(usage.closure, np.eye(n, dtype=bool))
+        with pytest.raises(ValueError, match="self-edge"):
+            UsageGraph.from_edges(1, [(0, 0)])
+
+    def test_from_edges_takes_an_array_or_pairs(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            n = int(rng.integers(2, 12))
+            pairs = [(j, i) for j in range(n) for i in range(n) if j != i]
+            picks = [pairs[k] for k in rng.permutation(len(pairs))[:2 * n]]
+            from_pairs = UsageGraph.from_edges(n, picks)
+            from_array = UsageGraph.from_edges(n, np.array(picks))
+            assert from_pairs == from_array
+            assert np.array_equal(from_pairs.closure, from_array.closure)
+            assert np.array_equal(from_array.closure, closure_by_squaring(from_array.x))
+
     def test_copy_isolates_state(self):
         usage = UsageGraph(3).add_edge(0, 1)
         dup = usage.copy()

@@ -146,6 +146,10 @@ class TestSccCoalitions:
         (((0, 2), (1,)), r"competing pair \(0, 2\) grouped together"),
         (((0,), (1,)), "groups do not cover all nodes"),
         (((0,), (1,), (2,), (5,)), "groups do not cover all nodes"),
+        # a node that is not an index in 0..n-1 is named before any pair is read
+        (((-2, 0, 2), (1,)), r"exactly: node -2 is not in 0\.\.2$"),
+        (((0, 5), (1, 2)), r"exactly: node 5 is not in 0\.\.2$"),
+        (((0, 1.0), (2,)), r"exactly: node 1\.0 is not in 0\.\.2$"),
     ])
     def test_rejects_a_clique_cover_that_is_not_one(self, groups, message):
         inst = instance_from_edges(3, [(0, 2)])
