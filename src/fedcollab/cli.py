@@ -177,8 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once: main may be called many times in one process
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise formats.FileFormatError(f"--seed must be nonnegative, got {args.seed}")

@@ -315,9 +315,10 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
     if reps < 1:
         raise ValueError("reps must be positive")
 
+    competing = competing_matrix(config.n, competing_edges)  # checked before the costly estimate
     if benefit is None:
         benefit = estimate_benefit(generate_task(config), train_config)
-    instance = Instance(config.n, competing_matrix(config.n, competing_edges), benefit)
+    instance = Instance(config.n, competing, benefit)
     usage, _ = select_collaborators(instance)
     cover = min_clique_cover(instance)
     coalitions = scc_coalitions(instance, cover)

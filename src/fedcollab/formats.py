@@ -601,11 +601,7 @@ def serialize_sim_config(config: SyntheticConfig, competing_edges,
     flips = [node_label(i) for i, f in enumerate(config.flipped) if f]
     if flips:
         lines.append("flipped " + " ".join(flips))
-    pairs = [tuple(e) for e in competing_edges]
-    bad = [(a, b) for a, b in pairs if a == b or not (0 <= a < config.n and 0 <= b < config.n)]
-    if bad:
-        raise ValueError(f"competing pair {bad[0]} is not two distinct nodes of n={config.n}")
-    competing = np.triu(competing_matrix(config.n, pairs))
+    competing = np.triu(competing_matrix(config.n, competing_edges))
     lines += _edge_lines("competing", competing, _labels(config.n))
     if train_config is not None:
         lines += _scalar_lines(train_config, _CONFIG_TRAIN)

@@ -191,28 +191,35 @@ class UsageGraph:
         return js, is_
 
     def path_witness(self, j: int, i: int) -> PathWitness | None:
-        """A shortest selected path j -> ... -> i, or None if unreachable."""
+        """A shortest selected path j -> ... -> i, or None if unreachable: the
+        one-target case of the search :func:`conflict_violations` runs."""
         j, i = self._check(j), self._check(i)
-        if j == i or not self.closure[j, i]:
-            return None
-        # BFS over x-edges; independent of the maintained closure except
-        # for the cheap reachability precheck above.
+        return self._witnesses(j, [i])[0] if j != i and self.closure[j, i] else None
+
+    def _witnesses(self, j: int, targets: list[int]) -> list[PathWitness]:
+        """Shortest selected paths from j to ``targets`` (reachable, not j) by
+        one breadth-first search over x-edges, in index order, that stops
+        after the level reaching the last target: an early stop leaves every
+        parent it set as a full search sets it, so paths do not depend on
+        ``targets``. The closure is not read; an unreachable target raises KeyError."""
         parent = {j: -1}
-        frontier = [j]
-        while frontier:
+        frontier, missing = [j], set(targets)
+        while missing and frontier:
             nxt = []
             for u in frontier:
                 for v in np.flatnonzero(self.x[u]).tolist():
-                    if v != u and v not in parent:
+                    if v not in parent:
                         parent[v] = u
-                        if v == i:
-                            path = [i]
-                            while path[-1] != j:
-                                path.append(parent[path[-1]])
-                            return PathWitness(tuple(reversed(path)))
                         nxt.append(v)
+            missing.difference_update(nxt)
             frontier = nxt
-        return None
+        witnesses = []
+        for t in targets:
+            path = [t]
+            while path[-1] != j:
+                path.append(parent[path[-1]])
+            witnesses.append(PathWitness(tuple(reversed(path))))
+        return witnesses
 
 
 def potentials(instance: Instance) -> np.ndarray:
@@ -259,11 +266,12 @@ def conflict_free(instance: Instance, usage: UsageGraph) -> bool:
 
 
 def conflict_violations(instance: Instance, usage: UsageGraph) -> list[tuple[int, int, PathWitness]]:
-    """All competing pairs (j, i) with a selected path j -> i, with witnesses."""
+    """All competing pairs (j, i) with a selected path j -> i, in row-major
+    order, each with its witness ``usage.path_witness(j, i)``; the pairs of
+    one source j share one breadth-first search from j."""
     out = []
-    js, is_ = np.nonzero(instance.competing & usage.closure)
-    for j, i in zip(js.tolist(), is_.tolist()):
-        witness = usage.path_witness(j, i)
-        if witness is not None:  # always true when closure is exact
-            out.append((j, i, witness))
+    hits = instance.competing & usage.closure
+    for j in np.flatnonzero(hits.any(axis=1)).tolist():
+        targets = np.flatnonzero(hits[j]).tolist()
+        out += [(j, i, w) for i, w in zip(targets, usage._witnesses(j, targets))]
     return out

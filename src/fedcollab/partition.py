@@ -3,9 +3,9 @@ strongly-connected coalitions of the benefit graph inside each clique.
 
 A clique cover of the complement of the competition graph partitions the
 participants into mutually independent groups; classic federated schemes
-are then run inside each group. A minimum cover is found exactly for
-small inputs (it is the chromatic number of the competition graph) and
-greedily beyond that.
+are then run inside each group. A minimum cover is exact for small inputs
+(the chromatic number of the competition graph), greedy beyond. Kosaraju's
+two searches on each clique's submatrix split that clique into coalitions.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ class Partition:
     mode: str | None = None  # "exact" | "greedy" for covers
 
     def validate_cover(self, instance: Instance) -> None:
+        """Raise ValueError unless the groups split 0..n-1 into non-competing
+        cliques. A bad or repeated node is named before its group's pairs, read
+        as one mask whose first row-major hit is the group's first such pair."""
         seen: set[int] = set()
         for g in self.groups:
             for a in g:
@@ -37,10 +40,11 @@ class Partition:
                 if a in seen:
                     raise ValueError(f"node {a} appears in two groups")
                 seen.add(a)
-            for a in g:
-                for b in g:
-                    if a < b and instance.competing[a, b]:
-                        raise ValueError(f"competing pair ({a}, {b}) grouped together")
+            g = np.asarray(g, dtype=np.intp)
+            pairs = np.argwhere(instance.competing[np.ix_(g, g)] & (g[:, None] < g))
+            if pairs.size:
+                a, b = g[pairs[0]].tolist()
+                raise ValueError(f"competing pair ({a}, {b}) grouped together")
         if seen != set(range(instance.n)):
             raise ValueError("groups do not cover all nodes")
 
@@ -49,8 +53,7 @@ def _canonical_groups(colors: list[int]) -> tuple[tuple[int, ...], ...]:
     by_color: dict[int, list[int]] = {}
     for node, c in enumerate(colors):
         by_color.setdefault(c, []).append(node)
-    groups = [tuple(sorted(g)) for g in by_color.values()]
-    return tuple(sorted(groups, key=lambda g: g[0]))
+    return tuple(sorted(tuple(g) for g in by_color.values()))  # nodes join in order
 
 
 def _color_exact(adjacency: np.ndarray) -> list[int]:
@@ -113,54 +116,37 @@ def min_clique_cover(instance: Instance) -> Partition:
 
 
 def strongly_connected_components(adjacency: np.ndarray, nodes: list[int]) -> list[tuple[int, ...]]:
-    """Tarjan's algorithm on the subgraph induced by `nodes` (iterative)."""
-    node_set = set(nodes)
-    succ = {v: [int(u) for u in np.flatnonzero(adjacency[v]).tolist() if u in node_set]
-            for v in nodes}
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[tuple[int, ...]] = []
-    counter = 0
-
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            for k in range(pi, len(succ[v])):
-                u = succ[v][k]
-                if u not in index:
-                    work[-1] = (v, k + 1)
-                    work.append((u, 0))
-                    advanced = True
-                    break
-                if u in on_stack:
-                    lowlink[v] = min(lowlink[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack.discard(u)
-                    comp.append(u)
-                    if u == v:
-                        break
-                sccs.append(tuple(sorted(comp)))
-    return sorted(sccs, key=lambda g: g[0])
+    """Kosaraju on the submatrix of `nodes`, without recursion and reading one
+    row as a mask per step: a depth-first finishing order over successors (its
+    rows), then one breadth-first search over predecessors (its transpose's
+    rows) per component, from the latest-finished node not yet placed. Sorted
+    tuples of `nodes`, ordered by first member."""
+    nodes = np.asarray(nodes, dtype=np.intp)
+    sub = adjacency[np.ix_(nodes, nodes)]
+    seen = np.zeros(len(nodes), dtype=bool)
+    finished: list[int] = []
+    for root in range(len(nodes)):
+        stack = [] if seen[root] else [root]
+        seen[root] = True
+        while stack:  # the top node's next successor is its first unseen one
+            fresh = sub[stack[-1]] & ~seen
+            if fresh.any():
+                stack.append(int(fresh.argmax()))
+                seen[stack[-1]] = True
+            else:
+                finished.append(stack.pop())
+    pred = np.ascontiguousarray(sub.T)
+    sccs = []
+    for root in reversed(finished):
+        if seen[root]:  # the second search clears the marks of the first
+            seen[root] = False
+            members, frontier = [root], [root]
+            while frontier:
+                frontier = np.flatnonzero(pred[frontier].any(axis=0) & seen).tolist()
+                seen[frontier] = False
+                members += frontier
+            sccs.append(tuple(sorted(nodes[members].tolist())))
+    return sorted(sccs)
 
 
 def scc_coalitions(instance: Instance, within: Partition) -> Partition:
@@ -173,8 +159,6 @@ def scc_coalitions(instance: Instance, within: Partition) -> Partition:
         raise ValueError(f"expected a clique_cover partition, got kind={within.kind!r}")
     within.validate_cover(instance)
     benefit_adj = instance.benefit > 0.0
-    groups: list[tuple[int, ...]] = []
-    for clique in within.groups:
-        groups.extend(strongly_connected_components(benefit_adj, list(clique)))
-    return Partition(groups=tuple(sorted(groups, key=lambda g: g[0])),
-                     kind="scc_coalitions", mode=within.mode)
+    groups = (scc for clique in within.groups  # disjoint, so sorted by first member
+              for scc in strongly_connected_components(benefit_adj, list(clique)))
+    return Partition(groups=tuple(sorted(groups)), kind="scc_coalitions", mode=within.mode)

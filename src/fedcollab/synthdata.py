@@ -167,9 +167,12 @@ def preset(name: str, seed: int = 0) -> tuple[SyntheticConfig, tuple[tuple[int, 
 
 
 def competing_matrix(n: int, edges) -> np.ndarray:
-    """Symmetric boolean adjacency from unordered index pairs."""
+    """Symmetric boolean adjacency from unordered index pairs, each checked
+    to be two distinct ints in 0..n-1 (numpy would wrap a negative one)."""
     s = np.zeros((n, n), dtype=bool)
     for a, b in edges:
+        if a == b or not all(isinstance(k, (int, np.integer)) and 0 <= k < n for k in (a, b)):
+            raise ValueError(f"competing pair {(a, b)} is not two distinct nodes of n={n}")
         s[a, b] = s[b, a] = True
     return s
 

@@ -308,6 +308,11 @@ class TestRunExperiment:
         report2 = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=3)
         assert report == report2
 
+    @pytest.mark.parametrize("pair", [(-1, 2), (0, 3), (1, 1)])
+    def test_refuses_a_competing_pair_outside_the_nodes(self, pair):
+        with pytest.raises(ValueError, match=r"competing pair .* is not two distinct nodes of n=3"):
+            run_experiment(self.CFG, [(0, 1), pair], train_config=FAST, reps=1)
+
     def test_equality_reads_every_field(self):
         from dataclasses import fields, replace
 

@@ -393,3 +393,33 @@ class TestPathWitness:
                             assert usage.x[a, b]
                     else:
                         assert witness is None
+
+    def test_witness_is_as_short_as_a_level_search(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(2, 12))
+            usage = make_usage(rng, n, max_edges=3 * n)
+            edges = usage.x & ~np.eye(n, dtype=bool)
+            for j in range(n):
+                # distance from j by whole levels: nodes first reached after k steps
+                dist, level, seen = {j: 0}, np.eye(n, dtype=bool)[j], np.eye(n, dtype=bool)[j]
+                for k in range(1, n):
+                    level = edges[level].any(axis=0) & ~seen
+                    seen |= level
+                    dist.update((int(v), k) for v in np.flatnonzero(level))
+                for i in range(n):
+                    if i != j and i in dist:
+                        assert usage.path_witness(j, i).length == dist[i]
+
+    def test_violations_carry_the_pair_witness(self, rng):
+        found = 0
+        for _ in range(30):
+            n = int(rng.integers(2, 12))
+            inst = make_instance(rng, n, edge_prob=0.3)
+            usage = make_usage(rng, n, max_edges=3 * n)
+            violations = conflict_violations(inst, usage)
+            assert [[j, i] for j, i, _ in violations] == \
+                np.argwhere(inst.competing & usage.closure).tolist()
+            for j, i, witness in violations:
+                assert witness == usage.path_witness(j, i)
+            found += len(violations)
+        assert found > 30  # the draws do reach competitors

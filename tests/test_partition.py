@@ -178,3 +178,26 @@ class TestTarjanDirect:
         adj[0, 1] = adj[1, 0] = True
         sccs = strongly_connected_components(adj, [0, 2])
         assert sccs == [(0,), (2,)]
+
+
+class TestStronglyConnectedComponents:
+    def test_matches_mutual_reachability_on_unsorted_subsets(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(1, 61))
+            adj = rng.random((n, n)) < rng.choice([0.01, 0.03, 0.1, 0.3])
+            nodes = rng.permutation(n)[:int(rng.integers(0, n + 1))].tolist()
+            sub = adj[np.ix_(nodes, nodes)]
+            reach = closure_by_squaring(sub)
+            mutual = reach & reach.T
+            expected = sorted({tuple(sorted(nodes[b] for b in np.flatnonzero(mutual[a])))
+                               for a in range(len(nodes))})
+            assert strongly_connected_components(adj, nodes) == expected
+
+    def test_long_cycle_and_long_path_do_not_recurse(self):
+        n = 3000
+        cycle = np.zeros((n, n), bool)
+        cycle[np.arange(n), (np.arange(n) + 1) % n] = True
+        assert strongly_connected_components(cycle, list(range(n))) == [tuple(range(n))]
+        path = cycle.copy()
+        path[n - 1, 0] = False
+        assert strongly_connected_components(path, list(range(n))) == [(v,) for v in range(n)]

@@ -57,6 +57,12 @@ class TestPresets:
         s = competing_matrix(8, edges)
         assert np.array_equal(s, s.T) and not s.diagonal().any()
 
+    @pytest.mark.parametrize("pair", [(-1, 2), (0, 4), (1, 1), (0, 1.0)])
+    def test_competing_matrix_refuses_a_pair_outside_the_nodes(self, pair):
+        # (-1, 2) would wrap to the pair (2, 3) and (0, 4) is out of numpy's range
+        with pytest.raises(ValueError, match=r"is not two distinct nodes of n=4"):
+            competing_matrix(4, [(0, 1), pair])
+
 
 class TestGeneration:
     def test_zero_rho_no_flips_shares_weights(self):
