@@ -9,8 +9,7 @@ from .oracle import OracleSizeError, conflict_free_by_paths, optimal_step
 from .partition import Partition, min_clique_cover, scc_coalitions
 from .selection import (Selection, SelectionTrace, StepTrace, candidate_collaborators,
                         processing_order, select_collaborators, select_step)
-from .synthdata import (SyntheticConfig, SyntheticTask, generate_task, preset,
-                        strong_noniid_config, weak_noniid_config)
+from .synthdata import SyntheticConfig, SyntheticTask, generate_task, preset
 
 __version__ = "0.1.0"
 
@@ -22,6 +21,5 @@ __all__ = [
     "competitor_guards", "conflict_free", "conflict_free_by_paths", "conflict_violations",
     "estimate_benefit", "generate_task", "min_clique_cover", "optimal_step",
     "potentials", "preset", "processing_order", "run_experiment", "scc_coalitions",
-    "select_collaborators", "select_step", "strong_noniid_config",
-    "train", "weak_noniid_config",
+    "select_collaborators", "select_step", "train",
 ]

@@ -17,7 +17,7 @@ import numpy as np
 from . import formats
 from .fedtrain import (METHODS, TrainConfig, TrainingDivergenceError,
                        estimate_benefit, run_experiment)
-from .graphs import Instance, InvalidInstanceError, conflict_free, conflict_violations
+from .graphs import Instance, InvalidInstanceError, conflict_violations
 from .oracle import PATH_ENUM_MAX_NODES, conflict_free_by_paths
 from .partition import min_clique_cover, scc_coalitions
 from .selection import select_collaborators
@@ -62,12 +62,13 @@ def _cmd_select(args) -> int:
 def _cmd_verify(args) -> int:
     instance = formats.parse_instance(_read(args.instance))
     usage = formats.parse_usage(_read(args.usage), expected_n=instance.n)
-    closure_ok = conflict_free(instance, usage)
+    violations = conflict_violations(instance, usage)
+    closure_ok = not violations
     lines = [f"closure_check {'pass' if closure_ok else 'fail'}"]
     # edges outside the benefit support violate the data model and are the
     # one case where the closure and path checks can legitimately diverge;
     # argwhere lists them row-major, so sorted by (j, i)
-    unsupported = usage.x & ~np.eye(instance.n, dtype=bool) & (instance.benefit <= 0.0)
+    unsupported = usage.x & (instance.benefit <= 0.0)
     for j, i in np.argwhere(unsupported).tolist():
         lines.append(f"unsupported_edge {formats.node_label(j)} {formats.node_label(i)}")
     if instance.n <= PATH_ENUM_MAX_NODES:
@@ -76,7 +77,7 @@ def _cmd_verify(args) -> int:
         lines.append(f"checks_agree {'yes' if path_ok == closure_ok else 'no'}")
     else:
         lines.append(f"path_check skipped n>{PATH_ENUM_MAX_NODES}")
-    for j, i, witness in conflict_violations(instance, usage):
+    for j, i, witness in violations:
         path = " ".join(formats.node_label(k) for k in witness.nodes)
         lines.append(f"violation {formats.node_label(j)} {formats.node_label(i)} path {path}")
     lines.append(f"verdict {'conflict-free' if closure_ok else 'conflict'}")

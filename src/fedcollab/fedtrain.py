@@ -114,14 +114,20 @@ def aggregation_coefficients(usage: UsageGraph, benefit: np.ndarray,
 
     coefs[0] belongs to i itself and equals the largest collaborator
     benefit before normalization; coefs[1:] follow the collaborator
-    list. Empty collaborator list means no mixing at all.
+    list. Empty collaborator list means no mixing at all; a collaborator
+    whose benefit is not positive is refused before any division.
     """
-    collaborators = [j for j in range(usage.n) if j != i and usage.x[j, i]]
-    if not collaborators:
+    collaborators = np.flatnonzero(usage.x[:, i])
+    if not collaborators.size:
         return [], np.array([1.0])
-    ws = np.array([benefit[j, i] for j in collaborators], dtype=np.float64)
+    ws = np.array(benefit[collaborators, i], dtype=np.float64)
+    refused = np.flatnonzero(~(ws > 0))  # NaN included
+    if refused.size:
+        k = refused[0]
+        raise ValueError(f"usage edge ({collaborators[k]}, {i}) has benefit {ws[k]}, "
+                         "which is not positive")
     raw = np.concatenate(([ws.max()], ws))
-    return collaborators, raw / raw.sum()
+    return collaborators.tolist(), raw / raw.sum()
 
 
 # A mixing row (sources, coefs): a round starts from sum(coefs[k] * model[sources[k]]).
@@ -233,20 +239,18 @@ def train(task: SyntheticTask, method: str, *, grouping=None,
     return _scores(thetas[0], val_data)
 
 
-def estimate_benefit(task: SyntheticTask, train_config: TrainConfig = TrainConfig(),
-                     seed: int | None = None) -> np.ndarray:
+def estimate_benefit(task: SyntheticTask, train_config: TrainConfig = TrainConfig()) -> np.ndarray:
     """Cross-training benefit estimate.
 
     ``w[j, i]`` is the validation-MSE improvement participant i would
     see by adopting a model trained purely on j's data instead of its
     own, clamped to zero when the relative improvement is below the
     configured threshold (sampling noise, not signal). Local models are
-    trained exactly as the ``local`` pipeline would with the same seed.
+    trained exactly as the ``local`` pipeline would with the task's seed.
     """
-    seed = task.config.seed if seed is None else seed
     cfg = train_config
     local = _mixing("local", None, None, [len(t) for t in task.train_idx])
-    thetas, val_data = _round_loop(task, [local], cfg, seed)
+    thetas, val_data = _round_loop(task, [local], cfg, task.config.seed)
 
     # cross[j, i]: j's local model on i's validation data
     cross = np.array([[mean_squared_error(theta, *data) for data in val_data]
@@ -263,9 +267,7 @@ class ExperimentReport:
     """Per-method, per-participant validation MSE across repetitions."""
 
     methods: tuple[str, ...]
-    n: int
     reps: int
-    seed: int
     mean: dict[str, tuple[float, ...]]
     std: dict[str, tuple[float, ...]]
     config: SyntheticConfig
@@ -344,8 +346,7 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
     mean = {m: tuple(float(v) for v in np.mean(scores[m], axis=0)) for m in methods}
     std = {m: tuple(float(v) for v in np.std(scores[m], axis=0)) for m in methods}
     return ExperimentReport(
-        methods=tuple(methods), n=config.n, reps=reps, seed=config.seed,
-        mean=mean, std=std, config=config, train_config=train_config, preset=preset,
-        clique_cover=cover, coalitions=coalitions,
-        usage_edges=tuple(sorted(usage.edges())), benefit=instance.benefit,
+        methods=tuple(methods), reps=reps, mean=mean, std=std, config=config,
+        train_config=train_config, preset=preset, clique_cover=cover, coalitions=coalitions,
+        usage_edges=tuple(usage.edges()), benefit=instance.benefit,
     )

@@ -332,13 +332,13 @@ def _add_benefit(weights: dict, line: _Line) -> None:
     weights[j, i] = w
 
 
-def _add_edge(edges: dict, line: _Line) -> None:
+def _add_edge(edges: dict, line: _Line, repeat: str = "edge {} already present") -> None:
     j, i = line.values
     pair = f"({node_label(j)}, {node_label(i)})"
     if j == i:
         raise line.error(f"self-edge {pair} is not a collaboration")
     if (j, i) in edges:
-        raise line.error(f"edge {pair} already present")
+        raise line.error(repeat.format(pair))
     edges[j, i] = True
 
 
@@ -494,7 +494,7 @@ def serialize_instance(instance: Instance) -> str:
 # ---------------------------------------------------------------------------
 # usage graphs (also accepts full selection reports; extra keys are skipped)
 
-_SELECTION_KEYS = {"potential", "order", "closure", "step", "decision", "objective"}
+_SELECTION_KEYS = {"potential", "order", "closure", "step", "decision"}
 _USAGE = _grammar({"edge": ("<from> <to>", (_node, _node))})
 
 
@@ -507,9 +507,8 @@ def parse_usage(text: str, expected_n: int | None = None) -> UsageGraph:
 
 
 def serialize_usage(usage: UsageGraph) -> str:
-    edges = _edge_lines("edge", usage.x & ~np.eye(usage.n, dtype=bool), _labels(usage.n))
     lines = ["# data-usage graph: 'edge j i' authorizes i to use j's updates",
-             f"n {usage.n}", *edges]
+             f"n {usage.n}", *_edge_lines("edge", usage.x, _labels(usage.n))]
     return "\n".join(lines) + "\n"
 
 
@@ -521,9 +520,8 @@ def serialize_selection(instance: Instance, usage: UsageGraph,
     for name, pot in zip(label.tolist(), potentials(instance).tolist()):
         lines.append(f"potential {name} {pot!r}")
     lines.append("order " + " ".join(label[list(trace.order)].tolist()))
-    off_diag = ~np.eye(usage.n, dtype=bool)
-    lines += _edge_lines("edge", usage.x & off_diag, label)
-    lines += _edge_lines("closure", usage.closure & off_diag, label)
+    lines += _edge_lines("edge", usage.x, label)
+    lines += _edge_lines("closure", usage.closure & ~np.eye(usage.n, dtype=bool), label)
     for step in trace.steps:
         who = label[step.participant]
         lines.append(f"step {who} objective {step.objective!r}")
@@ -625,9 +623,9 @@ def serialize_partitions(cover: Partition, coalitions: Partition, n: int) -> str
 
 def serialize_report(report: ExperimentReport) -> str:
     cfg, tc = report.config, report.train_config
-    lines = ["# experiment report", f"n {report.n}",
+    lines = ["# experiment report", f"n {cfg.n}",
              "methods " + " ".join(report.methods),
-             f"reps {report.reps}", f"seed {report.seed}"]
+             f"reps {report.reps}", f"seed {cfg.seed}"]
     if report.preset is not None:
         lines.append(f"preset {report.preset}")
     lines.append(f"aggregation {report.aggregation}")
@@ -638,9 +636,9 @@ def serialize_report(report: ExperimentReport) -> str:
     lines += _scalar_lines(tc, _REPORT_TRAIN)
     lines += _group_lines(report.clique_cover, report.coalitions)
     lines += [f"usage_edge {node_label(j)} {node_label(i)}" for j, i in report.usage_edges]
-    lines += _edge_lines("benefit", report.benefit, _labels(report.n))
+    lines += _edge_lines("benefit", report.benefit, _labels(cfg.n))
     lines += [f"mse {m} {node_label(i)} {report.mean[m][i]!r} {report.std[m][i]!r}"
-              for m in report.methods for i in range(report.n)]
+              for m in report.methods for i in range(cfg.n)]
     return "\n".join(lines) + "\n"
 
 
@@ -668,7 +666,7 @@ def parse_report(text: str) -> ExperimentReport:
     last: dict[str, _Line] = {}  # the latest line of each key
     lists: dict[str, list] = {"cover": [], "coalition": []}
     placed: dict[str, set[int]] = {"cover": set(), "coalition": set()}
-    usage_edges: dict[tuple[int, int], None] = {}
+    usage_edges: dict[tuple[int, int], bool] = {}
     weights: dict = {}
     mse: dict[tuple[str, int], _Line] = {}
     for line in _lines(text, "report", _REPORT):
@@ -678,10 +676,7 @@ def parse_report(text: str) -> ExperimentReport:
             _add_group(placed[key], line)
             lists[key].append(tuple(values))
         elif key == "usage_edge":
-            if tuple(values) in usage_edges:
-                raise line.error(f"duplicate usage edge ({node_label(values[0])}, "
-                                 f"{node_label(values[1])})")
-            usage_edges[tuple(values)] = None
+            _add_edge(usage_edges, line, "duplicate usage edge {}")
         elif key == "benefit":
             _add_benefit(weights, line)
         elif key == "mse":
@@ -724,7 +719,7 @@ def parse_report(text: str) -> ExperimentReport:
     except ValueError as exc:
         raise FileFormatError(str(exc)) from None
     return ExperimentReport(
-        methods=methods, n=n, reps=_last(last, "reps", 1), seed=seed,
+        methods=methods, reps=_last(last, "reps", 1),
         mean={m: tuple(mse[m, i].values[2] for i in range(n)) for m in methods},
         std={m: tuple(mse[m, i].values[3] for i in range(n)) for m in methods},
         config=config, train_config=train_config, preset=_last(last, "preset"),
@@ -738,7 +733,7 @@ def parse_report(text: str) -> ExperimentReport:
 def report_to_csv(report: ExperimentReport) -> str:
     """Metric table: rows are participants, columns methods, cells mean±std."""
     lines = ["participant," + ",".join(report.methods)]
-    for i in range(report.n):
+    for i in range(report.config.n):
         cells = [f"{report.mean[m][i]:.4g}±{report.std[m][i]:.4g}" for m in report.methods]
         lines.append(f"{node_label(i)}," + ",".join(cells))
     return "\n".join(lines) + "\n"

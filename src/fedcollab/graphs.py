@@ -7,8 +7,8 @@ Three matrices over n participants drive everything:
 * ``benefit`` — nonnegative weights; ``benefit[j, i] > 0`` means j's data
   improves i's model, with larger values meaning larger improvement.
 * a :class:`UsageGraph` — the boolean decision matrix ``x`` of authorized
-  collaborations (``x[j, i]`` = i may consume j's updates) together with
-  its exactly-maintained reflexive-transitive closure.
+  collaborations (``x[j, i]`` = i may consume j's updates, for j != i
+  only) together with its exactly-maintained reflexive-transitive closure.
 
 The governing constraint is conflict freedom: no participant may be
 reachable in the usage graph to any of its competitors, directly or
@@ -102,11 +102,12 @@ class PathWitness:
 class UsageGraph:
     """Decision matrix ``x`` plus an exactly maintained transitive closure.
 
-    Both matrices start as the identity (every participant trivially uses
-    its own data and reaches itself). ``from_edges`` builds a graph from a
-    whole edge set, and ``add_edges`` (``add_edge`` is its one-edge form) is
-    the only mutator of a built one; both keep ``closure`` equal to the
-    reflexive-transitive closure of the off-diagonal edges of ``x``.
+    ``x`` holds exactly the selected edges, so it starts all False and its
+    diagonal stays False; ``closure`` starts as the identity (every
+    participant reaches itself). ``from_edges`` builds a graph from a whole
+    edge set, and ``add_edges`` (``add_edge`` is its one-edge form) is the
+    only mutator of a built one; both keep ``closure`` equal to the
+    reflexive-transitive closure of ``x``.
     """
 
     __slots__ = ("n", "x", "closure")
@@ -115,7 +116,7 @@ class UsageGraph:
         if n < 1:
             raise ValueError("usage graph needs at least one node")
         self.n = int(n)
-        self.x = np.eye(n, dtype=bool)
+        self.x = np.zeros((n, n), dtype=bool)
         self.closure = np.eye(n, dtype=bool)
 
     @classmethod
@@ -146,8 +147,8 @@ class UsageGraph:
     _check = Instance.check_node  # the same bounds check, against this graph's n
 
     def edges(self) -> list[tuple[int, int]]:
-        """Off-diagonal edges (j, i), meaning i uses j's updates."""
-        js, is_ = np.nonzero(self.x & ~np.eye(self.n, dtype=bool))
+        """Edges (j, i), meaning i uses j's updates, in row-major order."""
+        js, is_ = np.nonzero(self.x)
         return list(zip(js.tolist(), is_.tolist()))
 
     def add_edge(self, j: int, i: int) -> "UsageGraph":
@@ -177,7 +178,7 @@ class UsageGraph:
         js, is_ = np.broadcast_arrays(np.asarray(js, dtype=np.intp).reshape(-1),
                                       np.asarray(is_, dtype=np.intp))
         cj, ci = js.clip(0, self.n - 1), is_.clip(0, self.n - 1)  # flagged if clipped
-        bad = (cj != js) | (ci != is_) | self.x[cj, ci]  # the diagonal of x flags self-edges
+        bad = (cj != js) | (ci != is_) | (cj == ci) | self.x[cj, ci]
         key = cj * self.n + ci
         order = key.argsort(kind="stable")
         ordered = key[order]

@@ -14,7 +14,9 @@ the one its labels were computed from, and hands out its train and
 validation rows, so training never recomputes the powers; the features
 x themselves are its first column.
 
-Two fixed eight-participant presets are bundled:
+Two fixed eight-participant presets are bundled, one row each of the
+``PRESETS`` table (samples, flips, competing pairs) that :func:`preset`
+reads:
 
 * ``weak_noniid`` — rho = 0.01, quantity skew (participants 1, 2, 5, 6
   hold 2000 samples, the rest 100), no flips; the two large blocks
@@ -40,7 +42,13 @@ STRONG_COMPETING_EDGES: tuple[tuple[int, int], ...] = (
     (4, 6), (4, 7), (5, 6), (5, 7),
 )
 
-PRESET_NAMES = ("weak_noniid", "strong_noniid")
+# name -> (samples, flipped, competing pairs); every preset has rho = 0.01
+PRESETS: dict[str, tuple[tuple[int, ...], tuple[bool, ...], tuple[tuple[int, int], ...]]] = {
+    "weak_noniid": ((2000, 2000, 100, 100, 2000, 2000, 100, 100), (False,) * 8,
+                    WEAK_COMPETING_EDGES),
+    "strong_noniid": ((2000,) * 8, (False,) * 4 + (True,) * 4, STRONG_COMPETING_EDGES),
+}
+PRESET_NAMES = tuple(PRESETS)
 
 
 @dataclass(frozen=True)
@@ -137,33 +145,12 @@ def generate_task(config: SyntheticConfig) -> SyntheticTask:
                          train_idx=train_idx, val_idx=val_idx)
 
 
-def weak_noniid_config(seed: int = 0) -> SyntheticConfig:
-    return SyntheticConfig(
-        n=8,
-        samples=(2000, 2000, 100, 100, 2000, 2000, 100, 100),
-        flipped=(False,) * 8,
-        rho=0.01,
-        seed=seed,
-    )
-
-
-def strong_noniid_config(seed: int = 0) -> SyntheticConfig:
-    return SyntheticConfig(
-        n=8,
-        samples=(2000,) * 8,
-        flipped=(False, False, False, False, True, True, True, True),
-        rho=0.01,
-        seed=seed,
-    )
-
-
 def preset(name: str, seed: int = 0) -> tuple[SyntheticConfig, tuple[tuple[int, int], ...]]:
     """Bundled (config, competing edges) pair for a named preset."""
-    if name == "weak_noniid":
-        return weak_noniid_config(seed), WEAK_COMPETING_EDGES
-    if name == "strong_noniid":
-        return strong_noniid_config(seed), STRONG_COMPETING_EDGES
-    raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    samples, flipped, edges = PRESETS[name]
+    return SyntheticConfig(len(samples), samples, flipped, rho=0.01, seed=seed), edges
 
 
 def competing_matrix(n: int, edges) -> np.ndarray:

@@ -184,7 +184,7 @@ class TestSimulate:
         assert lines[0] == "participant,local,fedavg,ce,fedcompetitors"
         assert len(lines) == 4
         parsed = formats.parse_report(rep_out.read_text())
-        assert parsed.reps == 2 and parsed.n == 3
+        assert parsed.reps == 2 and parsed.config.n == 3
 
     def test_method_subset_and_reps_flags(self, tmp_path):
         cfg = tmp_path / "sim.txt"
@@ -205,7 +205,7 @@ class TestSimulate:
         overridden = report(SIM_CONFIG, "--seed", "9")
         assert overridden == report(SIM_CONFIG.replace("seed 5", "seed 9"))
         assert overridden != report(SIM_CONFIG)
-        assert formats.parse_report(overridden).seed == 9
+        assert formats.parse_report(overridden).config.seed == 9
 
     def test_unknown_method_exits_2(self, tmp_path):
         cfg = tmp_path / "sim.txt"

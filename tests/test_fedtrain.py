@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,29 @@ class TestAggregationWeights:
     def test_no_collaborators(self):
         collaborators, coefs = aggregation_coefficients(UsageGraph(3), np.zeros((3, 3)), 1)
         assert collaborators == [] and coefs.tolist() == [1.0]
+
+    @pytest.mark.parametrize("weight,shown", [(0.0, "0.0"), (np.nan, "nan"), (-1.0, "-1.0")])
+    def test_collaborator_without_benefit_is_refused_before_dividing(self, weight, shown):
+        # a zero sum would give NaN weights, and NaN passes the sum guard
+        usage = UsageGraph.from_edges(3, [(0, 1), (2, 1)])
+        w = np.zeros((3, 3))
+        w[0, 1], w[2, 1] = 0.5, weight
+        message = rf"usage edge \(2, 1\) has benefit {shown}, which is not positive"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                aggregation_coefficients(usage, w, 1)
+            with pytest.raises(ValueError, match=r"usage edge \(0, 1\) has benefit 0.0"):
+                train(small_task(n=3, samples=(30, 30, 30)), "fedcompetitors",
+                      grouping=UsageGraph.from_edges(3, [(0, 1)]), benefit=np.zeros((3, 3)),
+                      train_config=FAST)
+
+    def test_overflowing_weights_fail_the_sum_guard(self):
+        usage = UsageGraph.from_edges(3, [(0, 1), (2, 1)])
+        w = np.zeros((3, 3))
+        w[0, 1] = w[2, 1] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(TrainingDivergenceError, match="sum to one"):
+            _mixing("fedcompetitors", usage, w, [30, 30, 30])
 
 
 class TestTrainContracts:
@@ -301,7 +326,7 @@ class TestRunExperiment:
     def test_report_shape_and_determinism(self):
         report = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=3)
         assert report.methods == METHODS
-        assert report.n == 3 and report.reps == 3
+        assert report.config.n == 3 and report.reps == 3
         for m in METHODS:
             assert len(report.mean[m]) == 3
             assert all(s >= 0 for s in report.std[m])
@@ -321,9 +346,9 @@ class TestRunExperiment:
 
         report = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=1)
         changed = {
-            "methods": report.methods[::-1], "n": report.n + 1, "reps": report.reps + 1,
-            "seed": report.seed + 1, "mean": bumped(report.mean), "std": bumped(report.std),
-            "config": with_seed(report.config, report.seed + 1),
+            "methods": report.methods[::-1], "reps": report.reps + 1,
+            "mean": bumped(report.mean), "std": bumped(report.std),
+            "config": with_seed(report.config, report.config.seed + 1),
             "train_config": replace(report.train_config, rounds=report.train_config.rounds + 1),
             "preset": "weak_noniid", "clique_cover": report.coalitions,
             "coalitions": report.clique_cover, "usage_edges": report.usage_edges + ((1, 2),),

@@ -109,13 +109,14 @@ def reports(draw):
     rows = {m: tuple(draw(st.lists(finite, min_size=n, max_size=n))) for m in methods}
     spread = {m: tuple(draw(st.lists(finite, min_size=n, max_size=n))) for m in methods}
     config = draw(configs(n))
+    edges = draw(st.lists(st.tuples(nodes, nodes), max_size=n, unique=True))
     return ExperimentReport(
-        methods=methods, n=n, reps=draw(st.integers(1, 100)), seed=config.seed,
+        methods=methods, reps=draw(st.integers(1, 100)),
         mean=rows, std=spread, config=config, train_config=draw(train_configs),
         preset=draw(st.none() | st.sampled_from(PRESET_NAMES)),
         clique_cover=Partition(draw(partitions(n)), "clique_cover", mode),
         coalitions=Partition(draw(partitions(n)), "scc_coalitions", mode),
-        usage_edges=tuple(draw(st.lists(st.tuples(nodes, nodes), max_size=n, unique=True))),
+        usage_edges=tuple((j, i) for j, i in edges if j != i),  # a self usage edge is refused
         benefit=draw(benefits(n)),
         aggregation=" ".join(draw(st.lists(st.text("abc=,-", min_size=1), max_size=4))))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 from pathlib import Path
@@ -89,6 +90,14 @@ class TestUsageFormat:
     def test_rejects_mismatched_n(self):
         with pytest.raises(FileFormatError, match="instance has n=4"):
             formats.parse_usage("n 3\n", expected_n=4)
+
+    @pytest.mark.parametrize("text", ["n 2\nobjective 1\n", "n 2 # bulk reader off\nobjective 1\n"])
+    def test_objective_is_not_a_skipped_key(self, text):
+        # no writer emits an 'objective' line; the word appears only in 'step' lines
+        assert formats._plain(text, formats._USAGE, formats._SELECTION_KEYS) is None
+        with pytest.raises(FileFormatError) as exc:
+            formats.parse_usage(text)
+        assert str(exc.value) == "line 2, column 1: unknown keyword 'objective' in usage-graph file"
 
     def test_accepts_selection_report(self, rng):
         inst = make_instance(rng, 6)
@@ -188,6 +197,17 @@ class TestReportFormat:
                                 reps=2, preset=None)
         text = formats.serialize_report(report)
         assert formats.parse_report(text) == report
+
+    def test_n_and_seed_are_the_configs(self):
+        cfg = SyntheticConfig(n=3, samples=(80, 60, 50), flipped=(False,) * 3, seed=11)
+        report = run_experiment(cfg, [], train_config=TrainConfig(rounds=2), reps=1,
+                                methods=("local",))
+        assert not {"n", "seed"} & {f.name for f in dataclasses.fields(report)}
+        text = formats.serialize_report(report)
+        assert text.splitlines()[1] == "n 3" and "seed 11" in text.splitlines()
+        parsed = formats.parse_report(text)
+        assert parsed == report and parsed.config == cfg
+        assert formats.report_to_csv(parsed).count("\n") == 4
 
     def test_csv_layout(self):
         cfg = SyntheticConfig(n=2, samples=(40, 40), flipped=(False, False), seed=1)
@@ -360,6 +380,7 @@ def test_participants_and_counts_are_ascii_digits(parse, text, line, col):
     ("benefit v1 v2 -4", "line 8, column 15: benefit weight must be positive"),
     ("benefit v1 v2 0.5\nbenefit v1 v2 0.5", "line 9, column 1: duplicate benefit edge (v1, v2)"),
     ("mse local v2 0.7 0.1", "line 8, column 1: duplicate mse row (local, v2)"),
+    ("usage_edge v1 v1", "line 8, column 1: self-edge (v1, v1) is not a collaboration"),
     ("mse other v1 0.5 0.1",
      "line 8, column 5: mse row for method 'other', which 'methods' does not list"),
 ])

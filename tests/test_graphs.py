@@ -9,6 +9,7 @@ from fedcollab import formats
 from fedcollab.graphs import (Instance, InvalidInstanceError, PathWitness, UsageGraph,
                               competitor_guards, conflict_free, conflict_violations,
                               potentials)
+from fedcollab.selection import select_collaborators
 
 from conftest import (bfs_reachable, closure_by_floyd_warshall, closure_by_squaring,
                       make_instance, make_usage)
@@ -291,6 +292,35 @@ class TestClosureMaintenance:
             assert from_pairs == from_array
             assert np.array_equal(from_pairs.closure, from_array.closure)
             assert np.array_equal(from_array.closure, closure_by_squaring(from_array.x))
+
+    def test_x_is_the_edge_set(self, rng):
+        # x holds the selected edges only: its diagonal is never set, while
+        # the closure stays reflexive
+        for n in (1, 2, 6):
+            graphs = [UsageGraph(n), UsageGraph.from_edges(n, []),
+                      select_collaborators(make_instance(rng, n, density=1.0))[0]]
+            if n > 1:
+                graphs += [UsageGraph.from_edges(n, [(0, 1), (1, 0)]),
+                           UsageGraph(n).add_edge(1, 0),
+                           UsageGraph(n).add_edges(list(range(1, n)), 0)]
+            for usage in graphs:
+                assert not usage.x.diagonal().any()
+                assert usage.closure.diagonal().all()
+                assert usage.edges() == [tuple(e) for e in np.argwhere(usage.x).tolist()]
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_every_self_edge_refusal_keeps_its_message(self, n):
+        usage = UsageGraph(n)
+        for refuse in (lambda: usage.add_edge(n - 1, n - 1),
+                       lambda: usage.add_edges([n - 1], n - 1),
+                       lambda: UsageGraph.from_edges(n, [(n - 1, n - 1)])):
+            with pytest.raises(ValueError) as exc:
+                refuse()
+            assert str(exc.value) == f"self-edge ({n - 1}, {n - 1}) is not a collaboration"
+        assert usage == UsageGraph(n)
+        with pytest.raises(formats.FileFormatError) as exc:
+            formats.parse_usage(f"n {n}\nedge v{n} v{n}\n")
+        assert str(exc.value) == f"line 2, column 1: self-edge (v{n}, v{n}) is not a collaboration"
 
     def test_copy_isolates_state(self):
         usage = UsageGraph(3).add_edge(0, 1)

@@ -126,7 +126,7 @@ class TestSelectAll:
     def test_single_participant(self):
         inst = Instance(1, np.zeros((1, 1), bool), np.zeros((1, 1)))
         usage, trace = select_collaborators(inst)
-        assert usage.x.tolist() == [[True]]
+        assert usage.x.tolist() == [[False]]
         assert trace.order == (0,)
         assert columns(trace.steps[0]) == (0, 0.0, [], [], [], [])
 
@@ -134,7 +134,7 @@ class TestSelectAll:
         w = rng.uniform(0.1, 1.0, (6, 6))
         inst = no_competition(w)
         usage, _ = select_collaborators(inst)
-        assert np.array_equal(usage.x, np.ones((6, 6), bool))
+        assert np.array_equal(usage.x, ~np.eye(6, dtype=bool))
 
     def test_deterministic(self, rng):
         inst = make_instance(rng, 8, edge_prob=0.3)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fedcollab.synthdata import (SyntheticConfig, competing_matrix, generate_task,
-                                 polynomial_features, preset, strong_noniid_config,
-                                 weak_noniid_config)
+from fedcollab.synthdata import (PRESET_NAMES, PRESETS, STRONG_COMPETING_EDGES,
+                                 WEAK_COMPETING_EDGES, SyntheticConfig, competing_matrix,
+                                 generate_task, polynomial_features, preset)
 
 
 class TestConfigValidation:
@@ -48,6 +48,22 @@ class TestPresets:
         assert cfg.flipped == (False,) * 4 + (True,) * 4
         assert len(edges) == 8
 
+    @pytest.mark.parametrize("name,samples,flipped,pairs", [
+        ("weak_noniid", (2000, 2000, 100, 100, 2000, 2000, 100, 100), (False,) * 8,
+         ((0, 4), (0, 5), (1, 4), (1, 5), (0, 6), (1, 7), (2, 4), (3, 5))),
+        ("strong_noniid", (2000,) * 8, (False,) * 4 + (True,) * 4,
+         ((0, 2), (0, 3), (1, 2), (1, 3), (4, 6), (4, 7), (5, 6), (5, 7))),
+    ])
+    def test_preset_is_its_table_row(self, name, samples, flipped, pairs):
+        for seed in (0, 7):
+            cfg, edges = preset(name, seed)
+            assert cfg == SyntheticConfig(n=8, samples=samples, flipped=flipped, rho=0.01,
+                                          seed=seed)
+            assert edges == pairs == PRESETS[name][2]
+        assert PRESET_NAMES == tuple(PRESETS) == ("weak_noniid", "strong_noniid")
+        assert (PRESETS["weak_noniid"][2], PRESETS["strong_noniid"][2]) == (
+            WEAK_COMPETING_EDGES, STRONG_COMPETING_EDGES)
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
             preset("nope")
@@ -72,7 +88,7 @@ class TestGeneration:
             assert np.array_equal(task.weights[i], task.weights[0])
 
     def test_deterministic_in_seed(self):
-        cfg = weak_noniid_config(seed=5)
+        cfg, _ = preset("weak_noniid", seed=5)
         t1, t2 = generate_task(cfg), generate_task(cfg)
         for i in range(8):
             assert np.array_equal(t1.phi[i][:, 0], t2.phi[i][:, 0])
@@ -81,12 +97,12 @@ class TestGeneration:
         assert np.array_equal(t1.weights, t2.weights)
 
     def test_different_seed_changes_data(self):
-        t1 = generate_task(weak_noniid_config(seed=5))
-        t2 = generate_task(weak_noniid_config(seed=6))
+        t1 = generate_task(preset("weak_noniid", seed=5)[0])
+        t2 = generate_task(preset("weak_noniid", seed=6)[0])
         assert not np.array_equal(t1.phi[0][:, 0], t2.phi[0][:, 0])
 
     def test_split_sizes_and_feature_range(self):
-        task = generate_task(strong_noniid_config(seed=2))
+        task = generate_task(preset("strong_noniid", seed=2)[0])
         for i in range(8):
             m = task.config.samples[i]
             assert len(task.val_idx[i]) == round(0.2 * m)
