@@ -339,7 +339,7 @@ def _add_edge(edges: dict, line: _Line, repeat: str = "edge {} already present")
         raise line.error(f"self-edge {pair} is not a collaboration")
     if (j, i) in edges:
         raise line.error(repeat.format(pair))
-    edges[j, i] = True
+    edges[j, i] = line
 
 
 def _add_group(members: set[int], line: _Line) -> None:
@@ -419,11 +419,11 @@ _REPORT_TRAIN = _scalar_keys(TrainConfig, "train_")
 
 def _matrix(n: int, cells: dict, key: str = "benefit") -> np.ndarray:
     """The n x n matrix of ``cells`` ({(j, i): value}): float64 weights for
-    'benefit', booleans for a pair key, mirrored for 'competing'."""
+    'benefit', True at each pair for a pair key, mirrored for 'competing'."""
     matrix = np.zeros((n, n), dtype=np.float64 if key == "benefit" else bool)
     if cells:
         j, i = zip(*cells)
-        matrix[j, i] = list(cells.values())
+        matrix[j, i] = list(cells.values()) if key == "benefit" else True
         if key == "competing":
             matrix[i, j] = True
     return matrix
@@ -666,7 +666,7 @@ def parse_report(text: str) -> ExperimentReport:
     last: dict[str, _Line] = {}  # the latest line of each key
     lists: dict[str, list] = {"cover": [], "coalition": []}
     placed: dict[str, set[int]] = {"cover": set(), "coalition": set()}
-    usage_edges: dict[tuple[int, int], bool] = {}
+    usage_edges: dict[tuple[int, int], _Line] = {}
     weights: dict = {}
     mse: dict[tuple[str, int], _Line] = {}
     for line in _lines(text, "report", _REPORT):
@@ -708,6 +708,10 @@ def parse_report(text: str) -> ExperimentReport:
             left_out = min(set(range(n)) - members)
             raise last[key].error(f"the '{key}' groups leave out participant "
                                   f"{node_label(left_out)}")
+    for (j, i), line in usage_edges.items():  # benefit lines may follow the edge
+        if (j, i) not in weights:
+            raise line.error(f"usage edge ({node_label(j)}, {node_label(i)}) has no "
+                             f"positive benefit line")
 
     seed, cover_mode = _last(last, "seed", 0), _last(last, "cover_mode")
     flipped_idx = last["config_flipped"].values if "config_flipped" in last else []

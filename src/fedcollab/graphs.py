@@ -106,8 +106,9 @@ class UsageGraph:
     diagonal stays False; ``closure`` starts as the identity (every
     participant reaches itself). ``from_edges`` builds a graph from a whole
     edge set, and ``add_edges`` (``add_edge`` is its one-edge form) is the
-    only mutator of a built one; both keep ``closure`` equal to the
-    reflexive-transitive closure of ``x``.
+    only public mutator of a built one; both keep ``closure`` equal to the
+    reflexive-transitive closure of ``x``. ``read_only`` gives a view that
+    cannot be written.
     """
 
     __slots__ = ("n", "x", "closure")
@@ -133,11 +134,20 @@ class UsageGraph:
         return usage
 
     def copy(self) -> "UsageGraph":
-        dup = UsageGraph.__new__(UsageGraph)
-        dup.n = self.n
-        dup.x = self.x.copy()
-        dup.closure = self.closure.copy()
-        return dup
+        return self._of(self.x.copy(), self.closure.copy())
+
+    def read_only(self) -> "UsageGraph":
+        """A view of this graph that follows its later changes and refuses
+        writes: its ``x`` and ``closure`` are non-writeable views, so
+        ``add_edge`` and any assignment into them raise ``ValueError``."""
+        x, closure = self.x.view(), self.closure.view()
+        x.flags.writeable = closure.flags.writeable = False
+        return self._of(x, closure)
+
+    def _of(self, x: np.ndarray, closure: np.ndarray) -> "UsageGraph":
+        graph = UsageGraph.__new__(UsageGraph)
+        graph.n, graph.x, graph.closure = self.n, x, closure
+        return graph
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UsageGraph):
@@ -156,7 +166,17 @@ class UsageGraph:
         return self.add_edges([j], i)
 
     def add_edges(self, js, i: int) -> "UsageGraph":
-        """Authorize i to use the updates of every j in ``js`` at once.
+        """Authorize i to use the updates of every j in ``js`` at once: the
+        edges are checked by :meth:`_checked`, then added by :meth:`_add_new`.
+        A :class:`fedcollab.selection.Selection` calls ``_add_new`` alone,
+        on edges that are new by construction."""
+        i = self._check(i)
+        js, _ = self._checked(js, i)
+        return self._add_new(js, i)
+
+    def _add_new(self, js: np.ndarray, i: int) -> "UsageGraph":
+        """Add the edges j -> i for ``js``, an index array of distinct nodes in
+        range, none of them i and none with its edge in ``x``; nothing checks.
 
         New edges all end at i, so a path that uses one can be cut at its
         last visit to i: every new path is p ~> j -> i ~> q with p an old
@@ -164,8 +184,6 @@ class UsageGraph:
         descendants do not change. One row-restricted OR over the ancestors
         therefore updates the closure exactly, cycles included.
         """
-        i = self._check(i)
-        js, _ = self._checked(js, i)
         self.x[js, i] = True
         ancestors = self.closure[:, js].any(axis=1)
         self.closure[ancestors] |= self.closure[i]

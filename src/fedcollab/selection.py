@@ -22,11 +22,13 @@ can only gain ``anc_comp[j] & closure[i]``, and the downstream guard
 Those are j's own guards, which were empty when j was accepted, so no
 guard reads differently in scan order.
 
-A step decides its |C| candidates with one |C| x n AND; one more, on the
-conflict matrix ``anc_comp`` that the run's :class:`Selection` keeps,
-gives the upstream guards for the trace. The step's accepted edges then
-take one update: the closure rows of the accepted candidates' ancestors
-and the ``anc_comp`` rows of i's descendants, each ORed with one row.
+A step builds both guard sides of its |C| candidates as one stacked
+2|C| x n mask: the upstream rows from the conflict matrix ``anc_comp``
+that the run's :class:`Selection` keeps, the downstream rows from i's
+rivals. One sparse extraction of that mask gives the trace, and the
+downstream counts give the verdicts. The step's accepted edges then take
+one update: the closure rows of the accepted candidates' ancestors and
+the ``anc_comp`` rows of i's descendants, each ORed with one row.
 
 The trace holds each fact once. A :class:`StepTrace` records a
 participant, its objective and, per candidate in scan order, the verdict
@@ -54,28 +56,28 @@ class StepTrace:
 
     ``objective`` is the benefit i receives from its accepted candidates,
     summed in scan order; a candidate's weight is read from the instance as
-    ``benefit[candidates, participant]``. ``upstream`` and ``downstream``
-    hold the guard entries sparsely: the number of guard nodes of each
-    candidate, and all of them concatenated in scan order, ascending within
-    a candidate. Accepts have none.
+    ``benefit[candidates, participant]``. ``guard_entries`` holds both guard
+    sides sparsely, as ``(counts, nodes)`` over 2|C| rows: the number of
+    guard nodes of each row, and all of them concatenated in row order,
+    ascending within a row. The first |C| rows are the candidates' upstream
+    guards and the rest their downstream guards, each in scan order.
+    Accepts have none.
     """
 
     participant: int
     objective: float
     candidates: np.ndarray
     verdicts: np.ndarray  # True for an accepted candidate
-    upstream: tuple[np.ndarray, np.ndarray]
-    downstream: tuple[np.ndarray, np.ndarray]
+    guard_entries: tuple[np.ndarray, np.ndarray]
 
     def guards(self, labels: np.ndarray | None = None) -> tuple[list[list], list[list]]:
         """Each candidate's upstream and downstream guard nodes, in scan
         order; given ``labels``, an array indexed by node, their labels."""
-        sides = []
-        for counts, nodes in (self.upstream, self.downstream):
-            items = (nodes if labels is None else labels[nodes]).tolist()
-            ends = np.cumsum(counts).tolist()
-            sides.append([items[a:b] for a, b in zip([0, *ends], ends)])
-        return sides[0], sides[1]
+        counts, nodes = self.guard_entries
+        items = (nodes if labels is None else labels[nodes]).tolist()
+        ends = np.cumsum(counts).tolist()
+        rows = [items[a:b] for a, b in zip([0, *ends], ends)]
+        return rows[:len(self.candidates)], rows[len(self.candidates):]
 
     @property
     def accepted(self) -> tuple[int, ...]:
@@ -88,7 +90,7 @@ class StepTrace:
                 and all(map(np.array_equal, self._columns(), other._columns())))
 
     def _columns(self) -> tuple[np.ndarray, ...]:
-        return (self.candidates, self.verdicts, *self.upstream, *self.downstream)
+        return (self.candidates, self.verdicts, *self.guard_entries)
 
 
 @dataclass(frozen=True)
@@ -114,41 +116,56 @@ def candidate_collaborators(instance: Instance, i: int) -> list[int]:
     Ties are broken by ascending node index; comparisons are exact since
     the weights are inputs, not computed quantities.
     """
-    i = instance.check_node(i)
+    return _candidates(instance, instance.check_node(i)).tolist()
+
+
+def _candidates(instance: Instance, i: int) -> np.ndarray:
+    """:func:`candidate_collaborators` of an in-range i, as an index array."""
     w = instance.benefit[:, i]  # the diagonal is zero, so i is never its own candidate
     js = np.flatnonzero((w > 0.0) & ~instance.competing[:, i])
-    return js[np.argsort(-w[js], kind="stable")].tolist()
+    return js[np.argsort(-w[js], kind="stable")]
 
 
 class Selection:
     """A run's state: the usage graph built so far and the conflict matrix
     ``_anc_comp``, true at [q, k] when k competes with an ancestor-or-self
     of q, so ``_anc_comp[j] & closure[i]`` is the upstream guard of j -> i.
-    A run starts empty and changes only through :func:`select_step`, so
-    its graph stays conflict-free. Callers may read ``usage`` but must not
-    write it: an edge added from outside (``usage.add_edge``) leaves
-    ``_anc_comp`` stale, and later steps then trace wrong upstream guards.
+
+    Both are private. A run starts empty and changes only through
+    :func:`select_step`, so its graph stays conflict-free and ``_anc_comp``
+    matches it. ``usage`` is a read-only view of the graph that follows
+    every step: its ``x`` and ``closure`` are non-writeable, so an edge
+    added from outside (``usage.add_edge``) raises instead of leaving
+    ``_anc_comp`` stale.
     """
 
-    __slots__ = ("instance", "usage", "_anc_comp")
+    __slots__ = ("instance", "_usage", "_anc_comp")
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
-        self.usage = UsageGraph(instance.n)
+        self._usage = UsageGraph(instance.n)
         self._anc_comp = instance.competing.copy()  # the empty graph's closure is the identity
+
+    @property
+    def usage(self) -> UsageGraph:
+        return self._usage.read_only()
 
 
 def select_step(selection: Selection, i: int) -> StepTrace:
     """Greedily pick i's collaborators and add their edges to ``selection``."""
-    instance, usage, anc_comp = selection.instance, selection.usage, selection._anc_comp
-    cand = np.array(candidate_collaborators(instance, i), dtype=np.intp)
-    clo = usage.closure
+    instance, usage, anc_comp = selection.instance, selection._usage, selection._anc_comp
+    i = instance.check_node(i)
+    cand = _candidates(instance, i)
+    clo, c = usage.closure, len(cand)
     # every guard reads the same on the graph before the step (module
-    # docstring), and the downstream guard alone decides
+    # docstring): rows [:c] are the upstream guards, rows [c:] the downstream
+    # ones, and the downstream guard alone decides
     rivals = instance.competing[clo[i]].any(axis=0)
-    downstream = clo[:, cand].T & rivals
-    verdicts = ~downstream.any(axis=1)
-    upstream = anc_comp[cand] & clo[i]  # for the trace only
+    guards = np.empty((2 * c, instance.n), dtype=bool)
+    np.logical_and(anc_comp[cand], clo[i], out=guards[:c])
+    np.logical_and(clo[:, cand].T, rivals, out=guards[c:])
+    counts, nodes = _sparse(guards)
+    verdicts = counts[c:] == 0
     # an edge authorized by an earlier step joins no competitors, so its
     # guards are empty, and it is accepted as it stands
     added = cand[verdicts & ~usage.x[cand, i]]
@@ -156,19 +173,24 @@ def select_step(selection: Selection, i: int) -> StepTrace:
         # the edges give every descendant of i the ancestors of the added
         # candidates, and so their competitors
         anc_comp[clo[i]] |= anc_comp[added].any(axis=0)
-        usage.add_edges(added, i)
+        # new by construction, so unchecked: ``added`` comes from flatnonzero
+        # over i's benefit column, so its nodes are distinct and in range; the
+        # column's diagonal is zero, so i is not among them; and the filter
+        # ~x[cand, i] drops every edge already present
+        usage._add_new(added, i)
     objective = 0.0
     for w in instance.benefit[cand[verdicts], i].tolist():  # summed in scan order
         objective += w
-    return StepTrace(int(i), objective, cand, verdicts, _sparse(upstream), _sparse(downstream))
+    return StepTrace(i, objective, cand, verdicts, (counts, nodes))
 
 
 def select_collaborators(instance: Instance) -> tuple[UsageGraph, SelectionTrace]:
     """Run the full selection over all participants.
 
     Deterministic: two runs on the same instance produce identical usage
-    graphs and traces. The returned graph is always conflict-free.
+    graphs and traces. The returned graph, the run's final one, is always
+    conflict-free.
     """
     selection = Selection(instance)
     steps = tuple(select_step(selection, i) for i in processing_order(instance))
-    return selection.usage, SelectionTrace(steps)
+    return selection._usage, SelectionTrace(steps)

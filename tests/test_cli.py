@@ -504,6 +504,21 @@ class TestFiles:
         assert main(["report", "--in", str(bad), "--out", str(tmp_path / "c.csv")]) == 2
         assert "line 2, column 15: duplicate method 'local'" in capsys.readouterr().err
 
+    def test_usage_edge_without_benefit_exits_2(self, tmp_path, capsys):
+        # refused at the usage_edge line, but only after every line is read:
+        # a benefit line after the edge supports it
+        head = ("n 3\nmethods local\nconfig_samples 5 5 5\ncover_mode exact\n"
+                "mse local v1 0.5 0.1\nmse local v2 0.5 0.1\nmse local v3 0.5 0.1\n")
+        bad, out = tmp_path / "r.txt", tmp_path / "c.csv"
+        bad.write_text(head + "usage_edge v1 v3\nbenefit v3 v1 0.5\n")
+        assert main(["report", "--in", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: line 8, column 1: usage edge (v1, v3) "
+                                           "has no positive benefit line\n")
+        assert not out.exists()
+        bad.write_text(head + "usage_edge v1 v3\nbenefit v1 v3 0.5\n")
+        assert main(["report", "--in", str(bad), "--out", str(out)]) == 0
+        assert out.read_text().startswith("participant,local\n")
+
     def test_repeated_methods_flag_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "sim.txt"
         cfg.write_text(SIM_CONFIG)

@@ -104,20 +104,20 @@ def partitions(draw, n):
 def reports(draw):
     n = draw(st.integers(1, 6))
     methods = tuple(draw(st.lists(st.sampled_from(METHODS), min_size=1, unique=True)))
-    nodes = st.integers(0, n - 1)
     mode = draw(st.sampled_from(["exact", "greedy"]))
     rows = {m: tuple(draw(st.lists(finite, min_size=n, max_size=n))) for m in methods}
     spread = {m: tuple(draw(st.lists(finite, min_size=n, max_size=n))) for m in methods}
     config = draw(configs(n))
-    edges = draw(st.lists(st.tuples(nodes, nodes), max_size=n, unique=True))
+    benefit = draw(benefits(n))
+    support = list(zip(*np.nonzero(benefit)))  # a usage edge needs a positive benefit
+    edges = draw(st.lists(st.sampled_from(support), unique=True) if support else st.just([]))
     return ExperimentReport(
         methods=methods, reps=draw(st.integers(1, 100)),
         mean=rows, std=spread, config=config, train_config=draw(train_configs),
         preset=draw(st.none() | st.sampled_from(PRESET_NAMES)),
         clique_cover=Partition(draw(partitions(n)), "clique_cover", mode),
         coalitions=Partition(draw(partitions(n)), "scc_coalitions", mode),
-        usage_edges=tuple((j, i) for j, i in edges if j != i),  # a self usage edge is refused
-        benefit=draw(benefits(n)),
+        usage_edges=tuple((int(j), int(i)) for j, i in edges), benefit=benefit,
         aggregation=" ".join(draw(st.lists(st.text("abc=,-", min_size=1), max_size=4))))
 
 

@@ -242,7 +242,8 @@ class TestReportFormat:
 
 
 class TestReportGroups:
-    BASE = TestReportFormat.MINIMAL + "cover v1 v2\ncoalition v1\ncoalition v2\nusage_edge v1 v2\n"
+    BASE = (TestReportFormat.MINIMAL + "cover v1 v2\ncoalition v1\ncoalition v2\n"
+            "usage_edge v1 v2\nbenefit v1 v2 0.5\n")
 
     def test_groups_and_edges_parse(self):
         report = formats.parse_report(self.BASE)

@@ -9,8 +9,8 @@ from fedcollab import formats
 from fedcollab.cli import main
 from fedcollab.graphs import Instance, UsageGraph, competitor_guards, conflict_free
 from fedcollab.oracle import conflict_free_by_paths
-from fedcollab.selection import (Selection, candidate_collaborators, processing_order,
-                                 select_collaborators, select_step)
+from fedcollab.selection import (Selection, StepTrace, candidate_collaborators,
+                                 processing_order, select_collaborators, select_step)
 from fedcollab.synthdata import (STRONG_COMPETING_EDGES, WEAK_COMPETING_EDGES,
                                  competing_matrix)
 
@@ -265,6 +265,104 @@ def test_batched_step_matches_sequential_scan(n, density, seed):
         assert np.array_equal(selection.usage.x, ref.x)
         assert np.array_equal(selection.usage.closure, ref.closure)
         assert np.array_equal(selection._anc_comp, ancestor_conflicts(inst, ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.floats(min_value=0.0, max_value=0.5),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_unchecked_update_builds_a_valid_graph(n, density, seed):
+    # the step adds its edges without the checks of UsageGraph.add_edges;
+    # after every step the checked path must accept the engine's edge list
+    # and rebuild the same edges and closure from it
+    rng = np.random.default_rng(seed)
+    inst = make_instance(rng, n, edge_prob=density)
+    perm = rng.permutation(n).tolist()
+    selection = Selection(inst)
+    for i in perm + perm[:int(rng.integers(0, n + 1))]:
+        select_step(selection, i)
+        rebuilt = UsageGraph.from_edges(n, selection.usage.edges())
+        assert np.array_equal(rebuilt.x, selection.usage.x)
+        assert np.array_equal(rebuilt.closure, selection.usage.closure)
+
+
+class TestSelectionState:
+    @staticmethod
+    def state(selection):
+        usage = selection.usage
+        return usage.x.copy(), usage.closure.copy(), selection._anc_comp.copy()
+
+    def test_out_of_range_participant_leaves_the_selection_unchanged(self, rng):
+        inst = make_instance(rng, 8, edge_prob=0.3)
+        selection = Selection(inst)
+        select_step(selection, processing_order(inst)[0])
+        before = self.state(selection)
+        for i in (-1, 8):
+            with pytest.raises(IndexError, match=f"node index {i} out of range for n=8"):
+                select_step(selection, i)
+            assert all(map(np.array_equal, self.state(selection), before))
+
+    def test_usage_refuses_writes(self, rng):
+        n = 10
+        inst = make_instance(rng, n, edge_prob=0.2)
+        order = processing_order(inst)
+        ref, selection = UsageGraph(n), Selection(inst)
+        for k, i in enumerate(order):
+            if k == n // 2:
+                usage = selection.usage
+                j, t = np.argwhere(~usage.x & ~np.eye(n, dtype=bool))[0].tolist()
+                with pytest.raises(ValueError):
+                    usage.add_edge(j, t)
+                with pytest.raises(ValueError):
+                    usage.x[j, t] = True
+                with pytest.raises(ValueError):
+                    usage.closure[j] = True
+                assert np.array_equal(selection.usage.x, ref.x)
+                assert np.array_equal(selection.usage.closure, ref.closure)
+            assert columns(select_step(selection, i)) == sequential_select(inst, ref, i)
+            assert np.array_equal(selection.usage.x, ref.x)
+            assert np.array_equal(selection.usage.closure, ref.closure)
+
+
+def _all_rejected_step():
+    # 0 competes with 3, which benefits 1 and 2: once 3 -> 1 and 3 -> 2 are
+    # in, either of 0's candidates 1 and 2 would let 3 reach 0
+    s = np.zeros((4, 4), bool)
+    s[0, 3] = s[3, 0] = True
+    w = np.zeros((4, 4))
+    w[3, 1] = w[3, 2] = 1.0
+    w[1, 0], w[2, 0] = 0.5, 0.4
+    selection = Selection(Instance(4, s, w))
+    select_step(selection, 1)
+    select_step(selection, 2)
+    return select_step(selection, 0)
+
+
+STEPS = {  # a step, and its guard sets as guards() must read them
+    "n=1": (lambda: select_step(Selection(no_competition(np.zeros((1, 1)))), 0), ([], [])),
+    "zero column": (lambda: select_step(Selection(no_competition(np.eye(3)[::-1] * 0.5)), 1),
+                    ([], [])),
+    "all rejected": (_all_rejected_step, ([[0], [0]], [[3], [3]])),
+    "all accepted": (lambda: select_step(Selection(no_competition(np.ones((4, 4)))), 2),
+                     ([[], [], []], [[], [], []])),
+}
+
+
+@pytest.mark.parametrize("case", list(STEPS))
+def test_guard_entries_round_trip_through_guards(case):
+    make, expected = STEPS[case]
+    step = make()
+    upstream, downstream = step.guards()
+    assert (upstream, downstream) == expected
+    assert step.verdicts.tolist() == [not down for down in downstream]
+    rows = [*upstream, *downstream]
+    entries = (np.array([len(row) for row in rows]), np.array([k for row in rows for k in row]))
+    rebuilt = StepTrace(step.participant, step.objective, step.candidates, step.verdicts, entries)
+    assert rebuilt == step
+    # equality reads every column: one more entry in any of them differs
+    for k in range(4):
+        cols = [step.candidates, step.verdicts, *entries]
+        cols[k] = np.append(cols[k], 0)
+        assert StepTrace(step.participant, step.objective, cols[0], cols[1], tuple(cols[2:])) != step
 
 
 @settings(max_examples=80, deadline=None)
