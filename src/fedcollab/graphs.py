@@ -35,7 +35,9 @@ class Instance:
       the complete graph (a fully competing ecosystem admits no
       collaboration at all and is rejected up front);
     * ``benefit`` entries are finite and nonnegative; the diagonal is
-      meaningless and stored as zero.
+      meaningless and stored as zero. The benefit each participant offers
+      (row sum) and receives (column sum) is finite too, so potentials and
+      step objectives are.
     """
 
     __slots__ = ("n", "competing", "benefit")
@@ -60,6 +62,14 @@ class Instance:
         if n >= 2 and competing.sum() == n * (n - 1):
             raise InvalidInstanceError("complete competition graph leaves no one to collaborate with")
         np.fill_diagonal(benefit, 0.0)
+        with np.errstate(over="ignore"):
+            sums = (benefit.sum(axis=1), benefit.sum(axis=0))
+        for side, total in zip(("offered by", "received by"), sums):
+            finite = np.isfinite(total)
+            if not finite.all():
+                k = int(finite.argmin())
+                raise InvalidInstanceError(f"benefit {side} participant v{k + 1} (index {k}) "
+                                           "sums past the float range")
         competing.setflags(write=False)
         benefit.setflags(write=False)
         self.n = int(n)
@@ -94,10 +104,6 @@ class PathWitness:
         if len(self.nodes) < 2 or self.nodes[0] == self.nodes[-1]:
             raise ValueError("a path witness needs at least two distinct endpoints")
 
-    @property
-    def length(self) -> int:
-        return len(self.nodes) - 1
-
 
 class UsageGraph:
     """Decision matrix ``x`` plus an exactly maintained transitive closure.
@@ -105,10 +111,9 @@ class UsageGraph:
     ``x`` holds exactly the selected edges, so it starts all False and its
     diagonal stays False; ``closure`` starts as the identity (every
     participant reaches itself). ``from_edges`` builds a graph from a whole
-    edge set, and ``add_edges`` (``add_edge`` is its one-edge form) is the
-    only public mutator of a built one; both keep ``closure`` equal to the
-    reflexive-transitive closure of ``x``. ``read_only`` gives a view that
-    cannot be written.
+    edge set, and ``add_edge`` is the one checked mutator of a built one;
+    both keep ``closure`` equal to the reflexive-transitive closure of
+    ``x``. ``read_only`` gives a view that cannot be written.
     """
 
     __slots__ = ("n", "x", "closure")
@@ -122,9 +127,9 @@ class UsageGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "UsageGraph":
-        """The graph of ``edges`` ((j, i) pairs or an (E, 2) array), checked as
-        :meth:`add_edges` checks, its closure computed in place by one row-OR
-        per pivot k (Warshall): every row that reaches k gains k's row."""
+        """The graph of ``edges`` ((j, i) pairs or an (E, 2) array), checked by
+        :meth:`_checked`, its closure computed in place by one row-OR per
+        pivot k (Warshall): every row that reaches k gains k's row."""
         usage = cls(n)
         js, is_ = usage._checked(*np.asarray(edges, dtype=np.intp).reshape(-1, 2).T)
         usage.x[js, is_] = usage.closure[js, is_] = True
@@ -133,21 +138,14 @@ class UsageGraph:
             clo[clo[:, k]] |= clo[k]
         return usage
 
-    def copy(self) -> "UsageGraph":
-        return self._of(self.x.copy(), self.closure.copy())
-
     def read_only(self) -> "UsageGraph":
         """A view of this graph that follows its later changes and refuses
         writes: its ``x`` and ``closure`` are non-writeable views, so
         ``add_edge`` and any assignment into them raise ``ValueError``."""
-        x, closure = self.x.view(), self.closure.view()
-        x.flags.writeable = closure.flags.writeable = False
-        return self._of(x, closure)
-
-    def _of(self, x: np.ndarray, closure: np.ndarray) -> "UsageGraph":
-        graph = UsageGraph.__new__(UsageGraph)
-        graph.n, graph.x, graph.closure = self.n, x, closure
-        return graph
+        view = UsageGraph.__new__(UsageGraph)
+        view.n, view.x, view.closure = self.n, self.x.view(), self.closure.view()
+        view.x.flags.writeable = view.closure.flags.writeable = False
+        return view
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UsageGraph):
@@ -162,21 +160,19 @@ class UsageGraph:
         return list(zip(js.tolist(), is_.tolist()))
 
     def add_edge(self, j: int, i: int) -> "UsageGraph":
-        """Authorize i to use j's updates and update the closure in place."""
-        return self.add_edges([j], i)
-
-    def add_edges(self, js, i: int) -> "UsageGraph":
-        """Authorize i to use the updates of every j in ``js`` at once: the
-        edges are checked by :meth:`_checked`, then added by :meth:`_add_new`.
-        A :class:`fedcollab.selection.Selection` calls ``_add_new`` alone,
-        on edges that are new by construction."""
-        i = self._check(i)
-        js, _ = self._checked(js, i)
-        return self._add_new(js, i)
+        """Authorize i to use j's updates: the edge is checked by
+        :meth:`_checked`, as :meth:`from_edges` checks its pairs, and then
+        added by :meth:`_add_new`, which updates the closure in place."""
+        # i is range-checked first, as _checked reads it, also past intp's range
+        js, is_ = self._checked(*np.array([[j], [self._check(i)]], dtype=np.intp))
+        return self._add_new(js, is_[0])
 
     def _add_new(self, js: np.ndarray, i: int) -> "UsageGraph":
         """Add the edges j -> i for ``js``, an index array of distinct nodes in
         range, none of them i and none with its edge in ``x``; nothing checks.
+        :meth:`add_edge` calls it on one checked edge, and
+        :func:`fedcollab.selection.select_step` on a step's accepted edges,
+        which are new by construction.
 
         New edges all end at i, so a path that uses one can be cut at its
         last visit to i: every new path is p ~> j -> i ~> q with p an old
@@ -189,12 +185,11 @@ class UsageGraph:
         self.closure[ancestors] |= self.closure[i]
         return self
 
-    def _checked(self, js, is_) -> tuple[np.ndarray, np.ndarray]:
-        """``js`` and ``is_`` (one target or one per source) as index arrays of
-        new edges; the first pair in the order given that is out of range (i,
-        then j), a self-edge, in ``x`` already or a repeat raises."""
-        js, is_ = np.broadcast_arrays(np.asarray(js, dtype=np.intp).reshape(-1),
-                                      np.asarray(is_, dtype=np.intp))
+    def _checked(self, js: np.ndarray, is_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``js`` and ``is_``, equal-length index arrays of edges j -> i, as
+        given if every edge is new; the first pair in the order given that is
+        out of range (i, then j), a self-edge, in ``x`` already or a repeat
+        raises."""
         cj, ci = js.clip(0, self.n - 1), is_.clip(0, self.n - 1)  # flagged if clipped
         bad = (cj != js) | (ci != is_) | (cj == ci) | self.x[cj, ci]
         key = cj * self.n + ci

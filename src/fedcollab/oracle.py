@@ -30,7 +30,7 @@ def _check_path_size(instance: Instance) -> None:
             f"path enumeration is limited to n <= {PATH_ENUM_MAX_NODES}, got n={instance.n}")
 
 
-def _candidates(instance: Instance, i: int) -> list[int]:
+def _candidate_list(instance: Instance, i: int) -> list[int]:
     """Nodes that benefit i and do not compete with it, best benefit first,
     ties by ascending index."""
     w = instance.benefit[:, instance.check_node(i)]
@@ -82,7 +82,7 @@ def optimal_step(instance: Instance, usage: UsageGraph, i: int) -> tuple[float, 
     candidate-priority order).
     """
     _check_path_size(instance)
-    cands = _candidates(instance, i)
+    cands = _candidate_list(instance, i)
     if len(cands) > SUBSET_ENUM_MAX_CANDIDATES:
         raise OracleSizeError(
             f"subset enumeration is limited to {SUBSET_ENUM_MAX_CANDIDATES} candidates, "
@@ -120,7 +120,7 @@ def optimal_step_by_full_matrices(instance: Instance, usage: UsageGraph, i: int,
         raise OracleSizeError(f"full-matrix enumeration is limited to {max_free_edges} "
                               f"free edges, got {len(free)}")
     w = instance.benefit[:, i]
-    prior_value = float(sum(w[j] for j in _candidates(instance, i) if usage.x[j, i]))
+    prior_value = float(sum(w[j] for j in _candidate_list(instance, i) if usage.x[j, i]))
     best = prior_value if _paths_feasible(instance, usage.x) else 0.0
     for size in range(1, len(free) + 1):
         for chosen in combinations(free, size):

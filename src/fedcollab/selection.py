@@ -79,10 +79,6 @@ class StepTrace:
         rows = [items[a:b] for a, b in zip([0, *ends], ends)]
         return rows[:len(self.candidates)], rows[len(self.candidates):]
 
-    @property
-    def accepted(self) -> tuple[int, ...]:
-        return tuple(self.candidates[self.verdicts].tolist())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StepTrace):
             return NotImplemented
@@ -110,17 +106,15 @@ def processing_order(instance: Instance) -> list[int]:
     return sorted(range(instance.n), key=lambda k: (-pot[k], k))
 
 
-def candidate_collaborators(instance: Instance, i: int) -> list[int]:
-    """Nodes that benefit i and do not compete with it, best benefit first.
+def candidate_collaborators(instance: Instance, i: int) -> np.ndarray:
+    """Nodes that benefit i and do not compete with it, best benefit first,
+    as the index array that :func:`select_step` decides over.
 
     Ties are broken by ascending node index; comparisons are exact since
-    the weights are inputs, not computed quantities.
+    the weights are inputs, not computed quantities. An i outside 0..n-1
+    raises ``IndexError``.
     """
-    return _candidates(instance, instance.check_node(i)).tolist()
-
-
-def _candidates(instance: Instance, i: int) -> np.ndarray:
-    """:func:`candidate_collaborators` of an in-range i, as an index array."""
+    i = instance.check_node(i)
     w = instance.benefit[:, i]  # the diagonal is zero, so i is never its own candidate
     js = np.flatnonzero((w > 0.0) & ~instance.competing[:, i])
     return js[np.argsort(-w[js], kind="stable")]
@@ -155,7 +149,7 @@ def select_step(selection: Selection, i: int) -> StepTrace:
     """Greedily pick i's collaborators and add their edges to ``selection``."""
     instance, usage, anc_comp = selection.instance, selection._usage, selection._anc_comp
     i = instance.check_node(i)
-    cand = _candidates(instance, i)
+    cand = candidate_collaborators(instance, i)
     clo, c = usage.closure, len(cand)
     # every guard reads the same on the graph before the step (module
     # docstring): rows [:c] are the upstream guards, rows [c:] the downstream

@@ -96,6 +96,18 @@ class TestSelect:
         bad.write_text("n 2\ncompeting v1 v2\nbenefit v1 v2 1.0\n")
         assert main(["select", "--instance", str(bad)]) == 3
 
+    @pytest.mark.parametrize("pairs,message", [
+        ("v1 v2|v1 v3", "benefit offered by participant v1 (index 0) sums past the float range"),
+        ("v1 v3|v2 v3", "benefit received by participant v3 (index 2) sums past the float range"),
+    ])
+    def test_benefit_sums_past_the_float_range_exit_3(self, tmp_path, capsys, pairs, message):
+        bad = tmp_path / "huge-weights.txt"
+        bad.write_text("n 3\n" + "".join(f"benefit {p} 1e308\n" for p in pairs.split("|")))
+        out = tmp_path / "selection.txt"
+        assert main(["select", "--instance", str(bad), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"invalid instance: {message}\n"
+        assert not out.exists()
+
 
 class TestVerify:
     def test_violation_exits_1_with_witness(self, tmp_path, instance_file):

@@ -6,7 +6,7 @@ import pytest
 
 from fedcollab import oracle
 from fedcollab.graphs import Instance, UsageGraph, conflict_free
-from fedcollab.oracle import (OracleSizeError, _candidates, _reaches, conflict_free_by_paths,
+from fedcollab.oracle import (OracleSizeError, _candidate_list, _reaches, conflict_free_by_paths,
                               optimal_step, optimal_step_by_full_matrices)
 from fedcollab.selection import Selection, candidate_collaborators, processing_order, select_step
 
@@ -79,7 +79,7 @@ class TestOptimalStep:
         w = rng.uniform(0.1, 1, (5, 5))
         inst = Instance(5, np.zeros((5, 5), bool), w)
         value, chosen = optimal_step(inst, UsageGraph(5), 1)
-        assert chosen == tuple(sorted(candidate_collaborators(inst, 1)))
+        assert chosen == tuple(sorted(candidate_collaborators(inst, 1).tolist()))
         assert value == pytest.approx(inst.benefit[:, 1].sum(), abs=1e-12)
         assert select_step(Selection(inst), 1).objective == pytest.approx(value, abs=1e-12)
 
@@ -145,7 +145,7 @@ def test_candidates_match_the_engine():
         np.fill_diagonal(w, 0.0)
         inst = Instance(n, s | s.T, w)
         for i in range(n):
-            assert _candidates(inst, i) == candidate_collaborators(inst, i)
+            assert _candidate_list(inst, i) == candidate_collaborators(inst, i).tolist()
 
 
 def test_oracle_imports_nothing_from_selection():

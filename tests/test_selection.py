@@ -65,18 +65,18 @@ def no_competition(w):
 class TestCandidates:
     def test_empty_benefit_gives_no_candidates(self):
         inst = no_competition(np.zeros((3, 3)))
-        assert all(candidate_collaborators(inst, i) == [] for i in range(3))
+        assert all(candidate_collaborators(inst, i).tolist() == [] for i in range(3))
 
     def test_sorted_by_weight_then_index(self):
         w = np.zeros((3, 3))
         w[1, 0] = 0.2
         w[2, 0] = 0.9
-        assert candidate_collaborators(no_competition(w), 0) == [2, 1]
+        assert candidate_collaborators(no_competition(w), 0).tolist() == [2, 1]
 
     def test_equal_weights_break_by_index(self):
         w = np.zeros((3, 3))
         w[1, 0] = w[2, 0] = 0.5
-        assert candidate_collaborators(no_competition(w), 0) == [1, 2]
+        assert candidate_collaborators(no_competition(w), 0).tolist() == [1, 2]
 
     def test_competitor_excluded_despite_benefit(self):
         # participant 8 (index 7) competes with participant 2 (index 1)
@@ -86,7 +86,25 @@ class TestCandidates:
         w[1, 7] = 5.0
         w[0, 7] = 1.0
         inst = Instance(8, s, w)
-        assert candidate_collaborators(inst, 7) == [0]
+        assert candidate_collaborators(inst, 7).tolist() == [0]
+
+    def test_out_of_range_participant_raises(self):
+        # without the check, -1 would read the last column
+        w = np.zeros((3, 3))
+        w[0, 2] = 1.0
+        inst = no_competition(w)
+        for i in (-1, 3):
+            with pytest.raises(IndexError, match=f"node index {i} out of range for n=3"):
+                candidate_collaborators(inst, i)
+
+    def test_each_step_decides_over_the_candidates(self, rng):
+        for _ in range(20):
+            inst = make_instance(rng, edge_prob=0.3)
+            selection = Selection(inst)
+            for i in processing_order(inst):
+                expected = candidate_collaborators(inst, i)
+                step = select_step(selection, i)
+                assert np.array_equal(step.candidates, expected)
 
 
 class TestProcessingOrder:
@@ -103,8 +121,9 @@ class TestSelectStep:
         w = rng.uniform(0.1, 1, (5, 5))
         inst = no_competition(w)
         step = select_step(Selection(inst), 2)
-        assert step.accepted == tuple(candidate_collaborators(inst, 2))
-        assert step.objective == pytest.approx(sum(inst.benefit[j, 2] for j in step.accepted))
+        assert step.verdicts.all()
+        assert np.array_equal(step.candidates, candidate_collaborators(inst, 2))
+        assert step.objective == pytest.approx(inst.benefit[step.candidates, 2].sum())
 
     def test_three_node_cascade_rejection(self):
         # 0 and 2 compete; 1 benefits 0, 2 benefits 1. Serving 1 first
@@ -179,7 +198,7 @@ class TestSelectAll:
                         assert upstream == downstream == []
                         continue
                     has_guard = upstream or downstream
-                    forced = usage.copy().add_edge(j, step.participant)
+                    forced = UsageGraph.from_edges(inst.n, [*usage.edges(), (j, step.participant)])
                     assert has_guard or not conflict_free(inst, forced)
                     assert has_guard
 
@@ -271,7 +290,7 @@ def test_batched_step_matches_sequential_scan(n, density, seed):
 @given(st.integers(min_value=1, max_value=40), st.floats(min_value=0.0, max_value=0.5),
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_unchecked_update_builds_a_valid_graph(n, density, seed):
-    # the step adds its edges without the checks of UsageGraph.add_edges;
+    # the step adds its edges without the checks of UsageGraph.add_edge;
     # after every step the checked path must accept the engine's edge list
     # and rebuild the same edges and closure from it
     rng = np.random.default_rng(seed)
@@ -392,10 +411,11 @@ def test_accepts_are_the_empty_guard_candidates_before_the_step(n, density, seed
     inst = make_instance(np.random.default_rng(seed), n, edge_prob=density)
     selection = Selection(inst)
     for i in processing_order(inst):
-        before = selection.usage.copy()
-        expected = {j for j in candidate_collaborators(inst, i)
+        before = UsageGraph.from_edges(n, selection.usage.edges())
+        expected = {j for j in candidate_collaborators(inst, i).tolist()
                     if before.x[j, i] or competitor_guards(inst, before, i, j) == (set(), set())}
-        assert set(select_step(selection, i).accepted) == expected
+        step = select_step(selection, i)
+        assert set(step.candidates[step.verdicts].tolist()) == expected
 
 
 def seeded_instance(seed: int, n: int, competition: float, benefit: float = 0.3) -> Instance:
