@@ -2,7 +2,7 @@
 competition, with baseline partitions and a desk-scale co-simulator."""
 
 from .fedtrain import (METHODS, ExperimentReport, TrainConfig, TrainingDivergenceError,
-                       estimate_benefit, run_experiment, train)
+                       estimate_benefit, run_experiment)
 from .graphs import (Instance, InvalidInstanceError, PathWitness, UsageGraph,
                      competitor_guards, conflict_free, conflict_violations, potentials)
 from .oracle import OracleSizeError, conflict_free_by_paths, optimal_step
@@ -21,5 +21,5 @@ __all__ = [
     "competitor_guards", "conflict_free", "conflict_free_by_paths", "conflict_violations",
     "estimate_benefit", "generate_task", "min_clique_cover", "optimal_step",
     "potentials", "preset", "processing_order", "run_experiment", "scc_coalitions",
-    "select_collaborators", "select_step", "train",
+    "select_collaborators", "select_step",
 ]

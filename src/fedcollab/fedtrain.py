@@ -6,21 +6,21 @@ error. Epochs walk the participant's own training split, so the number
 of gradient steps per round scales with local sample count — the
 mechanism through which quantity skew hurts small participants.
 
-All four pipelines run the same round loop. Each participant i has a
-*mixing row* (sources, coefs): every round, i starts from
-sum(coefs[k] * model[sources[k]]) over the previous round's models and
-trains ``local_epochs`` on its own data. Only the rows differ:
+Every method is a *grouping*, and all of them run one round loop. Each
+participant i has a *mixing row* (sources, coefs): every round, i starts
+from sum(coefs[k] * model[sources[k]]) over the previous round's models
+and trains ``local_epochs`` on its own data. ``run_experiment`` maps each
+method to its grouping, which is either
 
-* ``local`` — ((i,), [1]): every participant trains alone.
-* ``fedavg`` — the participant's group of a partition, weighted by
-  sample count; the group's shared model is mixed once more after the
-  last round, so every member ends with the same model.
-* ``ce`` — the same over coalition groups (strongly connected
-  components of the benefit graph inside each clique).
-* ``fedcompetitors`` — personalized: i itself and its authorized
-  collaborators, the collaborator weights being their benefit values
-  and the self weight the largest of them (nobody trusts a
-  collaborator more than itself), normalized to sum 1.
+* a tuple of groups, each averaged by training-set size: singletons for
+  ``local``, the clique cover for ``fedavg`` and the coalitions (strongly
+  connected components of the benefit graph inside each clique) for
+  ``ce``. Groups are mixed once more after the last round, so every
+  member ends with the group's model; or
+* a UsageGraph, for ``fedcompetitors``: i itself and its authorized
+  collaborators, weighted by their benefit values and i by the largest
+  of them (nobody trusts a collaborator more than itself), normalized
+  to sum 1.
 
 Every participant draws shuffling randomness from its own seeded
 stream, so a participant's trained model depends only on its own data
@@ -45,7 +45,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graphs import Instance, UsageGraph
+from .graphs import Instance, InvalidInstanceError, UsageGraph
 from .partition import Partition, min_clique_cover, scc_coalitions
 from .selection import select_collaborators
 from .synthdata import (SyntheticConfig, SyntheticTask, competing_matrix,
@@ -103,19 +103,14 @@ def _prepared(task: SyntheticTask):
             [task.val_data(i) for i in range(task.n)])
 
 
-def _check_finite(thetas: np.ndarray, context: str) -> None:
-    if not np.isfinite(thetas).all():
-        raise TrainingDivergenceError(f"non-finite model parameters during {context}")
-
-
 def aggregation_coefficients(usage: UsageGraph, benefit: np.ndarray,
                              i: int) -> tuple[list[int], np.ndarray]:
     """Personalized mixing weights for participant i: (collaborators, coefs).
 
     coefs[0] belongs to i itself and equals the largest collaborator
     benefit before normalization; coefs[1:] follow the collaborator
-    list. Empty collaborator list means no mixing at all; a collaborator
-    whose benefit is not positive is refused before any division.
+    list. Empty collaborator list means no mixing at all. A collaborator
+    without positive benefit, or a sum past the float range, is refused.
     """
     collaborators = np.flatnonzero(usage.x[:, i])
     if not collaborators.size:
@@ -127,48 +122,40 @@ def aggregation_coefficients(usage: UsageGraph, benefit: np.ndarray,
         raise ValueError(f"usage edge ({collaborators[k]}, {i}) has benefit {ws[k]}, "
                          "which is not positive")
     raw = np.concatenate(([ws.max()], ws))
-    return collaborators.tolist(), raw / raw.sum()
+    with np.errstate(over="ignore"):
+        total = raw.sum()
+    if not np.isfinite(total):
+        raise InvalidInstanceError(f"aggregation weights of participant v{i + 1} (index {i}) "
+                                   "sum past the float range")
+    return collaborators.tolist(), raw / total
 
 
 # A mixing row (sources, coefs): a round starts from sum(coefs[k] * model[sources[k]]).
 Mixing = tuple[tuple[int, ...], tuple[float, ...]]
 
 
-def _mixing(method: str, grouping, benefit: np.ndarray | None,
+def _singletons(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple((i,) for i in range(n))
+
+
+def _mixing(grouping, benefit: np.ndarray | None,
             sizes: list[int]) -> tuple[list[Mixing], bool]:
-    """Each participant's mixing row for ``method``, and whether the
-    models are mixed once more after the last round (fedavg and ce, when
-    some group has more than one member)."""
-    n = len(sizes)
-    if method == "local":
-        if isinstance(grouping, UsageGraph):
-            raise ValueError("local training takes a Partition or no grouping")
-        return [((i,), (1.0,)) for i in range(n)], False
-    if method in ("fedavg", "ce"):
-        if not isinstance(grouping, Partition):
-            raise ValueError(f"{method} requires a Partition grouping")
-        if sorted(i for g in grouping.groups for i in g) != list(range(n)):
-            raise ValueError(f"{method} requires groups covering every participant once")
-        rows: list = [None] * n
-        for group in grouping.groups:
-            weights = np.array([sizes[i] for i in group], dtype=np.float64)
-            weights = tuple((weights / weights.sum()).tolist())
-            for i in group:
-                rows[i] = (tuple(group), weights)
-        return rows, any(len(g) > 1 for g in grouping.groups)
-    if method != "fedcompetitors":
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if not isinstance(grouping, UsageGraph):
-        raise ValueError("fedcompetitors requires a UsageGraph grouping")
-    if benefit is None:
-        raise ValueError("fedcompetitors requires the benefit matrix")
-    rows = []
-    for i in range(n):
-        collaborators, coefs = aggregation_coefficients(grouping, benefit, i)
-        if abs(float(coefs.sum()) - 1.0) > 1e-9:
-            raise TrainingDivergenceError("aggregation weights do not sum to one")
-        rows.append(((i, *collaborators), tuple(coefs.tolist())))
-    return rows, False
+    """Each participant's mixing row for ``grouping``, a tuple of groups
+    or a UsageGraph read with ``benefit``, and whether the models are
+    mixed once more after the last round (some group has two members)."""
+    if isinstance(grouping, UsageGraph):
+        rows = []
+        for i in range(len(sizes)):
+            collaborators, coefs = aggregation_coefficients(grouping, benefit, i)
+            rows.append(((i, *collaborators), tuple(coefs.tolist())))
+        return rows, False
+    rows = [None] * len(sizes)
+    for group in grouping:
+        weights = np.array([sizes[i] for i in group], dtype=np.float64)
+        weights = tuple((weights / weights.sum()).tolist())
+        for i in group:
+            rows[i] = (tuple(group), weights)
+    return rows, any(len(g) > 1 for g in grouping)
 
 
 def _mix(thetas: np.ndarray, row: Mixing) -> np.ndarray:
@@ -187,6 +174,12 @@ def _size_groups(train_data) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
              np.stack([train_data[i][1] for i in members])) for members in by_size.values()]
 
 
+# Overflow in training shows up as non-finite models or losses, which
+# the round loop, _scores and estimate_benefit report as divergence.
+_UNCHECKED = np.errstate(over="ignore", invalid="ignore")
+
+
+@_UNCHECKED
 def _round_loop(task: SyntheticTask, mixings: list[tuple[list[Mixing], bool]],
                 cfg: TrainConfig, seed: int):
     """The models after ``cfg.rounds`` rounds of each mixing (rows,
@@ -211,13 +204,15 @@ def _round_loop(task: SyntheticTask, mixings: list[tuple[list[Mixing], bool]],
                     models -= cfg.learning_rate * loss_gradient(models, phi_e[:, batch],
                                                                 y_e[:, batch])
             thetas[:, members] = models
-        _check_finite(thetas, f"round {rnd}")
+        if not np.isfinite(thetas).all():
+            raise TrainingDivergenceError(f"non-finite model parameters during round {rnd}")
     for models, (rows, mix_after) in zip(thetas, mixings):
         if mix_after:
             models[:] = [_mix(models, row) for row in rows]
     return thetas, val_data
 
 
+@_UNCHECKED
 def _scores(thetas: np.ndarray, val_data) -> np.ndarray:
     scores = np.array([mean_squared_error(t, *val) for t, val in zip(thetas, val_data)])
     if not np.isfinite(scores).all():
@@ -225,20 +220,7 @@ def _scores(thetas: np.ndarray, val_data) -> np.ndarray:
     return scores
 
 
-def train(task: SyntheticTask, method: str, *, grouping=None,
-          benefit: np.ndarray | None = None, train_config: TrainConfig = TrainConfig(),
-          seed: int | None = None) -> np.ndarray:
-    """Run one training pipeline; returns per-participant validation MSE.
-
-    ``grouping`` must be a Partition for fedavg/ce (optional for local)
-    and a UsageGraph plus ``benefit`` for fedcompetitors.
-    """
-    mixing = _mixing(method, grouping, benefit, [len(t) for t in task.train_idx])
-    seed = task.config.seed if seed is None else seed
-    thetas, val_data = _round_loop(task, [mixing], train_config, seed)
-    return _scores(thetas[0], val_data)
-
-
+@_UNCHECKED
 def estimate_benefit(task: SyntheticTask, train_config: TrainConfig = TrainConfig()) -> np.ndarray:
     """Cross-training benefit estimate.
 
@@ -249,7 +231,7 @@ def estimate_benefit(task: SyntheticTask, train_config: TrainConfig = TrainConfi
     trained exactly as the ``local`` pipeline would with the task's seed.
     """
     cfg = train_config
-    local = _mixing("local", None, None, [len(t) for t in task.train_idx])
+    local = _mixing(_singletons(task.n), None, [len(t) for t in task.train_idx])
     thetas, val_data = _round_loop(task, [local], cfg, task.config.seed)
 
     # cross[j, i]: j's local model on i's validation data
@@ -312,6 +294,8 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; expected a subset of {METHODS}")
+    if not methods:
+        raise ValueError("'methods' needs at least one method")
     if len(set(methods)) != len(methods):
         raise ValueError(f"methods must be distinct, got {methods}")
     if reps < 1:
@@ -324,7 +308,8 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
     usage, _ = select_collaborators(instance)
     cover = min_clique_cover(instance)
     coalitions = scc_coalitions(instance, cover)
-    grouping = {"local": None, "fedavg": cover, "ce": coalitions, "fedcompetitors": usage}
+    grouping = {"local": _singletons(config.n), "fedavg": cover.groups,
+                "ce": coalitions.groups, "fedcompetitors": usage}
 
     scores: dict[str, list[np.ndarray]] = {m: [] for m in methods}
     for rep in range(reps):
@@ -333,7 +318,7 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
         sizes = [len(t) for t in task.train_idx]
         keys = {}
         for m in methods:
-            rows, mix_after = _mixing(m, grouping[m], instance.benefit, sizes)
+            rows, mix_after = _mixing(grouping[m], instance.benefit, sizes)
             keys[m] = (tuple(rows), mix_after)
         # methods whose mixings coincide (ce on singleton coalitions and local,
         # say) train bit-identical models, so each distinct mixing trains once

@@ -1,6 +1,5 @@
 import hashlib
 
-import numpy as np
 import pytest
 
 from fedcollab import formats
@@ -244,12 +243,25 @@ class TestSimulate:
         assert len(lines) == 9  # 8 participants
 
     def test_divergent_training_exits_4(self, tmp_path, capsys):
+        # the overflow warns nothing: every warning fails the suite
         cfg = tmp_path / "sim.txt"
         cfg.write_text(SIM_CONFIG + "learning_rate 1e30\n")
-        with np.errstate(all="ignore"):
-            assert main(["simulate", "--config", str(cfg),
-                         "--out", str(tmp_path / "t.csv")]) == 4
-        assert "diverged" in capsys.readouterr().err
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("training diverged: ") and err.count("\n") == 1
+
+    def test_aggregation_weights_past_the_float_range_exit_3(self, tmp_path, capsys):
+        # v3's one collaborator weight is finite, but with the equal self weight
+        # the sum overflows
+        cfg, wfile = tmp_path / "sim.txt", tmp_path / "w.txt"
+        cfg.write_text(SIM_CONFIG)
+        wfile.write_text("n 3\nbenefit v1 v3 1e308\n")
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--config", str(cfg), "--benefit", str(wfile),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ("invalid instance: aggregation weights of participant "
+                                           "v3 (index 2) sum past the float range\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("reps", ["0", "-3"])
     def test_nonpositive_reps_flag_exits_2(self, tmp_path, capsys, reps):

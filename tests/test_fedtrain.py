@@ -7,18 +7,21 @@ from fedcollab import fedtrain
 from fedcollab.fedtrain import (METHODS, TrainConfig, TrainingDivergenceError,
                                 aggregation_coefficients, estimate_benefit,
                                 loss_gradient, mean_squared_error, run_experiment,
-                                train, _mixing, _participant_streams, _prepared,
-                                _rep_seed, _round_loop)
-from fedcollab.graphs import UsageGraph
-from fedcollab.partition import Partition
+                                _mixing, _participant_streams, _prepared,
+                                _rep_seed, _round_loop, _scores, _singletons)
+from fedcollab.graphs import InvalidInstanceError, UsageGraph
 from fedcollab.synthdata import (SyntheticConfig, generate_task, preset,
                                  polynomial_features, with_seed)
 
 FAST = TrainConfig(rounds=5, local_epochs=1)
 
 
-def singleton_partition(n):
-    return Partition(groups=tuple((i,) for i in range(n)), kind="clique_cover", mode="exact")
+def trained(task, grouping, cfg, seed, benefit=None):
+    """Per-participant validation MSE after training one grouping, by the
+    path run_experiment takes: _round_loop over _mixing, then _scores."""
+    mixing = _mixing(grouping, benefit, [len(t) for t in task.train_idx])
+    thetas, val_data = _round_loop(task, [mixing], cfg, seed)
+    return _scores(thetas[0], val_data)
 
 
 def small_task(n=2, samples=(60, 60), flipped=None, rho=0.01, seed=0):
@@ -73,39 +76,28 @@ class TestAggregationWeights:
             with pytest.raises(ValueError, match=message):
                 aggregation_coefficients(usage, w, 1)
             with pytest.raises(ValueError, match=r"usage edge \(0, 1\) has benefit 0.0"):
-                train(small_task(n=3, samples=(30, 30, 30)), "fedcompetitors",
-                      grouping=UsageGraph.from_edges(3, [(0, 1)]), benefit=np.zeros((3, 3)),
-                      train_config=FAST)
+                _mixing(UsageGraph.from_edges(3, [(0, 1)]), np.zeros((3, 3)), [30, 30, 30])
 
     def test_overflowing_weights_fail_the_sum_guard(self):
-        usage = UsageGraph.from_edges(3, [(0, 1), (2, 1)])
+        # each weight is finite, but the self weight doubles their sum past the float range
+        usage = UsageGraph.from_edges(3, [(0, 1)])
         w = np.zeros((3, 3))
-        w[0, 1] = w[2, 1] = 1e308
-        with np.errstate(over="ignore"), pytest.raises(TrainingDivergenceError, match="sum to one"):
-            _mixing("fedcompetitors", usage, w, [30, 30, 30])
+        w[0, 1] = 1e308
+        message = r"aggregation weights of participant v2 \(index 1\) sum past the float range"
+        with pytest.raises(InvalidInstanceError, match=message):
+            _mixing(usage, w, [30, 30, 30])
 
 
 class TestTrainContracts:
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            train(small_task(), "sgdavg", train_config=FAST)
-
-    def test_grouping_type_mismatches(self):
-        task = small_task()
-        with pytest.raises(ValueError):
-            train(task, "fedavg", grouping=UsageGraph(2), train_config=FAST)
-        with pytest.raises(ValueError):
-            train(task, "local", grouping=UsageGraph(2), train_config=FAST)
-        with pytest.raises(ValueError):
-            train(task, "fedcompetitors", grouping=singleton_partition(2), train_config=FAST)
-        with pytest.raises(ValueError, match="benefit"):
-            train(task, "fedcompetitors", grouping=UsageGraph(2), train_config=FAST)
-
     def test_divergence_raises(self):
-        task = small_task()
-        with np.errstate(all="ignore"):
-            with pytest.raises(TrainingDivergenceError):
-                train(task, "local", train_config=TrainConfig(rounds=3, learning_rate=1e30))
+        # the overflow itself warns nothing: every warning fails the suite
+        for rounds, message in ((3, "non-finite validation loss$"),
+                                (20, "non-finite model parameters during round")):
+            cfg = TrainConfig(rounds=rounds, learning_rate=1e30)
+            with pytest.raises(TrainingDivergenceError, match=message):
+                trained(small_task(), _singletons(2), cfg, seed=0)
+        with pytest.raises(TrainingDivergenceError, match="during benefit estimation"):
+            estimate_benefit(small_task(), TrainConfig(rounds=3, learning_rate=1e30))
 
     @pytest.mark.parametrize("field,value,message", [
         ("learning_rate", 0.0, "learning_rate must be positive"),
@@ -118,22 +110,18 @@ class TestTrainContracts:
 
     def test_deterministic(self):
         task = small_task(seed=3)
-        a = train(task, "local", train_config=FAST, seed=11)
-        b = train(task, "local", train_config=FAST, seed=11)
+        a = trained(task, _singletons(2), FAST, seed=11)
+        b = trained(task, _singletons(2), FAST, seed=11)
         assert np.array_equal(a, b)
 
 
 class TestSingleParticipant:
     def test_all_methods_collapse_to_local(self):
         task = small_task(n=1, samples=(80,))
-        usage = UsageGraph(1)
-        part = singleton_partition(1)
-        local = train(task, "local", train_config=FAST, seed=5)
-        for method, grouping, benefit in (("fedavg", part, None), ("ce", part, None),
-                                          ("fedcompetitors", usage, np.zeros((1, 1)))):
-            scores = train(task, method, grouping=grouping, benefit=benefit,
-                           train_config=FAST, seed=5)
-            assert np.array_equal(scores, local)
+        # local, fedavg and ce all group the one participant alone
+        for grouping in (_singletons(1), UsageGraph(1)):
+            scores = trained(task, grouping, FAST, seed=5, benefit=np.zeros((1, 1)))
+            assert np.array_equal(scores, trained_alone(task, FAST, 5))
 
     @pytest.mark.parametrize("method", ["fedavg", "ce", "fedcompetitors"])
     def test_self_only_mixing_is_local_bit_for_bit(self, method):
@@ -141,11 +129,14 @@ class TestSingleParticipant:
         task = small_task(n=4, samples=(90, 70, 50, 30), seed=4)
         benefit = np.full((4, 4), 0.5)
         np.fill_diagonal(benefit, 0.0)
-        grouping = UsageGraph(4) if method == "fedcompetitors" else singleton_partition(4)
-        local = train(task, "local", train_config=FAST, seed=9)
-        scores = train(task, method, grouping=grouping, benefit=benefit,
-                       train_config=FAST, seed=9)
-        assert np.array_equal(scores, local)
+        grouping = UsageGraph(4) if method == "fedcompetitors" else _singletons(4)
+        scores = trained(task, grouping, FAST, seed=9, benefit=benefit)
+        assert np.array_equal(scores, trained_alone(task, FAST, 9))
+
+    def test_singleton_rows_are_exactly_self_only(self):
+        # a group of one weighs its member by size / size, which is exactly 1.0
+        rows, mix_after = _mixing(_singletons(3), None, [49, 1, 104])
+        assert rows == [((0,), (1.0,)), ((1,), (1.0,)), ((2,), (1.0,))] and not mix_after
 
 
 def sgd_epochs(theta, phi, y, epochs, lr, batch, rng):
@@ -158,6 +149,21 @@ def sgd_epochs(theta, phi, y, epochs, lr, batch, rng):
             idx = order[s:s + batch]
             out -= lr * loss_gradient(out, phi[idx], y[idx])
     return out
+
+
+def trained_alone(task, cfg, seed):
+    """Reference local training: each participant continues SGD from its
+    own previous model every round, with no mixing step at all."""
+    streams = _participant_streams(seed, task.n)
+    train_data, val_data = _prepared(task)
+    scores = []
+    for i in range(task.n):
+        theta = np.zeros(task.config.degree)
+        for _ in range(cfg.rounds):
+            theta = sgd_epochs(theta, *train_data[i], cfg.local_epochs, cfg.learning_rate,
+                               cfg.batch_size, streams[i])
+        scores.append(mean_squared_error(theta, *val_data[i]))
+    return np.array(scores)
 
 
 def shared_model_fedavg(task, groups, cfg, seed):
@@ -186,14 +192,8 @@ class TestFedAvgReference:
     def test_mixing_rows_match_shared_model(self, groups):
         task = small_task(n=4, samples=(90, 70, 50, 30), rho=0.2, seed=2)
         cfg = TrainConfig(rounds=6, local_epochs=2, batch_size=16)
-        part = Partition(groups=groups, kind="clique_cover", mode="exact")
-        scores = train(task, "fedavg", grouping=part, train_config=cfg, seed=13)
+        scores = trained(task, groups, cfg, seed=13)
         assert np.array_equal(scores, shared_model_fedavg(task, groups, cfg, 13))
-
-    def test_partition_must_cover_every_participant(self):
-        part = Partition(groups=((0,),), kind="clique_cover", mode="exact")
-        with pytest.raises(ValueError, match="covering every participant"):
-            train(small_task(), "fedavg", grouping=part, train_config=FAST)
 
 
 def sequential_models(task, rows, mix_after, cfg, seed):
@@ -232,14 +232,14 @@ class TestLockStep:
         sizes = [len(t) for t in task.train_idx]
         assert sizes == [49, 1, 49, 104, 20]
         cfg = TrainConfig(rounds=4, local_epochs=2, batch_size=10)
-        cover = Partition(groups=((0, 2, 3), (1, 4)), kind="clique_cover", mode="exact")
-        coalitions = Partition(groups=((0, 2), (1, 4), (3,)), kind="scc_coalitions",
-                               mode="exact")
+        cover = ((0, 2, 3), (1, 4))
+        coalitions = ((0, 2), (1, 4), (3,))
         usage = UsageGraph(5).add_edge(2, 0).add_edge(3, 0).add_edge(0, 1).add_edge(4, 3)
         benefit = np.zeros((5, 5))
         benefit[2, 0], benefit[3, 0], benefit[0, 1], benefit[4, 3] = 0.3, 0.8, 0.5, 0.2
-        grouping = {"local": None, "fedavg": cover, "ce": coalitions, "fedcompetitors": usage}
-        mixings = [_mixing(m, grouping[m], benefit, sizes) for m in METHODS]
+        grouping = {"local": _singletons(5), "fedavg": cover, "ce": coalitions,
+                    "fedcompetitors": usage}
+        mixings = [_mixing(grouping[m], benefit, sizes) for m in METHODS]
         assert len({(tuple(rows), after) for rows, after in mixings}) == len(METHODS)
 
         together, _ = _round_loop(task, mixings, cfg, 21)
@@ -260,8 +260,7 @@ class TestUsageGating:
         w[0, 1] = 0.5
 
         def run(task):
-            return train(task, "fedcompetitors", grouping=usage, benefit=w,
-                         train_config=FAST, seed=6)
+            return trained(task, usage, FAST, seed=6, benefit=w)
 
         base_scores = run(generate_task(cfg))
         poisoned = generate_task(cfg)
@@ -310,13 +309,13 @@ class TestBaselineSanity:
         cfg = SyntheticConfig(n=4, samples=(240,) * 4, flipped=(False,) * 4,
                               rho=0.0, seed=1, val_fraction=0.5)
         tc = TrainConfig(rounds=40, local_epochs=5, learning_rate=0.05)
-        grand = Partition(groups=(tuple(range(4)),), kind="clique_cover", mode="exact")
+        grand = (tuple(range(4)),)
         locals_, fedavgs = [], []
         for rep in range(12):
             seed = _rep_seed(cfg.seed, rep)
             task = generate_task(with_seed(cfg, seed))
-            locals_.append(train(task, "local", train_config=tc, seed=seed))
-            fedavgs.append(train(task, "fedavg", grouping=grand, train_config=tc, seed=seed))
+            locals_.append(trained(task, _singletons(4), tc, seed))
+            fedavgs.append(trained(task, grand, tc, seed))
         assert (np.mean(fedavgs, axis=0) <= np.mean(locals_, axis=0)).all()
 
 
@@ -376,6 +375,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="reps must be positive"):
             run_experiment(self.CFG, [], train_config=FAST, reps=0)
 
+    def test_rejects_no_methods_before_estimating_benefit(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("benefit estimated for an experiment that cannot run")
+
+        monkeypatch.setattr(fedtrain, "estimate_benefit", fail)
+        with pytest.raises(ValueError, match="'methods' needs at least one method"):
+            run_experiment(self.CFG, [], methods=(), train_config=FAST, reps=1)
+
     def test_rejects_repeated_method(self):
         # a report listing a method twice would not parse back
         with pytest.raises(ValueError, match="methods must be distinct"):
@@ -405,11 +412,11 @@ class TestRunExperiment:
         usage = UsageGraph(3)
         for j, i in report.usage_edges:
             usage.add_edge(j, i)
-        grouping = {"local": None, "fedavg": report.clique_cover, "ce": report.coalitions,
-                    "fedcompetitors": usage}
+        grouping = {"local": _singletons(3), "fedavg": report.clique_cover.groups,
+                    "ce": report.coalitions.groups, "fedcompetitors": usage}
         sizes = [len(t) for t in generate_task(self.CFG).train_idx]
         expected = [(tuple(rows), after)
-                    for rows, after in (_mixing(m, grouping[m], w, sizes) for m in trained)]
+                    for rows, after in (_mixing(grouping[m], w, sizes) for m in trained)]
         # one loop call per repetition, training each distinct mixing once
         assert calls == [expected] * 2
         monkeypatch.undo()
