@@ -98,11 +98,6 @@ def _participant_streams(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(n)]
 
 
-def _prepared(task: SyntheticTask):
-    return ([task.train_data(i) for i in range(task.n)],
-            [task.val_data(i) for i in range(task.n)])
-
-
 def aggregation_coefficients(usage: UsageGraph, benefit: np.ndarray,
                              i: int) -> tuple[list[int], np.ndarray]:
     """Personalized mixing weights for participant i: (collaborators, coefs).
@@ -184,10 +179,9 @@ def _round_loop(task: SyntheticTask, mixings: list[tuple[list[Mixing], bool]],
                 cfg: TrainConfig, seed: int):
     """The models after ``cfg.rounds`` rounds of each mixing (rows,
     mix_after), shape (len(mixings), n, degree), trained in lock step by
-    size group, and the validation data to score them on."""
+    size group on the task's training rows."""
     streams = _participant_streams(seed, task.n)
-    train_data, val_data = _prepared(task)
-    groups = _size_groups(train_data)
+    groups = _size_groups(task.train)
     thetas = np.zeros((len(mixings), task.n, task.config.degree))
     for rnd in range(cfg.rounds):
         start = np.array([[_mix(models, row) for row in rows]
@@ -209,7 +203,7 @@ def _round_loop(task: SyntheticTask, mixings: list[tuple[list[Mixing], bool]],
     for models, (rows, mix_after) in zip(thetas, mixings):
         if mix_after:
             models[:] = [_mix(models, row) for row in rows]
-    return thetas, val_data
+    return thetas
 
 
 @_UNCHECKED
@@ -231,11 +225,11 @@ def estimate_benefit(task: SyntheticTask, train_config: TrainConfig = TrainConfi
     trained exactly as the ``local`` pipeline would with the task's seed.
     """
     cfg = train_config
-    local = _mixing(_singletons(task.n), None, [len(t) for t in task.train_idx])
-    thetas, val_data = _round_loop(task, [local], cfg, task.config.seed)
+    local = _mixing(_singletons(task.n), None, [len(y) for _, y in task.train])
+    thetas = _round_loop(task, [local], cfg, task.config.seed)
 
     # cross[j, i]: j's local model on i's validation data
-    cross = np.array([[mean_squared_error(theta, *data) for data in val_data]
+    cross = np.array([[mean_squared_error(theta, *data) for data in task.val]
                       for theta in thetas[0]])
     if not np.isfinite(cross).all():
         raise TrainingDivergenceError("non-finite validation loss during benefit estimation")
@@ -315,7 +309,7 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
     for rep in range(reps):
         rep_seed = _rep_seed(config.seed, rep)
         task = generate_task(with_seed(config, rep_seed))
-        sizes = [len(t) for t in task.train_idx]
+        sizes = [len(y) for _, y in task.train]
         keys = {}
         for m in methods:
             rows, mix_after = _mixing(grouping[m], instance.benefit, sizes)
@@ -323,8 +317,8 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
         # methods whose mixings coincide (ce on singleton coalitions and local,
         # say) train bit-identical models, so each distinct mixing trains once
         distinct = list(dict.fromkeys(keys.values()))
-        thetas, val_data = _round_loop(task, distinct, train_config, rep_seed)
-        trained = {key: _scores(t, val_data) for key, t in zip(distinct, thetas)}
+        thetas = _round_loop(task, distinct, train_config, rep_seed)
+        trained = {key: _scores(t, task.val) for key, t in zip(distinct, thetas)}
         for m in methods:
             scores[m].append(trained[keys[m]])
 

@@ -49,14 +49,23 @@ is allocated.
 MAX_SAMPLES = 10_000_000
 """Largest total of the sample counts a config or report file may declare
 (exit code 3 above): about 80 MB per float64 array drawn over all
-participants, refused before any data is generated.
+participants, refused before any data is generated. ``simulate`` holds
+about 3 copies of the feature matrix at its peak: about 2.4 GB at this
+bound and ``MAX_DEGREE``, extrapolated and not run (see ``MAX_DEGREE``).
 """
 
 MAX_DEGREE = 10
 """Largest polynomial degree a config or report file may declare (exit
 code 3 above). Each sample's features are ``degree`` float64 values, 80
-bytes at this bound, so the feature matrix of ``MAX_SAMPLES`` samples
-takes 800 MB; a larger degree is refused before any data is generated.
+bytes at this bound, so one copy of the feature matrix of ``MAX_SAMPLES``
+samples takes 800 MB; a larger degree is refused before any data is
+generated. ``simulate`` holds about 3 such copies at its peak: the
+task's train and validation rows, the training rows stacked by size
+group, and one epoch's shuffled rows. Measured by ``ru_maxrss`` with two
+participants of 1,000,000 samples at degree 10 (one round, one
+repetition, ``local`` only), the peak was 506 MB, 30 MB of it the
+interpreter and imports. Extrapolated linearly, not run: about 2.4 GB
+at ``MAX_SAMPLES`` samples and this degree.
 """
 
 MAX_TRAINING_WORK = 1_000_000_000

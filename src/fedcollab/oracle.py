@@ -17,7 +17,7 @@ import numpy as np
 from .graphs import Instance, UsageGraph
 
 PATH_ENUM_MAX_NODES = 12
-SUBSET_ENUM_MAX_CANDIDATES = 20
+FULL_MATRIX_MAX_FREE_EDGES = 18
 
 
 class OracleSizeError(ValueError):
@@ -82,11 +82,7 @@ def optimal_step(instance: Instance, usage: UsageGraph, i: int) -> tuple[float, 
     candidate-priority order).
     """
     _check_path_size(instance)
-    cands = _candidate_list(instance, i)
-    if len(cands) > SUBSET_ENUM_MAX_CANDIDATES:
-        raise OracleSizeError(
-            f"subset enumeration is limited to {SUBSET_ENUM_MAX_CANDIDATES} candidates, "
-            f"got {len(cands)}")
+    cands = _candidate_list(instance, i)  # at most PATH_ENUM_MAX_NODES - 1
     if not _paths_feasible(instance, usage.x):
         raise ValueError("prior usage graph is not conflict-free")
     w = instance.benefit[:, i]
@@ -104,8 +100,7 @@ def optimal_step(instance: Instance, usage: UsageGraph, i: int) -> tuple[float, 
     return best_value, best_set
 
 
-def optimal_step_by_full_matrices(instance: Instance, usage: UsageGraph, i: int,
-                                  max_free_edges: int = 18) -> float:
+def optimal_step_by_full_matrices(instance: Instance, usage: UsageGraph, i: int) -> float:
     """Second exhaustive reference: enumerate whole decision matrices.
 
     Maximizes the step-i objective over every feasible matrix that
@@ -116,9 +111,9 @@ def optimal_step_by_full_matrices(instance: Instance, usage: UsageGraph, i: int,
     """
     adj = instance.benefit > 0.0
     free = [(int(j), int(k)) for j, k in np.transpose(np.nonzero(adj & ~usage.x)).tolist()]
-    if len(free) > max_free_edges:
-        raise OracleSizeError(f"full-matrix enumeration is limited to {max_free_edges} "
-                              f"free edges, got {len(free)}")
+    if len(free) > FULL_MATRIX_MAX_FREE_EDGES:
+        raise OracleSizeError("full-matrix enumeration is limited to "
+                              f"{FULL_MATRIX_MAX_FREE_EDGES} free edges, got {len(free)}")
     w = instance.benefit[:, i]
     prior_value = float(sum(w[j] for j in _candidate_list(instance, i) if usage.x[j, i]))
     best = prior_value if _paths_feasible(instance, usage.x) else 0.0

@@ -9,10 +9,10 @@ v ~ U[0, 1] drawn once for the whole task and differ by per-participant
 perturbations r[i, l] ~ N(0, rho^2); eps ~ N(0, noise_std^2) and
 s_i = -1 for label-flipped participants. rho controls how non-IID the
 feature-to-label maps are; flips create outright conflicting tasks. A
-task keeps each participant's matrix of powers (x, x^2, ..., x^degree),
-the one its labels were computed from, and hands out its train and
-validation rows, so training never recomputes the powers; the features
-x themselves are its first column.
+task hands out each participant's train and validation rows of the
+powers (x, x^2, ..., x^degree) its labels were computed from, with those
+labels; the split is taken once, as the task is drawn, and no index
+arrays are kept. The features x themselves are the first column.
 
 Two fixed eight-participant presets are bundled, one row each of the
 ``PRESETS`` table (samples, flips, competing pairs) that :func:`preset`
@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .graphs import InvalidInstanceError
 
 # Unordered competing pairs, 0-based.
 WEAK_COMPETING_EDGES: tuple[tuple[int, int], ...] = (
@@ -81,26 +83,17 @@ class SyntheticConfig:
 
 @dataclass
 class SyntheticTask:
-    """Per-participant data with ground truth and a fixed train/val split."""
+    """Ground truth and the split: ``train[i]`` and ``val[i]`` are participant
+    i's (features, labels) rows, a one-sample participant's row in both."""
 
     config: SyntheticConfig
-    phi: list[np.ndarray]  # polynomial_features of each participant's x, the labels' design
-    labels: list[np.ndarray]
     weights: np.ndarray  # (n, degree) ground-truth coefficients
-    train_idx: list[np.ndarray]
-    val_idx: list[np.ndarray]
+    train: list[tuple[np.ndarray, np.ndarray]]
+    val: list[tuple[np.ndarray, np.ndarray]]
 
     @property
     def n(self) -> int:
         return self.config.n
-
-    def train_data(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Participant i's training rows of ``phi`` and their labels."""
-        return self.phi[i][self.train_idx[i]], self.labels[i][self.train_idx[i]]
-
-    def val_data(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Participant i's validation rows of ``phi`` and their labels."""
-        return self.phi[i][self.val_idx[i]], self.labels[i][self.val_idx[i]]
 
 
 def polynomial_features(x: np.ndarray, degree: int) -> np.ndarray:
@@ -119,30 +112,28 @@ def generate_task(config: SyntheticConfig) -> SyntheticTask:
     shared, *per_part = root.spawn(config.n + 1)
     base = np.random.default_rng(shared).uniform(0.0, 1.0, size=config.degree)
 
-    phi, labels, train_idx, val_idx = [], [], [], []
+    train, val = [], []
     weights = np.empty((config.n, config.degree))
     for i in range(config.n):
         rng = np.random.default_rng(per_part[i])
-        u = base + rng.normal(0.0, config.rho, size=config.degree)
-        weights[i] = u
+        u = weights[i] = base + rng.normal(0.0, config.rho, size=config.degree)
         m = config.samples[i]
         x = rng.uniform(-1.0, 1.0, size=m)
         noise = rng.normal(0.0, config.noise_std, size=m)
         sign = -1.0 if config.flipped[i] else 1.0
-        phi.append(polynomial_features(x, config.degree))
-        y = sign * phi[i] @ u + noise
+        phi = polynomial_features(x, config.degree)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = sign * phi @ u + noise
+        if not np.isfinite(y).all():
+            raise InvalidInstanceError(f"labels of participant v{i + 1} (index {i}) are not finite")
         perm = rng.permutation(m)
-        labels.append(y)
-        if m == 1:
-            # degenerate holder: the single sample serves both roles
-            val_idx.append(perm.copy())
-            train_idx.append(perm.copy())
-        else:
-            n_val = min(max(1, int(round(m * config.val_fraction))), m - 1)
-            val_idx.append(np.sort(perm[:n_val]))
-            train_idx.append(np.sort(perm[n_val:]))
-    return SyntheticTask(config=config, phi=phi, labels=labels, weights=weights,
-                         train_idx=train_idx, val_idx=val_idx)
+        n_val = max(1, min(int(round(m * config.val_fraction)), m - 1))
+        val_idx = np.sort(perm[:n_val])
+        # a one-sample holder's single sample serves both roles
+        train_idx = np.sort(perm[n_val:]) if m > 1 else val_idx
+        val.append((phi[val_idx], y[val_idx]))
+        train.append((phi[train_idx], y[train_idx]))
+    return SyntheticTask(config=config, weights=weights, train=train, val=val)
 
 
 def preset(name: str, seed: int = 0) -> tuple[SyntheticConfig, tuple[tuple[int, int], ...]]:

@@ -263,6 +263,17 @@ class TestSimulate:
                                            "v3 (index 2) sum past the float range\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("line,first", [("rho 1e308", 1), ("noise_std 1e308", 2)])
+    def test_labels_past_the_float_range_exit_3(self, tmp_path, capsys, line, first):
+        # refused when the data is drawn, before training, and warning nothing
+        cfg = tmp_path / "sim.txt"
+        cfg.write_text(f"n 2\nsamples 50 50\n{line}\nrounds 1\nreps 1\n")
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (f"invalid instance: labels of participant v{first} "
+                                           f"(index {first - 1}) are not finite\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("reps", ["0", "-3"])
     def test_nonpositive_reps_flag_exits_2(self, tmp_path, capsys, reps):
         cfg = tmp_path / "sim.txt"

@@ -7,7 +7,7 @@ from fedcollab import fedtrain
 from fedcollab.fedtrain import (METHODS, TrainConfig, TrainingDivergenceError,
                                 aggregation_coefficients, estimate_benefit,
                                 loss_gradient, mean_squared_error, run_experiment,
-                                _mixing, _participant_streams, _prepared,
+                                _mixing, _participant_streams,
                                 _rep_seed, _round_loop, _scores, _singletons)
 from fedcollab.graphs import InvalidInstanceError, UsageGraph
 from fedcollab.synthdata import (SyntheticConfig, generate_task, preset,
@@ -19,9 +19,8 @@ FAST = TrainConfig(rounds=5, local_epochs=1)
 def trained(task, grouping, cfg, seed, benefit=None):
     """Per-participant validation MSE after training one grouping, by the
     path run_experiment takes: _round_loop over _mixing, then _scores."""
-    mixing = _mixing(grouping, benefit, [len(t) for t in task.train_idx])
-    thetas, val_data = _round_loop(task, [mixing], cfg, seed)
-    return _scores(thetas[0], val_data)
+    mixing = _mixing(grouping, benefit, [len(y) for _, y in task.train])
+    return _scores(_round_loop(task, [mixing], cfg, seed)[0], task.val)
 
 
 def small_task(n=2, samples=(60, 60), flipped=None, rho=0.01, seed=0):
@@ -155,14 +154,13 @@ def trained_alone(task, cfg, seed):
     """Reference local training: each participant continues SGD from its
     own previous model every round, with no mixing step at all."""
     streams = _participant_streams(seed, task.n)
-    train_data, val_data = _prepared(task)
     scores = []
     for i in range(task.n):
         theta = np.zeros(task.config.degree)
         for _ in range(cfg.rounds):
-            theta = sgd_epochs(theta, *train_data[i], cfg.local_epochs, cfg.learning_rate,
+            theta = sgd_epochs(theta, *task.train[i], cfg.local_epochs, cfg.learning_rate,
                                cfg.batch_size, streams[i])
-        scores.append(mean_squared_error(theta, *val_data[i]))
+        scores.append(mean_squared_error(theta, *task.val[i]))
     return np.array(scores)
 
 
@@ -171,20 +169,19 @@ def shared_model_fedavg(task, groups, cfg, seed):
     member trains from the group's model, which then becomes the members'
     sample-count weighted average, summed in group order."""
     streams = _participant_streams(seed, task.n)
-    train_data, val_data = _prepared(task)
     thetas = np.zeros((task.n, task.config.degree))
     for group in groups:
         shared = np.zeros(task.config.degree)
-        sizes = np.array([len(train_data[i][1]) for i in group], dtype=np.float64)
+        sizes = np.array([len(task.train[i][1]) for i in group], dtype=np.float64)
         weights = sizes / sizes.sum()
         for _ in range(cfg.rounds):
-            updates = [sgd_epochs(shared, *train_data[i], cfg.local_epochs,
+            updates = [sgd_epochs(shared, *task.train[i], cfg.local_epochs,
                                   cfg.learning_rate, cfg.batch_size, streams[i])
                        for i in group]
             shared = sum(w * u for w, u in zip(weights, updates))
         for i in group:
             thetas[i] = shared
-    return np.array([mean_squared_error(thetas[i], *val_data[i]) for i in range(task.n)])
+    return np.array([mean_squared_error(thetas[i], *task.val[i]) for i in range(task.n)])
 
 
 class TestFedAvgReference:
@@ -203,10 +200,9 @@ def sequential_models(task, rows, mix_after, cfg, seed):
         return sum(c * thetas[j] for c, j in zip(row[1], row[0]))
 
     streams = _participant_streams(seed, task.n)
-    train_data, _ = _prepared(task)
     thetas = np.zeros((task.n, task.config.degree))
     for _ in range(cfg.rounds):
-        thetas = np.array([sgd_epochs(mix(thetas, row), *train_data[i], cfg.local_epochs,
+        thetas = np.array([sgd_epochs(mix(thetas, row), *task.train[i], cfg.local_epochs,
                                       cfg.learning_rate, cfg.batch_size, streams[i])
                            for i, row in enumerate(rows)])
     if mix_after:
@@ -229,7 +225,7 @@ class TestLockStep:
         # training sets of 49, 1, 49, 104 and 20: v1 and v3 share a size group,
         # batches of 10 leave a partial last batch, and v2 trains on one sample
         task = small_task(n=5, samples=(61, 1, 61, 130, 25), rho=0.2, seed=3)
-        sizes = [len(t) for t in task.train_idx]
+        sizes = [len(y) for _, y in task.train]
         assert sizes == [49, 1, 49, 104, 20]
         cfg = TrainConfig(rounds=4, local_epochs=2, batch_size=10)
         cover = ((0, 2, 3), (1, 4))
@@ -242,13 +238,19 @@ class TestLockStep:
         mixings = [_mixing(grouping[m], benefit, sizes) for m in METHODS]
         assert len({(tuple(rows), after) for rows, after in mixings}) == len(METHODS)
 
-        together, _ = _round_loop(task, mixings, cfg, 21)
+        together = _round_loop(task, mixings, cfg, 21)
         assert together.shape == (len(METHODS), 5, task.config.degree)
         for k, (rows, mix_after) in enumerate(mixings):
-            alone, _ = _round_loop(task, [(rows, mix_after)], cfg, 21)
+            alone = _round_loop(task, [(rows, mix_after)], cfg, 21)
             assert np.array_equal(together[k], alone[0])
             assert np.array_equal(together[k],
                                   sequential_models(task, rows, mix_after, cfg, 21))
+
+
+def zero_labels(task, i):
+    """Replace participant i's train and validation labels by zeros."""
+    for rows in (task.train, task.val):
+        rows[i] = (rows[i][0], np.zeros_like(rows[i][1]))
 
 
 class TestUsageGating:
@@ -264,7 +266,7 @@ class TestUsageGating:
 
         base_scores = run(generate_task(cfg))
         poisoned = generate_task(cfg)
-        poisoned.labels[2] = np.zeros_like(poisoned.labels[2])
+        zero_labels(poisoned, 2)
         poisoned_scores = run(poisoned)
         assert poisoned_scores[0] == base_scores[0]  # bit-identical
         assert poisoned_scores[1] == base_scores[1]
@@ -272,7 +274,7 @@ class TestUsageGating:
 
         # zeroing a node that IS upstream of 1 must change 1's result
         poisoned2 = generate_task(cfg)
-        poisoned2.labels[0] = np.zeros_like(poisoned2.labels[0])
+        zero_labels(poisoned2, 0)
         changed = run(poisoned2)
         assert changed[1] != base_scores[1]
 
@@ -414,7 +416,7 @@ class TestRunExperiment:
             usage.add_edge(j, i)
         grouping = {"local": _singletons(3), "fedavg": report.clique_cover.groups,
                     "ce": report.coalitions.groups, "fedcompetitors": usage}
-        sizes = [len(t) for t in generate_task(self.CFG).train_idx]
+        sizes = [len(y) for _, y in generate_task(self.CFG).train]
         expected = [(tuple(rows), after)
                     for rows, after in (_mixing(grouping[m], w, sizes) for m in trained)]
         # one loop call per repetition, training each distinct mixing once

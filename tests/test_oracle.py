@@ -132,6 +132,15 @@ class TestOptimalStep:
             assert column == pytest.approx(full, abs=1e-12)
             checked += 1
 
+    def test_full_matrix_oversize_guard(self):
+        # every off-diagonal pair of n=5 is a free benefit edge: 20 > 18
+        w = np.ones((5, 5))
+        np.fill_diagonal(w, 0.0)
+        inst = Instance(5, np.zeros((5, 5), bool), w)
+        assert oracle.FULL_MATRIX_MAX_FREE_EDGES == 18
+        with pytest.raises(OracleSizeError, match="limited to 18 free edges, got 20"):
+            optimal_step_by_full_matrices(inst, UsageGraph(5), 0)
+
 
 def test_candidates_match_the_engine():
     # weights from {0, 0.5, 1} so that ties occur in every instance

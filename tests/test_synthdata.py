@@ -1,9 +1,13 @@
+import warnings
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from fedcollab.graphs import InvalidInstanceError
 from fedcollab.synthdata import (PRESET_NAMES, PRESETS, STRONG_COMPETING_EDGES,
-                                 WEAK_COMPETING_EDGES, SyntheticConfig, competing_matrix,
-                                 generate_task, polynomial_features, preset)
+                                 WEAK_COMPETING_EDGES, SyntheticConfig, SyntheticTask,
+                                 competing_matrix, generate_task, polynomial_features, preset)
 
 
 class TestConfigValidation:
@@ -91,40 +95,60 @@ class TestGeneration:
         cfg, _ = preset("weak_noniid", seed=5)
         t1, t2 = generate_task(cfg), generate_task(cfg)
         for i in range(8):
-            assert np.array_equal(t1.phi[i][:, 0], t2.phi[i][:, 0])
-            assert np.array_equal(t1.labels[i], t2.labels[i])
-            assert np.array_equal(t1.train_idx[i], t2.train_idx[i])
+            for part in ("train", "val"):
+                (phi1, y1), (phi2, y2) = getattr(t1, part)[i], getattr(t2, part)[i]
+                assert np.array_equal(phi1, phi2)
+                assert np.array_equal(y1, y2)
         assert np.array_equal(t1.weights, t2.weights)
 
     def test_different_seed_changes_data(self):
         t1 = generate_task(preset("weak_noniid", seed=5)[0])
         t2 = generate_task(preset("weak_noniid", seed=6)[0])
-        assert not np.array_equal(t1.phi[0][:, 0], t2.phi[0][:, 0])
+        assert not np.array_equal(t1.train[0][0][:, 0], t2.train[0][0][:, 0])
 
     def test_split_sizes_and_feature_range(self):
         task = generate_task(preset("strong_noniid", seed=2)[0])
         for i in range(8):
             m = task.config.samples[i]
-            assert len(task.val_idx[i]) == round(0.2 * m)
-            assert len(task.train_idx[i]) == m - round(0.2 * m)
-            assert set(task.val_idx[i]) | set(task.train_idx[i]) == set(range(m))
-            assert np.abs(task.phi[i][:, 0]).max() <= 1.0
+            (phi_t, y_t), (phi_v, y_v) = task.train[i], task.val[i]
+            assert len(phi_v) == len(y_v) == round(0.2 * m)
+            assert len(phi_t) == len(y_t) == m - round(0.2 * m)
+            x = np.concatenate([phi_t[:, 0], phi_v[:, 0]])
+            assert len(np.unique(x)) == m  # the split loses and repeats no sample
+            assert np.abs(x).max() <= 1.0
 
     def test_labels_match_generative_model(self):
         cfg = SyntheticConfig(n=2, samples=(4000, 4000), flipped=(False, True),
                               rho=0.05, seed=9)
         task = generate_task(cfg)
         for i, sign in ((0, 1.0), (1, -1.0)):
-            clean = sign * polynomial_features(task.phi[i][:, 0], 3) @ task.weights[i]
-            residual = task.labels[i] - clean
+            phi = np.concatenate([task.train[i][0], task.val[i][0]])
+            y = np.concatenate([task.train[i][1], task.val[i][1]])
+            clean = sign * polynomial_features(phi[:, 0], 3) @ task.weights[i]
+            residual = y - clean
             assert abs(residual.mean()) < 0.01
             assert abs(residual.std() - cfg.noise_std) < 0.01
 
     def test_single_sample_participant(self):
         cfg = SyntheticConfig(n=1, samples=(1,), flipped=(False,), seed=0)
         task = generate_task(cfg)
-        assert task.train_idx[0].tolist() == [0]
-        assert task.val_idx[0].tolist() == [0]
+        (phi_t, y_t), (phi_v, y_v) = task.train[0], task.val[0]
+        assert phi_t.shape == (1, 3) and y_t.shape == (1,)
+        assert np.array_equal(phi_t, phi_v) and np.array_equal(y_t, y_v)
+
+    def test_task_holds_rows_only(self):
+        assert [f.name for f in fields(SyntheticTask)] == ["config", "weights", "train", "val"]
+
+    # seed 0 happens to draw no noise past the float range for v1
+    @pytest.mark.parametrize("field,first", [("rho", 0), ("noise_std", 1)])
+    def test_non_finite_labels_are_refused(self, field, first):
+        cfg = SyntheticConfig(n=2, samples=(50, 50), flipped=(False, False),
+                              **{field: 1e308})
+        message = rf"labels of participant v{first + 1} \(index {first}\) are not finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInstanceError, match=message):
+                generate_task(cfg)
 
     def test_weights_built_from_shared_base(self):
         cfg = SyntheticConfig(n=6, samples=(10,) * 6, flipped=(False,) * 6,
