@@ -26,17 +26,21 @@ Every participant draws shuffling randomness from its own seeded
 stream, so a participant's trained model depends only on its own data
 and the models that reach it through its mixing row.
 
-The loop trains a list of distinct mixings (rows, mix_after) in lock
-step. They share the task and the shuffle streams, so every mixing
-sees the same minibatches. Participants with equal training-set sizes
-form a size group. Each round and epoch, every member draws its own
-permutation from its own stream, as it would alone. Each minibatch
-index is then one batched gradient step for every mixing and every
-member of the group. Each model's arithmetic is the same as a
-one-participant loop, so the results are bit-identical to training
-each mixing, and each participant, on its own. ``run_experiment``
-makes one loop call per repetition for the distinct mixings of its
-methods.
+The loop trains a list of distinct mixings (rows, mix_after) on a list
+of tasks, the repetitions of one config, in lock step. Task r has its
+own shuffle streams, seeded by its repetition seed, and every mixing of
+a task sees the same minibatches. Participants with equal training-set
+sizes form a size group. Each round and epoch, every member draws its
+own permutation from its own stream in each task, as it would alone,
+and its shuffled rows are gathered from the task's training rows. Each
+minibatch index is then one batched gradient step for every mixing,
+every task and every member of the group. Each model's arithmetic is
+the same as a one-participant loop, so the results are bit-identical to
+training each task, each mixing and each participant on its own.
+``estimate_benefit`` makes one loop call for one task, and
+``run_experiment`` one per block of repetitions, for the distinct
+mixings of its methods; the tasks of a block hold at most
+``MAX_SAMPLES`` samples in all.
 """
 
 from __future__ import annotations
@@ -54,6 +58,17 @@ from .synthdata import (SyntheticConfig, SyntheticTask, competing_matrix,
 METHODS = ("local", "fedavg", "ce", "fedcompetitors")
 
 AGGREGATION_RULE = "self-weight = max collaborator benefit, normalized to sum 1"
+
+MAX_SAMPLES = 10_000_000
+"""Largest total of the sample counts a config or report file may declare
+(exit code 3 above): about 80 MB per float64 array drawn over all
+participants, refused before any data is generated. ``run_experiment``
+trains its repetitions in blocks whose tasks hold at most this many
+samples in all. ``simulate`` holds under 2 copies of the feature matrix
+at its peak: about 2.0 GB at this bound and ``formats.MAX_DEGREE``,
+extrapolated and not run (see ``formats.MAX_DEGREE``).
+"""
+
 
 class TrainingDivergenceError(RuntimeError):
     """Raised when training produces non-finite parameters or losses."""
@@ -159,14 +174,12 @@ def _mix(thetas: np.ndarray, row: Mixing) -> np.ndarray:
     return sum(c * thetas[j] for c, j in zip(coefs, sources))
 
 
-def _size_groups(train_data) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
-    """Participants with equal training-set sizes, as (members, phi, y)
-    with the members' training data stacked along a leading axis."""
+def _size_groups(sizes: list[int]) -> list[list[int]]:
+    """Participant indices grouped by equal training-set size."""
     by_size: dict[int, list[int]] = {}
-    for i, (_, y) in enumerate(train_data):
-        by_size.setdefault(len(y), []).append(i)
-    return [(members, np.stack([train_data[i][0] for i in members]),
-             np.stack([train_data[i][1] for i in members])) for members in by_size.values()]
+    for i, m in enumerate(sizes):
+        by_size.setdefault(m, []).append(i)
+    return list(by_size.values())
 
 
 # Overflow in training shows up as non-finite models or losses, which
@@ -175,35 +188,49 @@ _UNCHECKED = np.errstate(over="ignore", invalid="ignore")
 
 
 @_UNCHECKED
-def _round_loop(task: SyntheticTask, mixings: list[tuple[list[Mixing], bool]],
-                cfg: TrainConfig, seed: int):
+def _round_loop(tasks: list[SyntheticTask], seeds: list[int],
+                mixings: list[tuple[list[Mixing], bool]], cfg: TrainConfig) -> np.ndarray:
     """The models after ``cfg.rounds`` rounds of each mixing (rows,
-    mix_after), shape (len(mixings), n, degree), trained in lock step by
-    size group on the task's training rows."""
-    streams = _participant_streams(seed, task.n)
-    groups = _size_groups(task.train)
-    thetas = np.zeros((len(mixings), task.n, task.config.degree))
+    mix_after) on each task, shape (len(tasks), len(mixings), n, degree).
+
+    The tasks share their training-set sizes (repetitions of one config),
+    and task r shuffles with the streams of ``seeds[r]``. Every model is
+    trained in lock step, by size group, with the arithmetic of a
+    one-participant loop. A call stops at the first round in which any of
+    its models is non-finite, whichever task it belongs to.
+    """
+    sizes = [len(y) for _, y in tasks[0].train]
+    groups = _size_groups(sizes)
+    streams = [_participant_streams(seed, len(sizes)) for seed in seeds]
+    # (mixing, participant, task, degree): a mixing row sums (task, degree) slices
+    thetas = np.zeros((len(mixings), len(sizes), len(tasks), tasks[0].config.degree))
     for rnd in range(cfg.rounds):
         start = np.array([[_mix(models, row) for row in rows]
                           for models, (rows, _) in zip(thetas, mixings)])
-        for members, phi, y in groups:
+        for members in groups:
             models = start[:, members]
-            pick = np.arange(len(members))[:, None]
-            m = y.shape[1]
+            m = sizes[members[0]]
             for _ in range(cfg.local_epochs):
-                order = np.array([streams[i].permutation(m) for i in members])
-                phi_e, y_e = phi[pick, order], y[pick, order]
+                # each (member, task) shuffles straight from the task's own rows
+                phi_e = np.empty((len(members), len(tasks), m, thetas.shape[-1]))
+                y_e = np.empty((len(members), len(tasks), m))
+                for g, i in enumerate(members):
+                    for r, task in enumerate(tasks):
+                        order = streams[r][i].permutation(m)
+                        phi, y = task.train[i]
+                        np.take(phi, order, axis=0, out=phi_e[g, r])
+                        np.take(y, order, out=y_e[g, r])
                 for s in range(0, m, cfg.batch_size):
                     batch = slice(s, s + cfg.batch_size)
-                    models -= cfg.learning_rate * loss_gradient(models, phi_e[:, batch],
-                                                                y_e[:, batch])
+                    models -= cfg.learning_rate * loss_gradient(models, phi_e[:, :, batch],
+                                                                y_e[:, :, batch])
             thetas[:, members] = models
         if not np.isfinite(thetas).all():
             raise TrainingDivergenceError(f"non-finite model parameters during round {rnd}")
     for models, (rows, mix_after) in zip(thetas, mixings):
         if mix_after:
             models[:] = [_mix(models, row) for row in rows]
-    return thetas
+    return np.moveaxis(thetas, 2, 0)
 
 
 @_UNCHECKED
@@ -226,11 +253,11 @@ def estimate_benefit(task: SyntheticTask, train_config: TrainConfig = TrainConfi
     """
     cfg = train_config
     local = _mixing(_singletons(task.n), None, [len(y) for _, y in task.train])
-    thetas = _round_loop(task, [local], cfg, task.config.seed)
+    thetas = _round_loop([task], [task.config.seed], [local], cfg)[0, 0]
 
     # cross[j, i]: j's local model on i's validation data
     cross = np.array([[mean_squared_error(theta, *data) for data in task.val]
-                      for theta in thetas[0]])
+                      for theta in thetas])
     if not np.isfinite(cross).all():
         raise TrainingDivergenceError("non-finite validation loss during benefit estimation")
     base = cross.diagonal()
@@ -283,7 +310,9 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
     The benefit matrix, usage graph and partitions are computed once
     from the base-seed task (or taken from a user-supplied matrix) and
     held fixed across repetitions; repetitions redraw data and shuffle
-    streams.
+    streams. They train in blocks, one round-loop call each, whose tasks
+    hold at most ``MAX_SAMPLES`` samples in all, and a diverging
+    repetition stops its block at that round.
     """
     for m in methods:
         if m not in METHODS:
@@ -305,11 +334,12 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
     grouping = {"local": _singletons(config.n), "fedavg": cover.groups,
                 "ce": coalitions.groups, "fedcompetitors": usage}
 
+    block = max(1, MAX_SAMPLES // sum(config.samples))
     scores: dict[str, list[np.ndarray]] = {m: [] for m in methods}
-    for rep in range(reps):
-        rep_seed = _rep_seed(config.seed, rep)
-        task = generate_task(with_seed(config, rep_seed))
-        sizes = [len(y) for _, y in task.train]
+    for first in range(0, reps, block):
+        seeds = [_rep_seed(config.seed, rep) for rep in range(first, min(first + block, reps))]
+        tasks = [generate_task(with_seed(config, seed)) for seed in seeds]
+        sizes = [len(y) for _, y in tasks[0].train]
         keys = {}
         for m in methods:
             rows, mix_after = _mixing(grouping[m], instance.benefit, sizes)
@@ -317,10 +347,10 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
         # methods whose mixings coincide (ce on singleton coalitions and local,
         # say) train bit-identical models, so each distinct mixing trains once
         distinct = list(dict.fromkeys(keys.values()))
-        thetas = _round_loop(task, distinct, train_config, rep_seed)
-        trained = {key: _scores(t, task.val) for key, t in zip(distinct, thetas)}
-        for m in methods:
-            scores[m].append(trained[keys[m]])
+        for task, thetas in zip(tasks, _round_loop(tasks, seeds, distinct, train_config)):
+            trained = {key: _scores(t, task.val) for key, t in zip(distinct, thetas)}
+            for m in methods:
+                scores[m].append(trained[keys[m]])
 
     mean = {m: tuple(float(v) for v in np.mean(scores[m], axis=0)) for m in methods}
     std = {m: tuple(float(v) for v in np.std(scores[m], axis=0)) for m in methods}

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fedtrain import METHODS, ExperimentReport, TrainConfig
+from .fedtrain import MAX_SAMPLES, METHODS, ExperimentReport, TrainConfig
 from .graphs import Instance, InvalidInstanceError, UsageGraph, potentials
 from .partition import Partition
 from .selection import SelectionTrace
@@ -46,36 +46,32 @@ matrices besides (16 MiB each); a larger count is refused before anything
 is allocated.
 """
 
-MAX_SAMPLES = 10_000_000
-"""Largest total of the sample counts a config or report file may declare
-(exit code 3 above): about 80 MB per float64 array drawn over all
-participants, refused before any data is generated. ``simulate`` holds
-about 3 copies of the feature matrix at its peak: about 2.4 GB at this
-bound and ``MAX_DEGREE``, extrapolated and not run (see ``MAX_DEGREE``).
-"""
-
 MAX_DEGREE = 10
 """Largest polynomial degree a config or report file may declare (exit
 code 3 above). Each sample's features are ``degree`` float64 values, 80
 bytes at this bound, so one copy of the feature matrix of ``MAX_SAMPLES``
 samples takes 800 MB; a larger degree is refused before any data is
-generated. ``simulate`` holds about 3 such copies at its peak: the
-task's train and validation rows, the training rows stacked by size
-group, and one epoch's shuffled rows. Measured by ``ru_maxrss`` with two
-participants of 1,000,000 samples at degree 10 (one round, one
-repetition, ``local`` only), the peak was 506 MB, 30 MB of it the
-interpreter and imports. Extrapolated linearly, not run: about 2.4 GB
-at ``MAX_SAMPLES`` samples and this degree.
+generated. ``simulate`` holds under 2 such copies at its peak: the
+train and validation rows of the repetitions it trains together, and
+one size group's shuffled training rows for an epoch. Measured by
+``ru_maxrss`` with two participants of 1,000,000 samples at degree 10
+(one round, one repetition, ``local`` only), the peak was 433 MB, 30 MB
+of it the interpreter and imports; drawing the task alone peaked at
+317 MB. Extrapolated linearly, not run: about 2.0 GB at ``MAX_SAMPLES``
+samples and this degree.
 """
 
 MAX_TRAINING_WORK = 1_000_000_000
 """Largest training job ``simulate`` runs (exit code 3 above), counted as
 rounds x local_epochs x reps x the total sample count. Both presets at
-``--reps 10`` count 1.7 and 3.2 million. All four methods together train
-at 0.23-0.62 microseconds per unit on one core of a 2-vCPU machine (the
-presets, and six participants of distinct sizes), so the bound is about
-4-10 minutes of training, and a job that would take hours is refused
-before it starts.
+``--reps 10`` count 1.7 and 3.2 million. On one core of a 2-vCPU
+machine, all four methods together train them at 0.10-0.14 microseconds
+per unit, the ten repetitions stacked in one loop call, and six
+participants of 50-1600 samples at 100 rounds and ``--reps 10`` at
+0.10-0.18. One participant of 1,000,000 samples at one repetition stacks
+nothing and took 1.3 microseconds per unit, its benefit estimate
+included. So the bound is about 2-20 minutes of training, and a job
+that would take hours is refused before it starts.
 """
 
 

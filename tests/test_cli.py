@@ -386,6 +386,35 @@ def test_simulate_report_is_byte_stable(tmp_path, preset, digest):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
+# Training sets of 49, 1, 49, 104 and 20 rows: size groups of two and of one,
+# a one-sample participant and a partial last batch of 10, over two local
+# epochs and three repetitions.
+GOLDEN_CONFIG = """\
+n 5
+samples 61 1 61 130 25
+rho 0.2
+seed 3
+competing v1 v4
+competing v2 v5
+rounds 4
+local_epochs 2
+batch_size 10
+reps 3
+"""
+
+# SHA-256 of `simulate --config GOLDEN_CONFIG --report` as written when each
+# repetition trained in its own round loop.
+GOLDEN_SIMULATE_CONFIG = "be25f0e378f9ad2a749cc539187dcc09f7604186dee404ca57b7bf1f1734b972"
+
+
+def test_simulate_config_report_is_byte_stable(tmp_path):
+    cfg, report = tmp_path / "sim.txt", tmp_path / "report.txt"
+    cfg.write_text(GOLDEN_CONFIG)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv"),
+                 "--report", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_SIMULATE_CONFIG
+
+
 # SHA-256 of `partition --preset` (seed 0) as written before the cover and
 # coalition lines came from one helper shared with the report writer.
 GOLDEN_PARTITION = [

@@ -20,7 +20,7 @@ def trained(task, grouping, cfg, seed, benefit=None):
     """Per-participant validation MSE after training one grouping, by the
     path run_experiment takes: _round_loop over _mixing, then _scores."""
     mixing = _mixing(grouping, benefit, [len(y) for _, y in task.train])
-    return _scores(_round_loop(task, [mixing], cfg, seed)[0], task.val)
+    return _scores(_round_loop([task], [seed], [mixing], cfg)[0, 0], task.val)
 
 
 def small_task(n=2, samples=(60, 60), flipped=None, rho=0.01, seed=0):
@@ -223,9 +223,12 @@ class TestLockStep:
 
     def test_one_loop_call_matches_each_mixing_alone_and_sequential(self):
         # training sets of 49, 1, 49, 104 and 20: v1 and v3 share a size group,
-        # batches of 10 leave a partial last batch, and v2 trains on one sample
-        task = small_task(n=5, samples=(61, 1, 61, 130, 25), rho=0.2, seed=3)
-        sizes = [len(y) for _, y in task.train]
+        # batches of 10 leave a partial last batch, and v2 trains on one sample;
+        # three repetitions of the task, each with its own shuffle seed
+        seeds = [21, 22, 40]
+        tasks = [small_task(n=5, samples=(61, 1, 61, 130, 25), rho=0.2, seed=seed)
+                 for seed in (3, 4, 5)]
+        sizes = [len(y) for _, y in tasks[0].train]
         assert sizes == [49, 1, 49, 104, 20]
         cfg = TrainConfig(rounds=4, local_epochs=2, batch_size=10)
         cover = ((0, 2, 3), (1, 4))
@@ -238,13 +241,15 @@ class TestLockStep:
         mixings = [_mixing(grouping[m], benefit, sizes) for m in METHODS]
         assert len({(tuple(rows), after) for rows, after in mixings}) == len(METHODS)
 
-        together = _round_loop(task, mixings, cfg, 21)
-        assert together.shape == (len(METHODS), 5, task.config.degree)
-        for k, (rows, mix_after) in enumerate(mixings):
-            alone = _round_loop(task, [(rows, mix_after)], cfg, 21)
-            assert np.array_equal(together[k], alone[0])
-            assert np.array_equal(together[k],
-                                  sequential_models(task, rows, mix_after, cfg, 21))
+        together = _round_loop(tasks, seeds, mixings, cfg)
+        assert together.shape == (3, len(METHODS), 5, tasks[0].config.degree)
+        for task, seed, models in zip(tasks, seeds, together):
+            assert np.array_equal(models, _round_loop([task], [seed], mixings, cfg)[0])
+            for k, (rows, mix_after) in enumerate(mixings):
+                alone = _round_loop([task], [seed], [(rows, mix_after)], cfg)
+                assert np.array_equal(models[k], alone[0, 0])
+                assert np.array_equal(models[k],
+                                      sequential_models(task, rows, mix_after, cfg, seed))
 
 
 def zero_labels(task, i):
@@ -401,9 +406,9 @@ class TestRunExperiment:
                                                       mutual, trained):
         calls = []
 
-        def counting_loop(task, mixings, cfg, seed):
-            calls.append(list(mixings))
-            return _round_loop(task, mixings, cfg, seed)
+        def counting_loop(tasks, seeds, mixings, cfg):
+            calls.append((len(tasks), list(mixings)))
+            return _round_loop(tasks, seeds, mixings, cfg)
 
         w = np.zeros((3, 3))
         if mutual:
@@ -419,13 +424,29 @@ class TestRunExperiment:
         sizes = [len(y) for _, y in generate_task(self.CFG).train]
         expected = [(tuple(rows), after)
                     for rows, after in (_mixing(grouping[m], w, sizes) for m in trained)]
-        # one loop call per repetition, training each distinct mixing once
-        assert calls == [expected] * 2
+        # one loop call holding both repetitions, training each distinct mixing once
+        assert calls == [(2, expected)]
         monkeypatch.undo()
         for m in methods:  # the reused scores are the ones m trains on its own
             assert report.mean[m] == run_experiment(self.CFG, [(0, 1)], methods=(m,),
                                                     benefit=w, train_config=FAST,
                                                     reps=2).mean[m]
+
+    def test_repetitions_train_in_blocks_capped_by_max_samples(self, monkeypatch):
+        calls = []
+
+        def counting_loop(tasks, seeds, mixings, cfg):
+            calls.append(len(tasks))
+            return _round_loop(tasks, seeds, mixings, cfg)
+
+        whole = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=5)
+        monkeypatch.setattr(fedtrain, "_round_loop", counting_loop)
+        # room for two repetitions' samples per loop call, not three
+        monkeypatch.setattr(fedtrain, "MAX_SAMPLES", 3 * sum(self.CFG.samples) - 1)
+        blocked = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=5)
+        # the benefit estimate trains one task, then the blocks of 2, 2 and 1
+        assert calls == [1, 2, 2, 1]
+        assert blocked == whole
 
 
 class TestPresetQualitative:
