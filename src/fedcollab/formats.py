@@ -9,9 +9,11 @@ labels are the canonical output form. Each file kind has a grammar table
 :func:`_lines`, which words every diagnostic as a :class:`FileFormatError`
 with line and column positions. The edge-list kinds (instance, usage and
 benefit files) have one reader body, :func:`_edge_lists`: :func:`_plain`
-reads a plain text in bulk, a column at a time, to the values the loop
-would give, and any other text takes the loop, each line checked by its
-key's ``_CHECKS`` entry and the matrices built by :func:`_matrix`. Writers
+reads a plain text in bulk to the values the loop would give, its lines
+classified by key in numpy and each key's fields read a column at a
+time, and any other text takes the loop, each line checked by its key's
+``_CHECKS`` entry and the matrices built by :func:`_matrix`. Integer
+fields are an optional ``-`` and ASCII digits in both readers. Writers
 share :func:`_edge_lines` for ``<key> <label> <label>[ <weight>]`` lines
 and :func:`_group_lines` for the cover and coalition groups. The scalar
 keys of configs and reports are the defaulted fields of
@@ -22,6 +24,7 @@ serializer alike.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import re
@@ -111,10 +114,20 @@ def _node(token: str, n: int) -> int:
     return idx
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(token: str) -> int:
+    """The value of an integer field: an optional '-', then ASCII digits."""
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
+
+
 def _int(what: str, least: int | None = None):
     def parse(token: str, n) -> int:
         try:
-            value = int(token if token.isascii() else "-")
+            value = _integer(token)
         except ValueError:
             raise ValueError(f"expected an integer for {what}, got {token!r}") from None
         if least is not None and value < least:
@@ -234,39 +247,77 @@ _BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"  # ASCII line breaks of str.splitlines beside
 _CHUNK = 1 << 16  # characters read at a time: only one chunk's tokens are held at once
 
 
+@functools.cache
+def _prefix(word: str) -> tuple[tuple[np.uint64, np.uint64], ...]:
+    """``(mask, value)`` per little-endian uint64 word of a line's first 16
+    bytes: every word equals its value under its mask exactly when the line
+    starts with ``word`` (at most 16 ASCII characters, no newline). The
+    second word is left out when ``word`` fits in the first."""
+    raw = word.encode("ascii")
+    assert len(raw) <= 16 and b"\n" not in raw
+    masks, values = (np.frombuffer(b.ljust(16, b"\0"), "<u8") for b in (b"\xff" * len(raw), raw))
+    return tuple(zip(masks, values))[:1 + (len(raw) > 8)]
+
+
+def _starting(heads: tuple[np.ndarray, np.ndarray], prefix) -> np.ndarray:
+    """Which lines start with a :func:`_prefix`, given each line's first and
+    second uint64 word as ``heads``."""
+    hit = True
+    for head, (mask, value) in zip(heads, prefix):
+        hit = hit & ((head & mask) == value)
+    return hit
+
+
 def _plain(text: str, grammar: dict[str, _Rule], skip=()):
     """``(n, {key: matrix})`` for an edge-list text of the plain shape,
-    read column-wise, ``_CHUNK`` characters at a time; ``None`` for any
-    other text, which :func:`_lines` then reads line by line.
+    read ``_CHUNK`` characters at a time; ``None`` for any other text,
+    which :func:`_lines` then reads line by line.
 
     Plain means: ASCII, lines broken by "\\n" alone, comments only at the
     start of a line, and every other line empty, a ``skip`` key followed by
-    a space, ``n`` (first and once, 1..MAX_NODES) or a key of ``grammar``
-    followed by a space and exactly its field count. Participants are
-    canonical ``v<k>`` labels or indices in range, no pair joins a
-    participant to itself or comes twice, and weights (a third field) are
-    finite and positive. Such a text parses through :func:`_lines` without
-    error to the same values, so this never raises. A key's lines are
-    joined into one token list and field f of every line read as the
-    strided slice ``tokens[f::arity]``: a line of the wrong width shifts a
-    later key word off the stride, where it is read as a participant or a
-    weight and refused. A pair key's matrix is boolean, symmetric for
-    ``competing``; a weighted key's holds its weights.
+    a space, ``n`` (first and once, 1..MAX_NODES in ASCII digits) or a key
+    of ``grammar`` followed by a space and exactly its field count.
+    Participants are canonical ``v<k>`` labels or indices in range, no pair
+    joins a participant to itself or comes twice, and weights (a third
+    field) are finite and positive. Such a text parses through
+    :func:`_lines` without error to the same values, so this never raises.
+
+    No Python string is made per line. Each chunk is classified in numpy:
+    a line's first 16 bytes, read as two uint64 words, are matched against
+    each comment, skip and grammar prefix (:func:`_starting`). Only the ``n``
+    line and the runs of consecutive lines of one grammar key are sliced
+    out and split. A key's tokens are read column-wise, field f of every
+    line as the strided slice ``tokens[f::arity]``: a line of the wrong
+    width shifts a later key word off the stride, where it is read as a
+    participant or a weight and refused. A pair key's matrix is boolean,
+    symmetric for ``competing``; a weighted key's holds its weights.
     """
     if not text.isascii() or any(c in text for c in _BREAKS):
         return None
-    skip = ("#", *(f"{key} " for key in skip))  # comment lines and skipped keys
+    dropped = [_prefix(word) for word in ("#", *(f"{key} " for key in skip))]
+    prefixes = {key: _prefix(key + " ") for key in grammar}
     n, node, columns = None, {}, {key: [] for key in grammar}  # columns: one list per chunk
     begin = 0
     while begin < len(text):
         end = text.find("\n", begin + _CHUNK)
         end = len(text) if end < 0 else end
-        lines = [line for line in text[begin:end].split("\n") if line and not line.startswith(skip)]
-        begin = end + 1
-        if n is None and lines:  # the first content line must declare n
-            head = lines.pop(0).split()
+        chunk, begin = text[begin:end], end + 1
+        # line k of the chunk is chunk[starts[k]:ends[k]]; the padding gives
+        # every line 16 bytes to read, and words[k] is the 8 bytes at data[k]
+        data = b"\n" + chunk.encode("ascii") + b"\n" + bytes(16)
+        breaks = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
+        starts, ends = breaks[:-1], breaks[1:] - 1
+        words = np.ndarray(len(data) - 7, "<u8", data, strides=(1,))
+        heads = words[starts + 1], words[starts + 9]
+        content = ends > starts
+        for prefix in dropped:
+            content &= ~_starting(heads, prefix)
+        if n is None and content.any():  # the first content line must declare n
+            first = content.argmax()
+            content[first] = False
+            head = chunk[starts[first]:ends[first]].split()
             try:
-                n = int(head[1]) if len(head) == 2 and head[0] == "n" else 0
+                n = _integer(head[1]) if len(head) == 2 and head[0] == "n" else 0
             except ValueError:
                 return None
             if not 1 <= n <= MAX_NODES:
@@ -274,22 +325,25 @@ def _plain(text: str, grammar: dict[str, _Rule], skip=()):
             node = {f"v{k + 1}": k for k in range(n)} | {str(k): k for k in range(n)}
         read = 0  # lines of a grammar key; any other line (a second n) is not plain
         for key, rule in grammar.items():
-            picked = [line for line in lines if line.startswith(key + " ")]
-            read += len(picked)
+            picked = _starting(heads, prefixes[key])
+            count = np.count_nonzero(picked)
+            read += count
+            padded = np.concatenate(([False], picked, [False]))
+            runs = np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2)  # [first, last + 1)
+            tokens = " ".join([chunk[a:b] for a, b in zip(starts[runs[:, 0]].tolist(),
+                                                          ends[runs[:, 1] - 1].tolist())]).split()
             arity = len(rule.fixed) + 1
-            tokens = " ".join(picked).split()
-            if len(tokens) != arity * len(picked):
+            if len(tokens) != arity * count:
                 return None
             fields = [np.fromiter(map(node.get, tokens[f::arity], itertools.repeat(-1)),
-                                  np.intp, len(picked)) for f in (1, 2)]
+                                  np.intp, count) for f in (1, 2)]
             if arity == 4:
                 try:
-                    fields.append(np.fromiter(map(float, tokens[3::arity]), np.float64,
-                                              len(picked)))
+                    fields.append(np.fromiter(map(float, tokens[3::arity]), np.float64, count))
                 except ValueError:
                     return None
             columns[key].append(fields)
-        if read != len(lines):
+        if read != np.count_nonzero(content):
             return None
     if n is None:
         return None

@@ -206,32 +206,40 @@ class UsageGraph:
 
     def path_witness(self, j: int, i: int) -> PathWitness | None:
         """A shortest selected path j -> ... -> i, or None if unreachable: the
-        one-target case of the search :func:`conflict_violations` runs."""
+        one-target case of :meth:`_witnesses`, the level-at-a-time search
+        :func:`conflict_violations` runs, so both give the same path."""
         j, i = self._check(j), self._check(i)
         return self._witnesses(j, [i])[0] if j != i and self.closure[j, i] else None
 
     def _witnesses(self, j: int, targets: list[int]) -> list[PathWitness]:
         """Shortest selected paths from j to ``targets`` (reachable, not j) by
-        one breadth-first search over x-edges, in index order, that stops
-        after the level reaching the last target: an early stop leaves every
-        parent it set as a full search sets it, so paths do not depend on
-        ``targets``. The closure is not read; an unreachable target raises KeyError."""
-        parent = {j: -1}
-        frontier, missing = [j], set(targets)
-        while missing and frontier:
-            nxt = []
-            for u in frontier:
-                for v in np.flatnonzero(self.x[u]).tolist():
-                    if v not in parent:
-                        parent[v] = u
-                        nxt.append(v)
-            missing.difference_update(nxt)
-            frontier = nxt
+        one level-synchronous breadth-first search over x-edges, which stops
+        after the level reaching the last target. The next level is every
+        unseen node with an edge from the frontier; its parent is the first
+        frontier node with an edge to it, and the level is ordered by
+        (parent's frontier position, node). That is the order and the
+        parents of a node-at-a-time search that scans each frontier node's
+        edges in index order, and an early stop leaves every parent set as
+        a full search sets it, so paths do not depend on ``targets``. The
+        closure is not read; an unreachable target raises KeyError."""
+        parent = np.full(self.n, -1)
+        seen = np.zeros(self.n, dtype=bool)
+        seen[j] = True
+        frontier = np.array([j])
+        while frontier.size and not seen[targets].all():
+            rows = self.x[frontier]
+            new = np.flatnonzero(rows.any(axis=0) & ~seen)
+            first = rows[:, new].argmax(axis=0)  # each new node's parent, as a frontier position
+            order = first.argsort(kind="stable")  # new is sorted, so ties keep node order
+            frontier, parent[new] = new[order], frontier[first]
+            seen[new] = True
         witnesses = []
         for t in targets:
+            if not seen[t]:
+                raise KeyError(t)
             path = [t]
             while path[-1] != j:
-                path.append(parent[path[-1]])
+                path.append(int(parent[path[-1]]))
             witnesses.append(PathWitness(tuple(reversed(path))))
         return witnesses
 
@@ -282,7 +290,8 @@ def conflict_free(instance: Instance, usage: UsageGraph) -> bool:
 def conflict_violations(instance: Instance, usage: UsageGraph) -> list[tuple[int, int, PathWitness]]:
     """All competing pairs (j, i) with a selected path j -> i, in row-major
     order, each with its witness ``usage.path_witness(j, i)``; the pairs of
-    one source j share one breadth-first search from j."""
+    one source j share one search from j (:meth:`UsageGraph._witnesses`),
+    which takes a whole level of the breadth-first search per numpy step."""
     out = []
     hits = instance.competing & usage.closure
     for j in np.flatnonzero(hits.any(axis=1)).tolist():

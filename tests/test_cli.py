@@ -67,6 +67,17 @@ class TestSelect:
         assert capsys.readouterr().err == ("error: line 2, column 11: participant labels "
                                            "start at v1, got 'v0'\n")
 
+    @pytest.mark.parametrize("count", ["1_0", "+3"])
+    def test_count_not_in_ascii_digits_exits_2(self, tmp_path, capsys, count):
+        # int() reads both ("1_0" as 10); an integer field is an optional '-'
+        # and ASCII digits
+        bad = tmp_path / "bad.txt"
+        bad.write_text(INSTANCE.replace("n 3", f"n {count}"))
+        assert main(["select", "--instance", str(bad), "--out", str(tmp_path / "o.txt")]) == 2
+        assert capsys.readouterr().err == ("error: line 1, column 3: expected an integer for n, "
+                                           f"got '{count}'\n")
+        assert not (tmp_path / "o.txt").exists()
+
     def test_output_goes_to_stdout_without_out(self, tmp_path, instance_file, capsys):
         out = tmp_path / "selection.txt"
         assert main(["select", "--instance", str(instance_file), "--out", str(out)]) == 0
@@ -304,6 +315,18 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("samples 60 50 40", "samples 2_0 20 20",
+         "line 3, column 9: expected an integer for sample count, got '2_0'"),
+        ("rounds 4", "rounds +1", "line 6, column 8: expected an integer for rounds, got '+1'"),
+    ])
+    def test_integer_not_in_ascii_digits_exits_2(self, tmp_path, capsys, old, new, message):
+        cfg = tmp_path / "sim.txt"
+        cfg.write_text(SIM_CONFIG.replace(old, new))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "t.csv").exists()
 
     def test_oversized_samples_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "sim.txt"

@@ -170,7 +170,10 @@ def _usage_text(instance):
 EDGE_LISTS = {formats.parse_instance: formats.serialize_instance,
               formats.parse_usage: _usage_text,
               formats.parse_benefit: _benefit_text}
-ODD = ["v01", "V2", "３", "v²", "1_0", "+1", "-0.0", "nan", "1e400", "#", "\x0b", "\x85", "\r"]
+# "\t" and "\x1f" split fields but break no line; "edges" and "benefit2" are
+# a key word with a suffix, "edge\t" and "benefit\t" one followed by a tab
+ODD = ["v01", "V2", "３", "v²", "1_0", "+1", "-0.0", "nan", "1e400", "#", "\x0b", "\x85", "\r",
+       "\t", "\x1f", "edges", "benefit2", "edge\t", "benefit\t"]
 
 
 @st.composite
@@ -262,20 +265,23 @@ def test_every_single_edit_agrees_with_the_checked_loop(parse, chunk):
             assert _outcome(parse, text, *args) == checked, text
 
 
-@pytest.mark.parametrize("chunk", [64, formats._CHUNK])
-def test_plain_edge_lists_skip_the_checked_loop(rng, chunk):
-    # every serializer's output is read in bulk, in one chunk or in many;
+@pytest.mark.parametrize("chunk,n", [(64, 12), (formats._CHUNK, 12), (formats._CHUNK, 80)],
+                         ids=["64", str(formats._CHUNK), f"{formats._CHUNK}-n80"])
+def test_plain_edge_lists_skip_the_checked_loop(rng, chunk, n):
+    # every serializer's output is read in bulk, in one chunk or in many
+    # (at n=80 the select output spans several chunks of the default size);
     # the loop is never entered
-    instance = make_instance(rng, 12)
+    instance = make_instance(rng, n)
     usage, trace = select_collaborators(instance)
+    selection = formats.serialize_selection(instance, usage, trace)
+    assert n < 80 or len(selection) > 3 * chunk
 
     def refuse(*args, **kwargs):
         raise AssertionError("the checked loop read a plain edge list")
 
     with patch.object(formats, "_lines", refuse), patch.object(formats, "_CHUNK", chunk):
         assert formats.parse_instance(formats.serialize_instance(instance)) == instance
-        for text in (formats.serialize_selection(instance, usage, trace),
-                     formats.serialize_usage(usage)):
-            parsed = formats.parse_usage(text, 12)
+        for text in (selection, formats.serialize_usage(usage)):
+            parsed = formats.parse_usage(text, n)
             assert parsed == usage and np.array_equal(parsed.closure, usage.closure)
         assert np.array_equal(formats.parse_benefit(_benefit_text(instance)), instance.benefit)

@@ -469,3 +469,49 @@ class TestPathWitness:
                 assert witness == usage.path_witness(j, i)
             found += len(violations)
         assert found > 30  # the draws do reach competitors
+
+
+def reference_witnesses(x: np.ndarray, j: int, targets: list[int]) -> list[PathWitness]:
+    """The node-at-a-time breadth-first search that ``UsageGraph._witnesses``
+    replaced: frontier nodes in discovery order, each one's edges in index
+    order, a node's parent the first frontier node to reach it."""
+    parent = {j: -1}
+    frontier, missing = [j], set(targets)
+    while missing and frontier:
+        nxt = []
+        for u in frontier:
+            for v in np.flatnonzero(x[u]).tolist():
+                if v not in parent:
+                    parent[v] = u
+                    nxt.append(v)
+        missing.difference_update(nxt)
+        frontier = nxt
+    witnesses = []
+    for t in targets:
+        path = [t]
+        while path[-1] != j:
+            path.append(parent[path[-1]])
+        witnesses.append(PathWitness(tuple(reversed(path))))
+    return witnesses
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=2, max_value=16), st.floats(min_value=0.05, max_value=0.5),
+       st.floats(min_value=0.2, max_value=0.9), st.integers(min_value=0, max_value=2**32 - 1))
+def test_witnesses_match_the_node_at_a_time_search(n, edge_prob, competing_prob, seed):
+    # random graphs with a cycle through some nodes and dense competition,
+    # so most sources have several targets at several depths
+    rng = np.random.default_rng(seed)
+    inst = make_instance(rng, n, edge_prob=competing_prob)
+    x = rng.random((n, n)) < edge_prob
+    cycle = rng.permutation(n)[:int(rng.integers(2, n + 1))]
+    x[cycle, np.roll(cycle, -1)] = True
+    np.fill_diagonal(x, False)
+    usage = UsageGraph.from_edges(n, np.argwhere(x))
+    hits = inst.competing & usage.closure
+    expected = [(j, i, w) for j in np.flatnonzero(hits.any(axis=1)).tolist()
+                for i, w in zip(np.flatnonzero(hits[j]).tolist(),
+                                reference_witnesses(x, j, np.flatnonzero(hits[j]).tolist()))]
+    assert conflict_violations(inst, usage) == expected
+    for j, i in np.argwhere(usage.closure & ~np.eye(n, dtype=bool)).tolist():
+        assert usage.path_witness(j, i) == reference_witnesses(x, j, [i])[0]
