@@ -3,7 +3,8 @@
 Subcommands: select, verify, partition, simulate, report. All data goes
 to --out files (or stdout), diagnostics to stderr. Exit codes: 0 success
 (verify: conflict-free), 1 verify found a violation, 2 malformed input
-file, 3 invalid instance, 4 training divergence.
+file or a file or standard output that cannot be written, 3 invalid
+instance or out of memory, 4 training divergence.
 """
 
 from __future__ import annotations
@@ -35,13 +36,15 @@ def _read(path: str) -> str:
 
 
 def _write(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise formats.FileFormatError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise formats.FileFormatError(f"cannot write {path or 'standard output'}: "
+                                      f"{exc.strerror or exc}") from None
 
 
 def _instance_from_args(args) -> Instance:
@@ -103,7 +106,9 @@ def _cmd_simulate(args) -> int:
             config = with_seed(config, args.seed)
     if args.reps is not None and args.reps < 1:
         raise formats.FileFormatError(f"--reps must be at least 1, got {args.reps}")
-    methods = tuple(args.methods.split(",")) if args.methods else METHODS
+    if args.methods == "":
+        raise formats.FileFormatError("--methods needs at least one method")
+    methods = METHODS if args.methods is None else tuple(args.methods.split(","))
     for m in methods:
         if m not in METHODS:
             raise formats.FileFormatError(
@@ -196,6 +201,9 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print(f"out of memory: fedcollab {args.command} could not finish", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,12 +7,13 @@ whitespace-separated fields. Participants may be written either as
 labels are the canonical output form. Each file kind has a grammar table
 (keyword -> usage and field parsers) read by one checked loop,
 :func:`_lines`, which words every diagnostic as a :class:`FileFormatError`
-with line and column positions. The edge-list kinds (instance, usage and
-benefit files) have one reader body, :func:`_edge_lists`: :func:`_plain`
-reads a plain text in bulk to the values the loop would give, its lines
-classified by key in numpy and each key's fields read a column at a
-time, and any other text takes the loop, each line checked by its key's
-``_CHECKS`` entry and the matrices built by :func:`_matrix`. Integer
+with line and column positions. A pair list is held only as its n x n
+matrix, allocated at the ``n`` line. The edge-list kinds (instance, usage
+and benefit files) have one reader body, :func:`_edge_lists`:
+:func:`_plain` reads a plain text in bulk, its lines classified by key in
+numpy and each key's columns written into the matrices at once, and any
+other text takes the loop, where :func:`_add_pair` checks each pair line
+and sets its cell, as in configs and reports. Integer
 fields are an optional ``-`` and ASCII digits in both readers. Writers
 share :func:`_edge_lines` for ``<key> <label> <label>[ <weight>]`` lines
 and :func:`_group_lines` for the cover and coalition groups. The scalar
@@ -46,7 +47,9 @@ MAX_NODES = 4096
 Instance, benefit and report files become dense n x n float64 matrices,
 128 MiB each at this bound, and selection keeps four n x n boolean
 matrices besides (16 MiB each); a larger count is refused before anything
-is allocated.
+is allocated. Parsing an instance file at this bound (8.8 million lines,
+333 MB) peaked at 665 MB by ``ru_maxrss``, which reading its text had
+already reached (2-vCPU machine).
 """
 
 MAX_DEGREE = 10
@@ -58,9 +61,10 @@ generated. ``simulate`` holds under 2 such copies at its peak: the
 train and validation rows of the repetitions it trains together, and
 one size group's shuffled training rows for an epoch. Measured by
 ``ru_maxrss`` with two participants of 1,000,000 samples at degree 10
-(one round, one repetition, ``local`` only), the peak was 433 MB, 30 MB
+(one round, one repetition, ``local`` only), the peak was 442 MB, 30 MB
 of it the interpreter and imports; drawing the task alone peaked at
-317 MB. Extrapolated linearly, not run: about 2.0 GB at ``MAX_SAMPLES``
+256 MB, each participant's two splits being its feature matrix reordered
+in place. Extrapolated linearly, not run: about 2.1 GB at ``MAX_SAMPLES``
 samples and this degree.
 """
 
@@ -289,14 +293,15 @@ def _plain(text: str, grammar: dict[str, _Rule], skip=()):
     out and split. A key's tokens are read column-wise, field f of every
     line as the strided slice ``tokens[f::arity]``: a line of the wrong
     width shifts a later key word off the stride, where it is read as a
-    participant or a weight and refused. A pair key's matrix is boolean,
-    symmetric for ``competing``; a weighted key's holds its weights.
+    participant or a weight and refused. Each chunk's checked columns go
+    into the matrices at once; a repeated pair sets a cell twice, so the
+    matrix ends with fewer nonzero cells than its lines set.
     """
     if not text.isascii() or any(c in text for c in _BREAKS):
         return None
     dropped = [_prefix(word) for word in ("#", *(f"{key} " for key in skip))]
     prefixes = {key: _prefix(key + " ") for key in grammar}
-    n, node, columns = None, {}, {key: [] for key in grammar}  # columns: one list per chunk
+    n, node, matrices, cells = None, {}, {}, dict.fromkeys(grammar, 0)  # cells set per key
     begin = 0
     while begin < len(text):
         end = text.find("\n", begin + _CHUNK)
@@ -323,10 +328,13 @@ def _plain(text: str, grammar: dict[str, _Rule], skip=()):
             if not 1 <= n <= MAX_NODES:
                 return None
             node = {f"v{k + 1}": k for k in range(n)} | {str(k): k for k in range(n)}
+            matrices = _zeros(n, grammar)
         read = 0  # lines of a grammar key; any other line (a second n) is not plain
         for key, rule in grammar.items():
             picked = _starting(heads, prefixes[key])
             count = np.count_nonzero(picked)
+            if not count:  # as for every key of a chunk before the n line: no matrix yet
+                continue
             read += count
             padded = np.concatenate(([False], picked, [False]))
             runs = np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2)  # [first, last + 1)
@@ -335,33 +343,27 @@ def _plain(text: str, grammar: dict[str, _Rule], skip=()):
             arity = len(rule.fixed) + 1
             if len(tokens) != arity * count:
                 return None
-            fields = [np.fromiter(map(node.get, tokens[f::arity], itertools.repeat(-1)),
-                                  np.intp, count) for f in (1, 2)]
-            if arity == 4:
+            j, i = (np.fromiter(map(node.get, tokens[f::arity], itertools.repeat(-1)),
+                                np.intp, count) for f in (1, 2))
+            if (j < 0).any() or (i < 0).any() or (j == i).any():
+                return None
+            value = True
+            if arity == 4:  # the weights
                 try:
-                    fields.append(np.fromiter(map(float, tokens[3::arity]), np.float64, count))
+                    value = np.fromiter(map(float, tokens[3::arity]), np.float64, count)
                 except ValueError:
                     return None
-            columns[key].append(fields)
+                if not ((value > 0) & (value < np.inf)).all():
+                    return None
+            matrices[key][j, i] = value
+            if key == "competing":  # an unordered pair: either order repeats it
+                matrices[key][i, j], count = True, 2 * count
+            cells[key] += count
         if read != np.count_nonzero(content):
             return None
-    if n is None:
+    # a repeated pair sets one cell twice
+    if n is None or any(np.count_nonzero(matrices[key]) != cells[key] for key in grammar):
         return None
-    matrices = {}
-    for key, chunks in columns.items():
-        j, i, *w = map(np.concatenate, zip(*chunks))
-        if (j < 0).any() or (i < 0).any() or (j == i).any():
-            return None
-        if w and not ((w[0] > 0) & (w[0] < np.inf)).all():
-            return None
-        matrix = np.zeros((n, n), dtype=np.float64 if w else bool)
-        matrix[j, i] = w[0] if w else True
-        cells = j.size
-        if key == "competing":  # an unordered pair: either order repeats it
-            matrix[i, j], cells = True, 2 * j.size
-        if np.count_nonzero(matrix) != cells:  # a repeated pair fills one cell twice
-            return None
-        matrices[key] = matrix
     return n, matrices
 
 
@@ -369,36 +371,39 @@ def _plain(text: str, grammar: dict[str, _Rule], skip=()):
 # checks and keys shared by several kinds
 
 
-def _add_competing(pairs: dict, line: _Line) -> None:
-    a, b = line.values
-    if a == b:
-        raise line.error("self-competition is not allowed", 2)
-    pair = (min(a, b), max(a, b))
-    if pair in pairs:
-        raise line.error(f"duplicate competing edge ({node_label(pair[0])}, "
-                         f"{node_label(pair[1])})")
-    pairs[pair] = True
+# pair key -> (message for a self pair, the token it points at, message for
+# a repeat); "{}" stands for the pair "(v<j>, v<i>)"
+_PAIRS = {
+    "competing": ("self-competition is not allowed", 2, "duplicate competing edge {}"),
+    "benefit": ("self-benefit edges are not allowed", 2, "duplicate benefit edge {}"),
+    "edge": ("self-edge {} is not a collaboration", 0, "edge {} already present"),
+    "usage_edge": ("self-edge {} is not a collaboration", 0, "duplicate usage edge {}"),
+}
 
 
-def _add_benefit(weights: dict, line: _Line) -> None:
-    j, i, w = line.values
-    if j == i:
-        raise line.error("self-benefit edges are not allowed", 2)
-    if w <= 0:
-        raise line.error("benefit weight must be positive", 3)
-    if (j, i) in weights:
-        raise line.error(f"duplicate benefit edge ({node_label(j)}, {node_label(i)})")
-    weights[j, i] = w
+def _zeros(n: int, keys) -> dict[str, np.ndarray]:
+    """An empty n x n matrix per pair key: float64 for 'benefit', else boolean."""
+    return {key: np.zeros((n, n), dtype=np.float64 if key == "benefit" else bool)
+            for key in keys}
 
 
-def _add_edge(edges: dict, line: _Line, repeat: str = "edge {} already present") -> None:
-    j, i = line.values
+def _add_pair(matrix: np.ndarray, line: _Line) -> None:
+    """Check a pair line and set its cell of ``matrix``: the weight for
+    'benefit', both cells for 'competing', so either order repeats it."""
+    j, i, *weight = line.values
+    if line.key == "competing":
+        j, i = min(j, i), max(j, i)
+    self_pair, col, repeat = _PAIRS[line.key]
     pair = f"({node_label(j)}, {node_label(i)})"
     if j == i:
-        raise line.error(f"self-edge {pair} is not a collaboration")
-    if (j, i) in edges:
+        raise line.error(self_pair.format(pair), col)
+    if weight and weight[0] <= 0:
+        raise line.error("benefit weight must be positive", 3)
+    if matrix[j, i]:
         raise line.error(repeat.format(pair))
-    edges[j, i] = line
+    matrix[j, i] = weight[0] if weight else True
+    if line.key == "competing":
+        matrix[i, j] = True
 
 
 def _add_group(members: set[int], line: _Line) -> None:
@@ -473,41 +478,26 @@ _REPORT_TRAIN = _scalar_keys(TrainConfig, "train_")
 
 
 # ---------------------------------------------------------------------------
-# edge and group lists: one reader body, one matrix builder, two line writers
-
-
-def _matrix(n: int, cells: dict, key: str = "benefit") -> np.ndarray:
-    """The n x n matrix of ``cells`` ({(j, i): value}): float64 weights for
-    'benefit', True at each pair for a pair key, mirrored for 'competing'."""
-    matrix = np.zeros((n, n), dtype=np.float64 if key == "benefit" else bool)
-    if cells:
-        j, i = zip(*cells)
-        matrix[j, i] = list(cells.values()) if key == "benefit" else True
-        if key == "competing":
-            matrix[i, j] = True
-    return matrix
-
-
-_CHECKS = {"competing": _add_competing, "benefit": _add_benefit, "edge": _add_edge}
+# edge and group lists: one reader body, two line writers
 
 
 def _edge_lists(text: str, kind: str, grammar: dict[str, _Rule], skip=(),
                 expected_n: int | None = None) -> tuple[int, dict[str, np.ndarray]]:
     """``(n, {key: matrix})`` of an edge-list file: :func:`_plain`'s result
-    if it reads the text, else the checked loop's, each line checked by its
-    key's ``_CHECKS`` entry; an 'n' other than ``expected_n`` is refused."""
+    if it reads the text, else the checked loop's, each pair line written
+    by :func:`_add_pair`; an 'n' other than ``expected_n`` is refused."""
     plain = _plain(text, grammar, skip)
     if plain is not None and expected_n in (None, plain[0]):
         return plain
-    cells: dict[str, dict] = {key: {} for key in grammar}
     for line in _lines(text, kind, grammar, skip):
-        if line.key == "n":
-            n = line.values[0]
-            if expected_n not in (None, n):
-                raise line.error(f"usage graph has n={n} but the instance has n={expected_n}", 1)
-        else:
-            _CHECKS[line.key](cells[line.key], line)
-    return n, {key: _matrix(n, found, key) for key, found in cells.items()}
+        if line.key != "n":
+            _add_pair(matrices[line.key], line)
+            continue
+        n = line.values[0]
+        if expected_n not in (None, n):
+            raise line.error(f"usage graph has n={n} but the instance has n={expected_n}", 1)
+        matrices = _zeros(n, grammar)
+    return n, matrices
 
 
 def _labels(n: int) -> np.ndarray:
@@ -622,12 +612,15 @@ def parse_sim_config(text: str):
     the training keys and reps are optional and fall back to defaults.
     """
     last: dict[str, _Line] = {}  # the latest line of each key but 'competing'
-    competing: dict = {}
+    competing = []  # (smaller, larger) per 'competing' line, in file order
     for line in _lines(text, "config", _SIM_CONFIG):
         if line.key == "competing":
-            _add_competing(competing, line)
+            _add_pair(matrices["competing"], line)
+            competing.append((min(line.values), max(line.values)))
         else:
             last[line.key] = line
+            if line.key == "n":
+                matrices = _zeros(line.values[0], ("competing",))
     _check_sizes(last)
     if "samples" not in last:
         raise FileFormatError("config file declares no 'samples'", 1, 1)
@@ -725,19 +718,21 @@ def parse_report(text: str) -> ExperimentReport:
     last: dict[str, _Line] = {}  # the latest line of each key
     lists: dict[str, list] = {"cover": [], "coalition": []}
     placed: dict[str, set[int]] = {"cover": set(), "coalition": set()}
-    usage_edges: dict[tuple[int, int], _Line] = {}
-    weights: dict = {}
+    pairs: dict[str, np.ndarray] = {}  # 'usage_edge' and 'benefit', from the 'n' line on
+    usage_edges: list[_Line] = []
     mse: dict[tuple[str, int], _Line] = {}
     for line in _lines(text, "report", _REPORT):
         key, values = line.key, line.values
         last[key] = line
-        if key in lists:
+        if key == "n":
+            pairs = _zeros(values[0], ("usage_edge", "benefit"))
+        elif key in lists:
             _add_group(placed[key], line)
             lists[key].append(tuple(values))
-        elif key == "usage_edge":
-            _add_edge(usage_edges, line, "duplicate usage edge {}")
-        elif key == "benefit":
-            _add_benefit(weights, line)
+        elif key in pairs:
+            _add_pair(pairs[key], line)
+            if key == "usage_edge":
+                usage_edges.append(line)
         elif key == "mse":
             if (values[0], values[1]) in mse:
                 raise line.error(f"duplicate mse row ({values[0]}, {node_label(values[1])})")
@@ -767,8 +762,9 @@ def parse_report(text: str) -> ExperimentReport:
             left_out = min(set(range(n)) - members)
             raise last[key].error(f"the '{key}' groups leave out participant "
                                   f"{node_label(left_out)}")
-    for (j, i), line in usage_edges.items():  # benefit lines may follow the edge
-        if (j, i) not in weights:
+    for line in usage_edges:  # benefit lines may follow the edge
+        j, i = line.values
+        if not pairs["benefit"][j, i]:
             raise line.error(f"usage edge ({node_label(j)}, {node_label(i)}) has no "
                              f"positive benefit line")
 
@@ -788,7 +784,7 @@ def parse_report(text: str) -> ExperimentReport:
         config=config, train_config=train_config, preset=_last(last, "preset"),
         clique_cover=Partition(tuple(lists["cover"]), "clique_cover", cover_mode),
         coalitions=Partition(tuple(lists["coalition"]), "scc_coalitions", cover_mode),
-        usage_edges=tuple(usage_edges), benefit=_matrix(n, weights),
+        usage_edges=tuple(tuple(line.values) for line in usage_edges), benefit=pairs["benefit"],
         aggregation=" ".join(last["aggregation"].values) if "aggregation" in last else "",
     )
 

@@ -84,7 +84,8 @@ class SyntheticConfig:
 @dataclass
 class SyntheticTask:
     """Ground truth and the split: ``train[i]`` and ``val[i]`` are participant
-    i's (features, labels) rows, a one-sample participant's row in both."""
+    i's (features, labels) rows, a one-sample participant's row in both; the
+    two feature arrays are views of one buffer."""
 
     config: SyntheticConfig
     weights: np.ndarray  # (n, degree) ground-truth coefficients
@@ -99,6 +100,26 @@ class SyntheticTask:
 def polynomial_features(x: np.ndarray, degree: int) -> np.ndarray:
     """Feature map (x, x^2, ..., x^degree) as an (m, degree) matrix."""
     return np.power.outer(x, np.arange(1, degree + 1, dtype=np.float64))
+
+
+_BLOCK = 1 << 16  # rows moved at a time by _split_rows
+
+
+def _split_rows(phi: np.ndarray, val_idx: np.ndarray,
+                train_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(phi[val_idx], phi[train_idx])`` as the front and the back of
+    ``phi``'s own buffer, for sorted indices that hold every row once, so
+    the rows are never held twice. The train rows move back in place, a
+    block at a time from the last: train row k comes from row
+    ``train_idx[k] <= len(val_idx) + k``, below every row a later block
+    writes. The validation rows, copied out first, then fill the front."""
+    n_val = len(val_idx)
+    val_rows = phi[val_idx]
+    for end in range(len(train_idx), 0, -_BLOCK):
+        start = max(0, end - _BLOCK)
+        phi[n_val + start:n_val + end] = phi[train_idx[start:end]]
+    phi[:n_val] = val_rows
+    return phi[:n_val], phi[n_val:]
 
 
 def generate_task(config: SyntheticConfig) -> SyntheticTask:
@@ -122,8 +143,9 @@ def generate_task(config: SyntheticConfig) -> SyntheticTask:
         noise = rng.normal(0.0, config.noise_std, size=m)
         sign = -1.0 if config.flipped[i] else 1.0
         phi = polynomial_features(x, config.degree)
+        # (sign * phi) @ u would copy phi; negating is exact, so the labels are unchanged
         with np.errstate(over="ignore", invalid="ignore"):
-            y = sign * phi @ u + noise
+            y = sign * (phi @ u) + noise
         if not np.isfinite(y).all():
             raise InvalidInstanceError(f"labels of participant v{i + 1} (index {i}) are not finite")
         perm = rng.permutation(m)
@@ -131,8 +153,9 @@ def generate_task(config: SyntheticConfig) -> SyntheticTask:
         val_idx = np.sort(perm[:n_val])
         # a one-sample holder's single sample serves both roles
         train_idx = np.sort(perm[n_val:]) if m > 1 else val_idx
-        val.append((phi[val_idx], y[val_idx]))
-        train.append((phi[train_idx], y[train_idx]))
+        val_phi, train_phi = _split_rows(phi, val_idx, train_idx) if m > 1 else (phi, phi)
+        val.append((val_phi, y[val_idx]))
+        train.append((train_phi, y[train_idx]))
     return SyntheticTask(config=config, weights=weights, train=train, val=val)
 
 

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -577,6 +581,30 @@ class TestFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {missing}: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_standard_output_that_cannot_be_written_exits_2(self, instance_file):
+        # a fresh interpreter, so the flush at its exit is seen too
+        src = Path(__file__).resolve().parents[1] / "src"
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "fedcollab.cli", "select",
+                                   "--instance", str(instance_file)], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=120,
+                                  env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: cannot write standard output: ")
+        assert len(done.stderr.splitlines()) == 1
+
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch, instance_file):
+        def exhaust(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(formats, "serialize_selection", exhaust)
+        out = tmp_path / "s.txt"
+        assert main(["select", "--instance", str(instance_file), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: fedcollab select ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_non_ascii_digit_exits_2_with_position(self, tmp_path, capsys):
         bad = tmp_path / "inst.txt"
         bad.write_text("n 3\ncompeting v² v1\n", encoding="utf-8")
@@ -612,3 +640,10 @@ class TestFiles:
         assert main(["simulate", "--config", str(cfg), "--methods", "local,local",
                      "--out", str(tmp_path / "t.csv")]) == 2
         assert capsys.readouterr().err == "error: --methods lists 'local' more than once\n"
+
+    def test_empty_methods_flag_exits_2(self, tmp_path, capsys):
+        cfg, out = tmp_path / "sim.txt", tmp_path / "t.csv"
+        cfg.write_text(SIM_CONFIG)
+        assert main(["simulate", "--config", str(cfg), "--methods", "", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --methods needs at least one method\n"
+        assert not out.exists()

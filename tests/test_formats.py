@@ -168,6 +168,11 @@ reps 4
         text = formats.serialize_sim_config(cfg, edges, tc, reps)
         assert formats.parse_sim_config(text) == (cfg, edges, tc, reps)
 
+    def test_competing_pairs_come_in_file_order_smaller_first(self):
+        # neither row-major nor sorted: the pairs are returned as the lines list them
+        text = "n 5\nsamples 5 5 5 5 5\ncompeting v3 v4\ncompeting v2 v1\ncompeting v5 v1\n"
+        assert formats.parse_sim_config(text)[1] == ((2, 3), (0, 1), (0, 4))
+
     def test_writer_folds_repeated_and_reversed_pairs(self):
         cfg = SyntheticConfig(n=6, samples=(10,) * 6, flipped=(False,) * 6)
         text = formats.serialize_sim_config(cfg, [(0, 1), (1, 0), (5, 2)])
@@ -269,6 +274,12 @@ class TestReportGroups:
         with pytest.raises(FileFormatError) as exc:
             formats.parse_report(self.BASE.replace(old, new))
         assert str(exc.value) == message
+
+    def test_usage_edges_come_in_file_order(self):
+        text = (TestReportFormat.MINIMAL.replace("n 2", "n 3").replace("5 5", "5 5 5")
+                + "mse local v3 0.5 0.1\nusage_edge v3 v1\nusage_edge v2 v1\n"
+                  "usage_edge v1 v2\nbenefit v1 v2 0.5\nbenefit v2 v1 0.5\nbenefit v3 v1 0.5\n")
+        assert formats.parse_report(text).usage_edges == ((2, 0), (1, 0), (0, 1))
 
     def test_report_without_groups_still_parses(self):
         report = formats.parse_report(TestReportFormat.MINIMAL)

@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from fedcollab import synthdata
 from fedcollab.graphs import InvalidInstanceError
 from fedcollab.synthdata import (PRESET_NAMES, PRESETS, STRONG_COMPETING_EDGES,
                                  WEAK_COMPETING_EDGES, SyntheticConfig, SyntheticTask,
@@ -149,6 +150,21 @@ class TestGeneration:
             warnings.simplefilter("error")
             with pytest.raises(InvalidInstanceError, match=message):
                 generate_task(cfg)
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_split_rows_are_the_indexed_rows_in_the_buffer(self, monkeypatch, block):
+        # small blocks, so the moves cross block boundaries as 65536-row blocks do
+        monkeypatch.setattr(synthdata, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for m in range(2, 40):
+            phi = rng.random((m, 3))
+            perm = rng.permutation(m)
+            n_val = int(rng.integers(1, m))
+            val_idx, train_idx = np.sort(perm[:n_val]), np.sort(perm[n_val:])
+            want = phi[val_idx], phi[train_idx]
+            got = synthdata._split_rows(phi, val_idx, train_idx)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w) and np.shares_memory(g, phi)
 
     def test_weights_built_from_shared_base(self):
         cfg = SyntheticConfig(n=6, samples=(10,) * 6, flipped=(False,) * 6,
