@@ -115,7 +115,7 @@ def _cmd_simulate(args) -> int:
                 f"unknown method {m!r}; expected a subset of {','.join(METHODS)}")
         if methods.count(m) > 1:
             raise formats.FileFormatError(f"--methods lists {m!r} more than once")
-    benefit = formats.parse_benefit(_read(args.benefit)) if args.benefit else None
+    benefit = formats.parse_benefit(_read(args.benefit), config.n) if args.benefit else None
     reps = args.reps if args.reps is not None else (file_reps if file_reps is not None else 10)
     formats.check_training_work(train_config.rounds, train_config.local_epochs, reps,
                                 config.samples)

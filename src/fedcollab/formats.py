@@ -248,6 +248,7 @@ def _lines(text: str, kind: str, grammar: dict[str, _Rule], skip=()):
 # edge lists in bulk
 
 _BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"  # ASCII line breaks of str.splitlines besides "\n"
+_COMMENT = re.compile(r"#[^\n]*")  # as _lines cuts a line at its first '#'
 _CHUNK = 1 << 16  # characters read at a time: only one chunk's tokens are held at once
 
 
@@ -277,29 +278,29 @@ def _plain(text: str, grammar: dict[str, _Rule], skip=()):
     read ``_CHUNK`` characters at a time; ``None`` for any other text,
     which :func:`_lines` then reads line by line.
 
-    Plain means: ASCII, lines broken by "\\n" alone, comments only at the
-    start of a line, and every other line empty, a ``skip`` key followed by
-    a space, ``n`` (first and once, 1..MAX_NODES in ASCII digits) or a key
-    of ``grammar`` followed by a space and exactly its field count.
-    Participants are canonical ``v<k>`` labels or indices in range, no pair
-    joins a participant to itself or comes twice, and weights (a third
-    field) are finite and positive. Such a text parses through
-    :func:`_lines` without error to the same values, so this never raises.
+    Plain means: ASCII, lines broken by "\\n" alone, and every line, once
+    its comment is cut, empty, a ``skip`` key followed by a space, ``n``
+    (first and once, 1..MAX_NODES in ASCII digits) or a key of ``grammar``
+    followed by a space and exactly its field count. Participants are
+    canonical ``v<k>`` labels or indices in range, no pair joins a
+    participant to itself or comes twice, and weights (a third field) are
+    finite and positive. Such a text parses through :func:`_lines` without
+    error to the same values, so this never raises.
 
-    No Python string is made per line. Each chunk is classified in numpy:
-    a line's first 16 bytes, read as two uint64 words, are matched against
-    each comment, skip and grammar prefix (:func:`_starting`). Only the ``n``
-    line and the runs of consecutive lines of one grammar key are sliced
-    out and split. A key's tokens are read column-wise, field f of every
-    line as the strided slice ``tokens[f::arity]``: a line of the wrong
-    width shifts a later key word off the stride, where it is read as a
-    participant or a weight and refused. Each chunk's checked columns go
-    into the matrices at once; a repeated pair sets a cell twice, so the
-    matrix ends with fewer nonzero cells than its lines set.
+    No Python string is made per line. Comments are cut by a regular
+    expression, and each chunk is classified in numpy: a line's first 16
+    bytes, read as two uint64 words, are matched against each skip and
+    grammar prefix (:func:`_starting`). Only the ``n`` line and the runs of
+    consecutive lines of one grammar key are sliced out and split. A key's
+    tokens are read column-wise, field f of every line as the strided slice
+    ``tokens[f::arity]``: a line of the wrong width shifts a later key word
+    off the stride, where it is read as a participant or a weight and
+    refused. Checked columns go into the matrices a chunk at once; a
+    repeated pair sets a cell twice, leaving fewer nonzero cells than lines.
     """
     if not text.isascii() or any(c in text for c in _BREAKS):
         return None
-    dropped = [_prefix(word) for word in ("#", *(f"{key} " for key in skip))]
+    dropped = [_prefix(f"{key} ") for key in skip]
     prefixes = {key: _prefix(key + " ") for key in grammar}
     n, node, matrices, cells = None, {}, {}, dict.fromkeys(grammar, 0)  # cells set per key
     begin = 0
@@ -307,6 +308,7 @@ def _plain(text: str, grammar: dict[str, _Rule], skip=()):
         end = text.find("\n", begin + _CHUNK)
         end = len(text) if end < 0 else end
         chunk, begin = text[begin:end], end + 1
+        chunk = _COMMENT.sub("", chunk) if "#" in chunk else chunk
         # line k of the chunk is chunk[starts[k]:ends[k]]; the padding gives
         # every line 16 bytes to read, and words[k] is the 8 bytes at data[k]
         data = b"\n" + chunk.encode("ascii") + b"\n" + bytes(16)
@@ -481,6 +483,10 @@ _REPORT_TRAIN = _scalar_keys(TrainConfig, "train_")
 # edge and group lists: one reader body, two line writers
 
 
+# per kind: what its 'n' line counts, and what the caller's expected n came from
+_EXPECTED_N = {"usage-graph": ("usage graph", "instance"), "benefit": ("benefit matrix", "config")}
+
+
 def _edge_lists(text: str, kind: str, grammar: dict[str, _Rule], skip=(),
                 expected_n: int | None = None) -> tuple[int, dict[str, np.ndarray]]:
     """``(n, {key: matrix})`` of an edge-list file: :func:`_plain`'s result
@@ -495,7 +501,8 @@ def _edge_lists(text: str, kind: str, grammar: dict[str, _Rule], skip=(),
             continue
         n = line.values[0]
         if expected_n not in (None, n):
-            raise line.error(f"usage graph has n={n} but the instance has n={expected_n}", 1)
+            what, whose = _EXPECTED_N[kind]
+            raise line.error(f"{what} has n={n} but the {whose} has n={expected_n}", 1)
         matrices = _zeros(n, grammar)
     return n, matrices
 
@@ -589,8 +596,8 @@ def serialize_selection(instance: Instance, usage: UsageGraph,
 _BENEFIT_FILE = _grammar({"benefit": _BENEFIT})
 
 
-def parse_benefit(text: str) -> np.ndarray:
-    return _edge_lists(text, "benefit", _BENEFIT_FILE)[1]["benefit"]
+def parse_benefit(text: str, expected_n: int | None = None) -> np.ndarray:
+    return _edge_lists(text, "benefit", _BENEFIT_FILE, expected_n=expected_n)[1]["benefit"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ search over the selected benefit edges from each competitor towards the
 other, and the per-step optimum by enumerating subsets of a
 participant's candidates, which are read straight from the instance.
 Size guards are hard errors; a partial oracle is worse than none.
+
+The tests check :func:`optimal_step` in turn against the paper's ILP,
+``ilp_optimum`` in ``tests/conftest.py``, which has no size guard.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import numpy as np
 from .graphs import Instance, UsageGraph
 
 PATH_ENUM_MAX_NODES = 12
-FULL_MATRIX_MAX_FREE_EDGES = 18
 
 
 class OracleSizeError(ValueError):
@@ -99,30 +101,3 @@ def optimal_step(instance: Instance, usage: UsageGraph, i: int) -> tuple[float, 
                 best_value, best_set = value, tuple(sorted(prior + subset))
     return best_value, best_set
 
-
-def optimal_step_by_full_matrices(instance: Instance, usage: UsageGraph, i: int) -> float:
-    """Second exhaustive reference: enumerate whole decision matrices.
-
-    Maximizes the step-i objective over every feasible matrix that
-    contains the current edges and stays inside the benefit graph, not
-    just over column-i extensions. Agrees with :func:`optimal_step`
-    because extra off-column edges never raise the column objective and
-    removing them never breaks feasibility.
-    """
-    adj = instance.benefit > 0.0
-    free = [(int(j), int(k)) for j, k in np.transpose(np.nonzero(adj & ~usage.x)).tolist()]
-    if len(free) > FULL_MATRIX_MAX_FREE_EDGES:
-        raise OracleSizeError("full-matrix enumeration is limited to "
-                              f"{FULL_MATRIX_MAX_FREE_EDGES} free edges, got {len(free)}")
-    w = instance.benefit[:, i]
-    prior_value = float(sum(w[j] for j in _candidate_list(instance, i) if usage.x[j, i]))
-    best = prior_value if _paths_feasible(instance, usage.x) else 0.0
-    for size in range(1, len(free) + 1):
-        for chosen in combinations(free, size):
-            value = prior_value + float(sum(w[j] for j, k in chosen if k == i))
-            x = usage.x.copy()
-            for j, k in chosen:
-                x[j, k] = True
-            if value > best and _paths_feasible(instance, x):
-                best = value
-    return best

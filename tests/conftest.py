@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import coo_array
 
 from fedcollab.graphs import Instance, UsageGraph
 
@@ -80,6 +82,52 @@ def bfs_reachable(x: np.ndarray, start: int) -> set[int]:
                 seen.add(v)
                 frontier.append(v)
     return seen
+
+
+def ilp_optimum(instance: Instance, usage: UsageGraph,
+                weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """The paper's integer linear program, solved exactly by HiGHS.
+
+    A binary x_pq per benefit-support pair, fixed to 1 on ``usage``'s edges,
+    and a continuous r_pq in [0, 1] per ordered pair with r_pq >= x_pq and
+    r_pq >= r_pk + x_kq - 1, so a path of chosen edges from p to q forces
+    r_pq to 1; r is 0 on every competing pair, in both directions. Returns
+    the most ``weights[p, q] * x_pq`` summed over a feasible x, and that x
+    as a boolean matrix. A status other than optimal raises.
+    """
+    n = instance.n
+    support = instance.benefit > 0.0
+    if (usage.x & ~support).any():
+        raise ValueError("usage has an edge outside the benefit support")
+    sp, sq = np.nonzero(support)
+    m = len(sp)  # x_e is variable e; r_pq is variable m + p * n + q
+    # r_pq >= x_e for e = (p, q)
+    rows = [np.arange(m)] * 2
+    cols = [m + sp * n + sq, np.arange(m)]
+    data = [np.ones(m), -np.ones(m)]
+    # r_pq >= r_pk + x_e - 1 for e = (k, q) and every p other than k and q
+    p, e = np.repeat(np.arange(n), m), np.tile(np.arange(m), n)
+    keep = (p != sp[e]) & (p != sq[e])
+    p, e = p[keep], e[keep]
+    t = len(p)
+    rows += [m + np.arange(t)] * 3
+    cols += [m + p * n + sq[e], m + p * n + sp[e], e]
+    data += [np.ones(t), -np.ones(t), -np.ones(t)]
+    matrix = coo_array((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                       (m + t, m + n * n))
+    constraint = LinearConstraint(matrix, np.concatenate([np.zeros(m), -np.ones(t)]), np.inf)
+    lower = np.concatenate([usage.x[sp, sq], np.zeros(n * n)])
+    upper = np.concatenate([np.ones(m), (~instance.competing & ~np.eye(n, dtype=bool)).ravel()])
+    res = milp(np.concatenate([-weights[sp, sq], np.zeros(n * n)]),
+               integrality=np.concatenate([np.ones(m), np.zeros(n * n)]),
+               bounds=Bounds(lower, upper), constraints=constraint,
+               options={"mip_rel_gap": 0.0})  # HiGHS would stop within 1e-4 of the optimum
+    if res.status != 0:
+        raise RuntimeError(f"the ILP was not solved to optimality: {res.message}")
+    chosen = res.x[:m] > 0.5
+    x = np.zeros((n, n), dtype=bool)
+    x[sp[chosen], sq[chosen]] = True
+    return float(weights[x].sum()), x
 
 
 @pytest.fixture

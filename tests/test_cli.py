@@ -249,6 +249,16 @@ class TestSimulate:
         report = formats.parse_report(rep_out.read_text())
         assert report.usage_edges == ((2, 0),)
 
+    def test_benefit_file_of_another_n_exits_2(self, tmp_path, capsys):
+        cfg, wfile = tmp_path / "sim.txt", tmp_path / "w.txt"
+        cfg.write_text(SIM_CONFIG)
+        wfile.write_text("n 4\nbenefit v3 v1 0.4\n")
+        assert main(["simulate", "--config", str(cfg), "--benefit", str(wfile),
+                     "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == \
+            "error: line 1, column 3: benefit matrix has n=4 but the config has n=3\n"
+        assert not (tmp_path / "t.csv").exists()
+
     def test_preset_table_layout(self, tmp_path):
         out = tmp_path / "table.csv"
         assert main(["simulate", "--preset", "weak_noniid", "--seed", "7",
@@ -593,6 +603,15 @@ class TestFiles:
         assert done.returncode == 2
         assert done.stderr.startswith("error: cannot write standard output: ")
         assert len(done.stderr.splitlines()) == 1
+
+    def test_the_program_never_loads_scipy(self):
+        # the tests import scipy for their ILP referee, so only a fresh
+        # interpreter shows what the program itself loads
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", "import fedcollab, fedcollab.cli, sys; "
+                               "sys.exit('scipy' in sys.modules)"], timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0
 
     def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch, instance_file):
         def exhaust(*args):

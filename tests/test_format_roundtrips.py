@@ -285,3 +285,21 @@ def test_plain_edge_lists_skip_the_checked_loop(rng, chunk, n):
             parsed = formats.parse_usage(text, n)
             assert parsed == usage and np.array_equal(parsed.closure, usage.closure)
         assert np.array_equal(formats.parse_benefit(_benefit_text(instance)), instance.benefit)
+
+
+@pytest.mark.parametrize("chunk", [64, formats._CHUNK])
+def test_inline_comments_stay_in_the_bulk_reader(rng, chunk):
+    # a comment after a line's fields, or on a line of its own, is cut before
+    # the chunk is classified: the text is still read in bulk, to the same values
+    instance = make_instance(rng, 12)
+    usage, trace = select_collaborators(instance)
+    texts = [formats.serialize_instance(instance),
+             formats.serialize_selection(instance, usage, trace)]
+    instance_text, selection_text = (
+        "".join(line.rstrip("\n") + f" # line {k}\n" if k % 3 else "# own line\n" + line
+                for k, line in enumerate(text.splitlines(True))) for text in texts)
+    refuse = AssertionError("the checked loop read the text")
+    with patch.object(formats, "_lines", side_effect=refuse), \
+            patch.object(formats, "_CHUNK", chunk):
+        assert formats.parse_instance(instance_text) == instance
+        assert formats.parse_usage(selection_text, instance.n) == usage

@@ -7,10 +7,11 @@ import pytest
 from fedcollab import oracle
 from fedcollab.graphs import Instance, UsageGraph, conflict_free
 from fedcollab.oracle import (OracleSizeError, _candidate_list, _reaches, conflict_free_by_paths,
-                              optimal_step, optimal_step_by_full_matrices)
-from fedcollab.selection import Selection, candidate_collaborators, processing_order, select_step
+                              optimal_step)
+from fedcollab.selection import (Selection, candidate_collaborators, processing_order,
+                                 select_collaborators, select_step)
 
-from conftest import make_instance, make_usage
+from conftest import ilp_optimum, make_instance, make_usage
 
 
 def adjacency(n, edges):
@@ -115,7 +116,7 @@ class TestOptimalStep:
                 gaps.append(gap)
         assert gaps and min(gaps) >= 0.0
 
-    def test_matches_full_matrix_enumeration_on_tiny_instances(self):
+    def test_matches_the_ilp_on_tiny_instances(self):
         rng = np.random.default_rng(29)
         checked = 0
         while checked < 25:
@@ -128,18 +129,42 @@ class TestOptimalStep:
                 continue
             i = int(rng.integers(0, inst.n))
             column, _ = optimal_step(inst, usage, i)
-            full = optimal_step_by_full_matrices(inst, usage, i)
-            assert column == pytest.approx(full, abs=1e-12)
+            assert column == pytest.approx(_ilp_step(inst, usage, i), abs=1e-12)
             checked += 1
 
-    def test_full_matrix_oversize_guard(self):
-        # every off-diagonal pair of n=5 is a free benefit edge: 20 > 18
-        w = np.ones((5, 5))
-        np.fill_diagonal(w, 0.0)
-        inst = Instance(5, np.zeros((5, 5), bool), w)
-        assert oracle.FULL_MATRIX_MAX_FREE_EDGES == 18
-        with pytest.raises(OracleSizeError, match="limited to 18 free edges, got 20"):
-            optimal_step_by_full_matrices(inst, UsageGraph(5), 0)
+
+def _ilp_step(instance, usage, i):
+    """The ILP optimum of participant i's step: benefit into i alone is weighed."""
+    weights = np.zeros_like(instance.benefit)
+    weights[:, i] = instance.benefit[:, i]
+    return ilp_optimum(instance, usage, weights)[0]
+
+
+class TestIlpOptimum:
+    @pytest.mark.parametrize("n,seed", [(13, 1), (13, 2), (14, 1), (14, 2)])
+    def test_greedy_steps_are_optimal_past_the_enumerators_cap(self, n, seed):
+        # optimal_step refuses n > 12; the ILP has no cap
+        inst = make_instance(np.random.default_rng(seed), n)
+        selection = Selection(inst)
+        for i in processing_order(inst):
+            value = _ilp_step(inst, selection.usage, i)
+            assert select_step(selection, i).objective == pytest.approx(value, abs=1e-12)
+
+    def test_total_benefit_optimum_is_conflict_free_and_dominates_the_greedy(self):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            inst = make_instance(rng, int(rng.integers(4, 10)))
+            value, x = ilp_optimum(inst, UsageGraph(inst.n), inst.benefit)
+            assert conflict_free_by_paths(inst, UsageGraph.from_edges(inst.n, np.argwhere(x)))
+            usage, _ = select_collaborators(inst)
+            assert value >= inst.benefit[usage.x].sum() - 1e-12
+
+    def test_an_infeasible_prior_state_raises_instead_of_a_value(self):
+        s = np.zeros((3, 3), bool)
+        s[0, 1] = s[1, 0] = True
+        inst = Instance(3, s, np.ones((3, 3)))
+        with pytest.raises(RuntimeError, match="not solved to optimality"):
+            ilp_optimum(inst, UsageGraph(3).add_edge(0, 1), inst.benefit)
 
 
 def test_candidates_match_the_engine():
@@ -157,9 +182,8 @@ def test_candidates_match_the_engine():
             assert _candidate_list(inst, i) == candidate_collaborators(inst, i).tolist()
 
 
-def test_oracle_imports_nothing_from_selection():
-    # the referee shares no code with the engine it checks
-    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+def _assert_imports_nothing_from_selection(path) -> None:
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -172,3 +196,13 @@ def test_oracle_imports_nothing_from_selection():
     assert "fedcollab.graphs" in imported
     assert not any(m == "fedcollab.selection" or m.startswith("fedcollab.selection.")
                    for m in imported)
+
+
+def test_oracle_imports_nothing_from_selection():
+    # the referee shares no code with the engine it checks
+    _assert_imports_nothing_from_selection(oracle.__file__)
+
+
+def test_ilp_referee_imports_nothing_from_selection():
+    # nor does the ILP, nor anything else in the module that holds it
+    _assert_imports_nothing_from_selection(Path(__file__).with_name("conftest.py"))
