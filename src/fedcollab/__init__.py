@@ -3,8 +3,8 @@ competition, with baseline partitions and a desk-scale co-simulator."""
 
 from .fedtrain import (METHODS, ExperimentReport, TrainConfig, TrainingDivergenceError,
                        estimate_benefit, run_experiment)
-from .graphs import (Instance, InvalidInstanceError, PathWitness, UsageGraph,
-                     competitor_guards, conflict_free, conflict_violations, potentials)
+from .graphs import (Instance, InvalidInstanceError, PathWitness, UsageGraph, conflict_free,
+                     conflict_violations, potentials)
 from .oracle import OracleSizeError, conflict_free_by_paths, optimal_step
 from .partition import Partition, min_clique_cover, scc_coalitions
 from .selection import (Selection, SelectionTrace, StepTrace, candidate_collaborators,
@@ -18,7 +18,7 @@ __all__ = [
     "OracleSizeError", "Partition", "PathWitness", "Selection", "SelectionTrace",
     "StepTrace", "SyntheticConfig", "SyntheticTask", "TrainConfig",
     "TrainingDivergenceError", "UsageGraph", "candidate_collaborators",
-    "competitor_guards", "conflict_free", "conflict_free_by_paths", "conflict_violations",
+    "conflict_free", "conflict_free_by_paths", "conflict_violations",
     "estimate_benefit", "generate_task", "min_clique_cover", "optimal_step",
     "potentials", "preset", "processing_order", "run_experiment", "scc_coalitions",
     "select_collaborators", "select_step",

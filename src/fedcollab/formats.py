@@ -45,11 +45,15 @@ MAX_NODES = 4096
 """Largest participant count an input file may declare (exit code 3 above).
 
 Instance, benefit and report files become dense n x n float64 matrices,
-128 MiB each at this bound, and selection keeps four n x n boolean
-matrices besides (16 MiB each); a larger count is refused before anything
-is allocated. Parsing an instance file at this bound (8.8 million lines,
-333 MB) peaked at 665 MB by ``ru_maxrss``, which reading its text had
-already reached (2-vCPU machine).
+128 MiB each at this bound, and selection keeps three n x n boolean
+matrices besides (16 MiB each): the competition, the edges and their
+closure. A larger count is refused before anything is allocated. The
+selection trace holds 9 bytes per decision (the candidate and its
+verdict) and 16 more per reject (its reason, two node indices), so it
+grows with the benefit support, at most n x (n - 1) decisions, and not
+with the paths of the closure. Parsing an instance file at this bound
+(8.8 million lines, 333 MB) peaked at 665 MB by ``ru_maxrss``, which
+reading its text had already reached (2-vCPU machine).
 """
 
 MAX_DEGREE = 10
@@ -249,6 +253,7 @@ def _lines(text: str, kind: str, grammar: dict[str, _Rule], skip=()):
 
 _BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"  # ASCII line breaks of str.splitlines besides "\n"
 _COMMENT = re.compile(r"#[^\n]*")  # as _lines cuts a line at its first '#'
+_INDENT = re.compile(r"^ +", re.MULTILINE)  # as _lines drops the spaces before a key
 _CHUNK = 1 << 16  # characters read at a time: only one chunk's tokens are held at once
 
 
@@ -279,16 +284,18 @@ def _plain(text: str, grammar: dict[str, _Rule], skip=()):
     which :func:`_lines` then reads line by line.
 
     Plain means: ASCII, lines broken by "\\n" alone, and every line, once
-    its comment is cut, empty, a ``skip`` key followed by a space, ``n``
-    (first and once, 1..MAX_NODES in ASCII digits) or a key of ``grammar``
-    followed by a space and exactly its field count. Participants are
-    canonical ``v<k>`` labels or indices in range, no pair joins a
-    participant to itself or comes twice, and weights (a third field) are
-    finite and positive. Such a text parses through :func:`_lines` without
-    error to the same values, so this never raises.
+    its comment is cut, its tabs read as spaces and its leading spaces
+    dropped, empty, a ``skip`` key followed by a space, ``n`` (first and
+    once, 1..MAX_NODES in ASCII digits) or a key of ``grammar`` followed by
+    a space and exactly its field count. Participants are canonical
+    ``v<k>`` labels or indices in range, no pair joins a participant to
+    itself or comes twice, and weights (a third field) are finite and
+    positive. Such a text parses through :func:`_lines` without error to
+    the same values, so this never raises.
 
-    No Python string is made per line. Comments are cut by a regular
-    expression, and each chunk is classified in numpy: a line's first 16
+    No Python string is made per line. Comments are cut, and the tabs and
+    indents of a chunk that has any are normalised, over the whole chunk
+    at once; each chunk is then classified in numpy: a line's first 16
     bytes, read as two uint64 words, are matched against each skip and
     grammar prefix (:func:`_starting`). Only the ``n`` line and the runs of
     consecutive lines of one grammar key are sliced out and split. A key's
@@ -309,6 +316,8 @@ def _plain(text: str, grammar: dict[str, _Rule], skip=()):
         end = len(text) if end < 0 else end
         chunk, begin = text[begin:end], end + 1
         chunk = _COMMENT.sub("", chunk) if "#" in chunk else chunk
+        if "\t" in chunk or "\n " in chunk or chunk.startswith(" "):  # as _lines splits
+            chunk = _INDENT.sub("", chunk.replace("\t", " "))
         # line k of the chunk is chunk[starts[k]:ends[k]]; the padding gives
         # every line 16 bytes to read, and words[k] is the 8 bytes at data[k]
         data = b"\n" + chunk.encode("ascii") + b"\n" + bytes(16)
@@ -581,12 +590,12 @@ def serialize_selection(instance: Instance, usage: UsageGraph,
     for step in trace.steps:
         who = label[step.participant]
         lines.append(f"step {who} objective {step.objective!r}")
+        reasons = iter((label[step.rivals] + " " + label[step.descendants]).tolist())
         weights = instance.benefit[step.candidates, step.participant]
-        for j, w, ok, upstream, downstream in zip(label[step.candidates].tolist(),
-                                                  weights.tolist(), step.verdicts.tolist(),
-                                                  *step.guards(label)):
-            lines.append(f"decision {who} {j} {w!r} {'accept' if ok else 'reject'} "
-                         f"{','.join(upstream) or '-'} {','.join(downstream) or '-'}")
+        lines += [f"decision {who} {j} {w!r} accept" if ok else
+                  f"decision {who} {j} {w!r} reject {next(reasons)}"
+                  for j, w, ok in zip(label[step.candidates].tolist(), weights.tolist(),
+                                      step.verdicts.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -253,34 +253,6 @@ def potentials(instance: Instance) -> np.ndarray:
     return instance.benefit.sum(axis=1)
 
 
-def competitor_guards(instance: Instance, usage: UsageGraph,
-                      i: int, j: int) -> tuple[frozenset[int], frozenset[int]]:
-    """Guard sets that must be empty for the edge j -> i to be safe.
-
-    Returns ``(upstream, downstream)``: upstream holds competitors of
-    nodes that reach j which are already reachable from i; downstream
-    holds competitors of nodes reachable from i which already reach j.
-    They are the two ends of the competing pairs (ancestor of j,
-    descendant of i), so on any usage graph each is empty exactly when
-    the other is.
-
-    This direct O(n^2) scan is the reference form: the selection engine
-    decides on the downstream set, read in O(n) from i's rivals, and
-    reads the upstream set for its trace from the conflict matrix that
-    a :class:`fedcollab.selection.Selection` keeps.
-    """
-    i, j = instance.check_node(i), instance.check_node(j)
-    if i == j:
-        raise ValueError("guard sets are defined for distinct nodes only")
-    comp, clo = instance.competing, usage.closure
-    # row k of comp & clo[:, j] is nonempty iff k competes with an ancestor
-    # of j; competing is symmetric, so the same holds for descendants of i
-    upstream = (comp & clo[:, j]).any(axis=1) & clo[i]
-    downstream = (comp & clo[i]).any(axis=1) & clo[:, j]
-    return (frozenset(np.flatnonzero(upstream).tolist()),
-            frozenset(np.flatnonzero(downstream).tolist()))
-
-
 def conflict_free(instance: Instance, usage: UsageGraph) -> bool:
     """True iff no competing pair is connected (either way) in the usage graph."""
     # competing is symmetric, so this reads each pair in both directions

@@ -1,7 +1,7 @@
 """Independent brute-force references for testing the fast paths.
 
 Nothing here imports the selection engine or reads the incremental
-closure and its guard sets. Feasibility is decided by a depth-first
+closure. Feasibility is decided by a depth-first
 search over the selected benefit edges from each competitor towards the
 other, and the per-step optimum by enumerating subsets of a
 participant's candidates, which are read straight from the instance.

@@ -3,37 +3,32 @@
 Participants are served in nonincreasing order of their potential (total
 benefit offered to others). For each participant i, candidates — the
 non-competing nodes whose data would benefit i — are taken in
-nonincreasing benefit order, and a candidate j is accepted iff both
-conflict guards for the edge j -> i are empty against the usage graph.
-The result always satisfies the conflict-freedom constraint.
+nonincreasing benefit order, and a candidate k is accepted iff the edge
+k -> i joins no competing pair. The result always satisfies the
+conflict-freedom constraint.
 
-The guards are the two ends of the competing pairs (ancestor of j,
-descendant of i) that the edge would join, so each is empty exactly when
-the other is, and the verdict reads the downstream one: j is accepted iff
-no ancestor of j is one of i's *rivals*, the competitors of i's
-descendants. All candidates of one step are decided together, on the
-graph as it stood before the step. This gives exactly the verdicts and
-guard sets of a scan that adds each accepted edge before it checks the
-next candidate. New paths through an edge j -> i all end in a descendant
-of i, so ``closure[i]`` and i's rivals do not change within the step.
-For a later candidate k, the upstream guard ``anc_comp[k] & closure[i]``
-can only gain ``anc_comp[j] & closure[i]``, and the downstream guard
-``rivals & closure[:, k]`` can only gain ``rivals & closure[:, j]``.
-Those are j's own guards, which were empty when j was accepted, so no
-guard reads differently in scan order.
+An edge k -> i joins exactly the pairs (ancestor of k, descendant of i)
+that compete. So k is rejected iff one of i's *rivals*, the competitors
+of i's descendants, reaches k. All candidates of one step are decided
+together, on the graph as it stood before the step: i's rivals are read
+once, from the competition rows of the descendants that ``closure[i]``
+marks, and each candidate's verdict from the rivals' closure rows. This
+gives exactly the verdicts of a scan that adds each accepted edge before
+it checks the next candidate. New paths through an edge j -> i all end
+in a descendant of i, so ``closure[i]`` and i's rivals do not change
+within the step, and a rival that reaches a later candidate k only
+through j would reach j, which was accepted. The step's accepted edges
+then take one update: the closure rows of the accepted candidates'
+ancestors, each ORed with ``closure[i]``.
 
-A step builds both guard sides of its |C| candidates as one stacked
-2|C| x n mask: the upstream rows from the conflict matrix ``anc_comp``
-that the run's :class:`Selection` keeps, the downstream rows from i's
-rivals. One sparse extraction of that mask gives the trace, and the
-downstream counts give the verdicts. The step's accepted edges then take
-one update: the closure rows of the accepted candidates' ancestors and
-the ``anc_comp`` rows of i's descendants, each ORed with one row.
-
-The trace holds each fact once. A :class:`StepTrace` records a
-participant, its objective and, per candidate in scan order, the verdict
-and both guard sets; a :class:`SelectionTrace` is the steps in processing
-order. Potentials and candidate weights are read from the instance.
+A reject records one reason, a competing pair (r, d) its edge would
+join: r is the lowest-index rival of i that reaches k, and d the
+lowest-index descendant of i that competes with r, so r ~> k -> i ~> d.
+Both read the same in scan order, for the same reason as the verdicts.
+A :class:`StepTrace` records a participant, its objective, its
+candidates in scan order with their verdicts, and the (r, d) of each
+reject; a :class:`SelectionTrace` is the steps in processing order.
+Potentials and candidate weights are read from the instance.
 """
 from __future__ import annotations
 
@@ -44,40 +39,23 @@ import numpy as np
 from .graphs import Instance, UsageGraph, potentials
 
 
-def _sparse(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(entries per row, their columns in row order) of a boolean matrix."""
-    columns = np.flatnonzero(mask) % mask.shape[1]
-    return np.count_nonzero(mask, axis=1).astype(np.int32), columns.astype(np.int32)
-
-
 @dataclass(frozen=True, eq=False)
 class StepTrace:
     """One participant's step, as columns over its candidates in scan order.
 
     ``objective`` is the benefit i receives from its accepted candidates,
     summed in scan order; a candidate's weight is read from the instance as
-    ``benefit[candidates, participant]``. ``guard_entries`` holds both guard
-    sides sparsely, as ``(counts, nodes)`` over 2|C| rows: the number of
-    guard nodes of each row, and all of them concatenated in row order,
-    ascending within a row. The first |C| rows are the candidates' upstream
-    guards and the rest their downstream guards, each in scan order.
-    Accepts have none.
+    ``benefit[candidates, participant]``. ``rivals`` and ``descendants``
+    run over the rejected candidates in scan order: the reason (r, d) of
+    each, a competing pair that its edge would join.
     """
 
     participant: int
     objective: float
     candidates: np.ndarray
     verdicts: np.ndarray  # True for an accepted candidate
-    guard_entries: tuple[np.ndarray, np.ndarray]
-
-    def guards(self, labels: np.ndarray | None = None) -> tuple[list[list], list[list]]:
-        """Each candidate's upstream and downstream guard nodes, in scan
-        order; given ``labels``, an array indexed by node, their labels."""
-        counts, nodes = self.guard_entries
-        items = (nodes if labels is None else labels[nodes]).tolist()
-        ends = np.cumsum(counts).tolist()
-        rows = [items[a:b] for a, b in zip([0, *ends], ends)]
-        return rows[:len(self.candidates)], rows[len(self.candidates):]
+    rivals: np.ndarray
+    descendants: np.ndarray
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StepTrace):
@@ -86,7 +64,7 @@ class StepTrace:
                 and all(map(np.array_equal, self._columns(), other._columns())))
 
     def _columns(self) -> tuple[np.ndarray, ...]:
-        return (self.candidates, self.verdicts, *self.guard_entries)
+        return self.candidates, self.verdicts, self.rivals, self.descendants
 
 
 @dataclass(frozen=True)
@@ -116,29 +94,25 @@ def candidate_collaborators(instance: Instance, i: int) -> np.ndarray:
     """
     i = instance.check_node(i)
     w = instance.benefit[:, i]  # the diagonal is zero, so i is never its own candidate
-    js = np.flatnonzero((w > 0.0) & ~instance.competing[:, i])
+    js = ((w > 0.0) & ~instance.competing[:, i]).nonzero()[0]
     return js[np.argsort(-w[js], kind="stable")]
 
 
 class Selection:
-    """A run's state: the usage graph built so far and the conflict matrix
-    ``_anc_comp``, true at [q, k] when k competes with an ancestor-or-self
-    of q, so ``_anc_comp[j] & closure[i]`` is the upstream guard of j -> i.
+    """A run's state: the usage graph built so far.
 
-    Both are private. A run starts empty and changes only through
-    :func:`select_step`, so its graph stays conflict-free and ``_anc_comp``
-    matches it. ``usage`` is a read-only view of the graph that follows
-    every step: its ``x`` and ``closure`` are non-writeable, so an edge
-    added from outside (``usage.add_edge``) raises instead of leaving
-    ``_anc_comp`` stale.
+    It is private. A run starts empty and changes only through
+    :func:`select_step`, so its graph stays conflict-free. ``usage`` is a
+    read-only view of the graph that follows every step: its ``x`` and
+    ``closure`` are non-writeable, so an edge added from outside
+    (``usage.add_edge``) raises.
     """
 
-    __slots__ = ("instance", "_usage", "_anc_comp")
+    __slots__ = ("instance", "_usage")
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
         self._usage = UsageGraph(instance.n)
-        self._anc_comp = instance.competing.copy()  # the empty graph's closure is the identity
 
     @property
     def usage(self) -> UsageGraph:
@@ -147,26 +121,25 @@ class Selection:
 
 def select_step(selection: Selection, i: int) -> StepTrace:
     """Greedily pick i's collaborators and add their edges to ``selection``."""
-    instance, usage, anc_comp = selection.instance, selection._usage, selection._anc_comp
+    instance, usage = selection.instance, selection._usage
     i = instance.check_node(i)
     cand = candidate_collaborators(instance, i)
-    clo, c = usage.closure, len(cand)
-    # every guard reads the same on the graph before the step (module
-    # docstring): rows [:c] are the upstream guards, rows [c:] the downstream
-    # ones, and the downstream guard alone decides
-    rivals = instance.competing[clo[i]].any(axis=0)
-    guards = np.empty((2 * c, instance.n), dtype=bool)
-    np.logical_and(anc_comp[cand], clo[i], out=guards[:c])
-    np.logical_and(clo[:, cand].T, rivals, out=guards[c:])
-    counts, nodes = _sparse(guards)
-    verdicts = counts[c:] == 0
-    # an edge authorized by an earlier step joins no competitors, so its
-    # guards are empty, and it is accepted as it stands
+    clo, competing = usage.closure, instance.competing
+    # every verdict and reason reads the same on the graph before the step
+    # (module docstring)
+    below = clo[i]
+    rivals = competing[below].any(axis=0).nonzero()[0]
+    reach = clo[rivals][:, cand]
+    rejected = reach.any(axis=0)
+    r = d = rivals[:0]
+    if rejected.any():  # the first rival of each rejected column, and its pair
+        r = rivals[reach[:, rejected].argmax(axis=0)]
+        d = (competing[r] & below).argmax(axis=1)
+    verdicts = ~rejected
+    # an edge authorized by an earlier step joins no competitors, so it is
+    # accepted as it stands
     added = cand[verdicts & ~usage.x[cand, i]]
     if added.size:
-        # the edges give every descendant of i the ancestors of the added
-        # candidates, and so their competitors
-        anc_comp[clo[i]] |= anc_comp[added].any(axis=0)
         # new by construction, so unchecked: ``added`` comes from flatnonzero
         # over i's benefit column, so its nodes are distinct and in range; the
         # column's diagonal is zero, so i is not among them; and the filter
@@ -175,7 +148,7 @@ def select_step(selection: Selection, i: int) -> StepTrace:
     objective = 0.0
     for w in instance.benefit[cand[verdicts], i].tolist():  # summed in scan order
         objective += w
-    return StepTrace(i, objective, cand, verdicts, (counts, nodes))
+    return StepTrace(i, objective, cand, verdicts, r, d)
 
 
 def select_collaborators(instance: Instance) -> tuple[UsageGraph, SelectionTrace]:

@@ -84,6 +84,32 @@ def bfs_reachable(x: np.ndarray, start: int) -> set[int]:
     return seen
 
 
+def competitor_guards(instance: Instance, usage: UsageGraph,
+                      i: int, j: int) -> tuple[frozenset[int], frozenset[int]]:
+    """Guard sets that must be empty for the edge j -> i to be safe.
+
+    Returns ``(upstream, downstream)``: upstream holds competitors of
+    nodes that reach j which are already reachable from i; downstream
+    holds competitors of nodes reachable from i which already reach j.
+    They are the two ends of the competing pairs (ancestor of j,
+    descendant of i), so on any usage graph each is empty exactly when
+    the other is. This direct O(n^2) scan is the reference for the
+    selection engine's verdicts and for the (rival, descendant) reason it
+    records per reject: the rival is in the downstream set and the
+    descendant in the upstream set.
+    """
+    i, j = instance.check_node(i), instance.check_node(j)
+    if i == j:
+        raise ValueError("guard sets are defined for distinct nodes only")
+    comp, clo = instance.competing, usage.closure
+    # row k of comp & clo[:, j] is nonempty iff k competes with an ancestor
+    # of j; competing is symmetric, so the same holds for descendants of i
+    upstream = (comp & clo[:, j]).any(axis=1) & clo[i]
+    downstream = (comp & clo[i]).any(axis=1) & clo[:, j]
+    return (frozenset(np.flatnonzero(upstream).tolist()),
+            frozenset(np.flatnonzero(downstream).tolist()))
+
+
 def ilp_optimum(instance: Instance, usage: UsageGraph,
                 weights: np.ndarray) -> tuple[float, np.ndarray]:
     """The paper's integer linear program, solved exactly by HiGHS.

@@ -234,7 +234,7 @@ GRID = {
     formats.parse_instance: "# instance\nn 4\ncompeting 0 2\ncompeting v2 v4\nbenefit 1 0 0.25\n"
                             "benefit v3 v2 1.5\nbenefit v4 v1 0.125\n",
     formats.parse_usage: "# selection\nn 4\npotential v1 0.5\nedge 2 3\nedge v1 v2\n"
-                         "closure v1 v2\ndecision v2 v1 0.5 accept - -\n",
+                         "closure v1 v2\ndecision v2 v1 0.5 accept\n",
     formats.parse_benefit: "n 4\nbenefit 1 0 0.25\nbenefit v3 v2 1.5\n",
 }
 
@@ -274,7 +274,7 @@ def test_plain_edge_lists_skip_the_checked_loop(rng, chunk, n):
     instance = make_instance(rng, n)
     usage, trace = select_collaborators(instance)
     selection = formats.serialize_selection(instance, usage, trace)
-    assert n < 80 or len(selection) > 3 * chunk
+    assert n < 80 or len(selection) > 2 * chunk
 
     def refuse(*args, **kwargs):
         raise AssertionError("the checked loop read a plain edge list")
@@ -303,3 +303,42 @@ def test_inline_comments_stay_in_the_bulk_reader(rng, chunk):
             patch.object(formats, "_CHUNK", chunk):
         assert formats.parse_instance(instance_text) == instance
         assert formats.parse_usage(selection_text, instance.n) == usage
+
+
+def _blanks(text: str) -> str:
+    """``text`` with spaces and tabs placed wherever the checked loop takes
+    them: a line of spaces, a tab after a key, an indent of spaces and tabs,
+    and a tab between fields and after the last one, by turns."""
+    out = []
+    for k, line in enumerate(text.splitlines()):
+        if k % 4 == 0:
+            out += [line, "   "]
+        elif k % 4 == 1:
+            out.append(line.replace(" ", "\t", 1))
+        elif k % 4 == 2:
+            out.append(" \t  " + line)
+        else:
+            out.append(line.replace(" ", " \t ") + "\t ")
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("chunk", [64, formats._CHUNK])
+def test_tabs_and_blank_lines_stay_in_the_bulk_reader(rng, chunk):
+    # the chunk's tabs are read as spaces and its indents dropped before it
+    # is classified: the text is still read in bulk, to the values the
+    # checked loop reads from it
+    instance = make_instance(rng, 12)
+    usage, trace = select_collaborators(instance)
+    cases = [(formats.parse_instance, formats.serialize_instance(instance), []),
+             (formats.parse_usage, formats.serialize_selection(instance, usage, trace),
+              [instance.n])]
+    refuse = AssertionError("the checked loop read the text")
+    for parse, text, args in cases:
+        edited = _blanks(text)
+        assert "\t" in edited and "\n   \n" in edited
+        with patch.object(formats, "_lines", side_effect=refuse), \
+                patch.object(formats, "_CHUNK", chunk):
+            bulk = _outcome(parse, edited, *args)
+        with patch.object(formats, "_plain", return_value=None):
+            checked = _outcome(parse, edited, *args)
+        assert bulk == checked == _outcome(parse, text, *args)

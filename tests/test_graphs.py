@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from fedcollab import formats
 from fedcollab.graphs import (Instance, InvalidInstanceError, PathWitness, UsageGraph,
-                              competitor_guards, conflict_free, conflict_violations,
-                              potentials)
+                              conflict_free, conflict_violations, potentials)
 from fedcollab.selection import select_collaborators
 
 from conftest import (bfs_reachable, closure_by_floyd_warshall, closure_by_squaring,
-                      make_instance, make_usage)
+                      competitor_guards, make_instance, make_usage)
 
 
 def instance_no_competition(w: np.ndarray) -> Instance:

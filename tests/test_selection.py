@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from fedcollab import formats
 from fedcollab.cli import main
-from fedcollab.graphs import Instance, UsageGraph, competitor_guards, conflict_free
+from fedcollab.graphs import Instance, UsageGraph, conflict_free
 from fedcollab.oracle import conflict_free_by_paths
 from fedcollab.selection import (Selection, StepTrace, candidate_collaborators,
                                  processing_order, select_collaborators, select_step)
 from fedcollab.synthdata import (STRONG_COMPETING_EDGES, WEAK_COMPETING_EDGES,
                                  competing_matrix)
 
-from conftest import make_instance, make_usage
+from conftest import competitor_guards, make_instance, make_usage
 
 
 def sequential_select(instance, usage, i):
@@ -22,12 +22,14 @@ def sequential_select(instance, usage, i):
     reference: each candidate's guards are read by the direct scan
     :func:`competitor_guards` on the graph as the accepts before it in scan
     order left it, and each accepted edge updates the closure (one outer
-    product) on the spot; no conflict matrix is kept. Returns the step's
-    columns, as :func:`columns` reads them from a step."""
+    product) on the spot. A reject's reason is the lowest node r of its
+    downstream guard and the lowest node of its upstream guard that
+    competes with r. Returns the step's columns, as :func:`columns` reads
+    them from a step."""
     n, w = instance.n, instance.benefit[:, i]
     scan = sorted((j for j in range(n) if j != i and w[j] > 0.0 and not instance.competing[j, i]),
                   key=lambda j: (-w[j], j))
-    verdicts, ups, downs, objective = [], [], [], 0.0
+    verdicts, rivals, descendants, objective = [], [], [], 0.0
     for j in scan:
         upstream = downstream = frozenset()
         if not usage.x[j, i]:
@@ -38,23 +40,19 @@ def sequential_select(instance, usage, i):
         accepted = not (upstream or downstream)
         if accepted:
             objective += float(w[j])
+        else:
+            r = min(downstream)
+            rivals.append(r)
+            descendants.append(min(d for d in upstream if instance.competing[r, d]))
         verdicts.append(accepted)
-        ups.append(sorted(upstream))
-        downs.append(sorted(downstream))
-    return i, objective, scan, verdicts, ups, downs
-
-
-def ancestor_conflicts(instance, usage):
-    """The definition of the conflict matrix a :class:`Selection` keeps:
-    entry [q, k] is true when k competes with an ancestor-or-self of q."""
-    return (usage.closure[:, :, None] & instance.competing[:, None, :]).any(axis=0)
+    return i, objective, scan, verdicts, rivals, descendants
 
 
 def columns(step):
-    """A step's participant, objective, candidates, verdicts and guard sets
+    """A step's participant, objective, candidates, verdicts and reasons
     as plain Python values."""
     return (step.participant, step.objective, step.candidates.tolist(),
-            step.verdicts.tolist(), *step.guards())
+            step.verdicts.tolist(), step.rivals.tolist(), step.descendants.tolist())
 
 
 def no_competition(w):
@@ -138,7 +136,8 @@ class TestSelectStep:
         usage, trace = select_collaborators(inst)
         assert trace.order == (1, 2, 0)
         assert usage.edges() == [(2, 1)]
-        assert columns(trace.steps[2]) == (0, 0.0, [1], [False], [[0]], [[2]])
+        # the reason: rival 2 reaches the candidate 1 and competes with 0 itself
+        assert columns(trace.steps[2]) == (0, 0.0, [1], [False], [2], [0])
 
 
 class TestSelectAll:
@@ -184,23 +183,18 @@ class TestSelectAll:
             assert conflict_free_by_paths(inst, usage)
 
     def test_rejections_justified_by_guards(self, rng):
-        # every rejection records a non-empty guard, and force-adding the
-        # rejected edge into the final graph either breaks conflict
-        # freedom or was blocked by guards that later edges explain
+        # every rejection records a competing pair (r, d), and force-adding
+        # the rejected edge into the final graph joins that pair
         for _ in range(40):
             inst = make_instance(rng, edge_prob=0.35)
             usage, trace = select_collaborators(inst)
             for step in trace.steps:
-                for j, accepted, upstream, downstream in zip(step.candidates.tolist(),
-                                                             step.verdicts.tolist(),
-                                                             *step.guards()):
-                    if accepted:
-                        assert upstream == downstream == []
-                        continue
-                    has_guard = upstream or downstream
-                    forced = UsageGraph.from_edges(inst.n, [*usage.edges(), (j, step.participant)])
-                    assert has_guard or not conflict_free(inst, forced)
-                    assert has_guard
+                rejected = step.candidates[~step.verdicts].tolist()
+                assert len(rejected) == len(step.rivals) == len(step.descendants)
+                for k, r, d in zip(rejected, step.rivals.tolist(), step.descendants.tolist()):
+                    assert inst.competing[r, d]
+                    forced = UsageGraph.from_edges(inst.n, [*usage.edges(), (k, step.participant)])
+                    assert forced.closure[r, d] and not conflict_free(inst, forced)
 
     def test_selected_edges_respect_benefit_and_competition(self, rng):
         for _ in range(40):
@@ -228,42 +222,39 @@ class TestSelectAll:
             assert conflict_free(inst, selection.usage)
 
 
-class TestConflictMatrices:
-    def test_match_definition(self, rng):
-        # the kept matrix starts from competing, the empty graph's, and
-        # equals the definition after every step
-        for _ in range(30):
-            inst = make_instance(rng, edge_prob=0.3)
-            selection = Selection(inst)
-            assert np.array_equal(selection._anc_comp, ancestor_conflicts(inst, selection.usage))
-            for i in processing_order(inst):
-                select_step(selection, i)
-                assert np.array_equal(selection._anc_comp,
-                                      ancestor_conflicts(inst, selection.usage))
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=2, max_value=30), st.floats(min_value=0.0, max_value=0.5),
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_recorded_guards_match_reference_scan(n, density, seed):
     # replay the accepted edges and, at every decision, recompute the guard
-    # sets with the direct scan on the usage graph as it stood then
+    # sets with the direct scan on the usage graph as it stood then: the
+    # verdict is their emptiness, and a reject's reason (r, d) is a competing
+    # pair joined through its edge, r ~> k -> i ~> d on the graph before the
+    # step, r the lowest node of the downstream guard and d in the upstream
+    # one; for n <= 12 the path oracle sees the edge break the final graph
     inst = make_instance(np.random.default_rng(seed), n, edge_prob=density)
     usage, trace = select_collaborators(inst)
     replay = UsageGraph(n)
     for step in trace.steps:
         i = step.participant
-        for j, accepted, up, down in zip(step.candidates.tolist(), step.verdicts.tolist(),
-                                         *step.guards()):
-            if replay.x[j, i]:
-                assert accepted and up == down == []
+        before = replay.closure.copy()
+        reasons = iter(zip(step.rivals.tolist(), step.descendants.tolist()))
+        for k, accepted in zip(step.candidates.tolist(), step.verdicts.tolist()):
+            if replay.x[k, i]:
+                assert accepted
                 continue
-            upstream, downstream = competitor_guards(inst, replay, i, j)
-            assert up == sorted(upstream)
-            assert down == sorted(downstream)
+            upstream, downstream = competitor_guards(inst, replay, i, k)
             assert accepted == (not upstream and not downstream)
             if accepted:
-                replay.add_edge(j, i)
+                replay.add_edge(k, i)
+                continue
+            r, d = next(reasons)
+            assert before[r, k] and before[i, d] and inst.competing[r, d]
+            assert r == min(downstream) and d in upstream
+            if n <= 12:
+                forced = UsageGraph.from_edges(n, [*usage.edges(), (k, i)])
+                assert not conflict_free_by_paths(inst, forced)
+        assert next(reasons, None) is None
     assert replay == usage
 
 
@@ -283,7 +274,6 @@ def test_batched_step_matches_sequential_scan(n, density, seed):
         assert columns(select_step(selection, i)) == expected
         assert np.array_equal(selection.usage.x, ref.x)
         assert np.array_equal(selection.usage.closure, ref.closure)
-        assert np.array_equal(selection._anc_comp, ancestor_conflicts(inst, ref))
 
 
 @settings(max_examples=60, deadline=None)
@@ -308,7 +298,7 @@ class TestSelectionState:
     @staticmethod
     def state(selection):
         usage = selection.usage
-        return usage.x.copy(), usage.closure.copy(), selection._anc_comp.copy()
+        return usage.x.copy(), usage.closure.copy()
 
     def test_out_of_range_participant_leaves_the_selection_unchanged(self, rng):
         inst = make_instance(rng, 8, edge_prob=0.3)
@@ -356,32 +346,29 @@ def _all_rejected_step():
     return select_step(selection, 0)
 
 
-STEPS = {  # a step, and its guard sets as guards() must read them
+STEPS = {  # a step, and its reasons (rivals, descendants) as recorded
     "n=1": (lambda: select_step(Selection(no_competition(np.zeros((1, 1)))), 0), ([], [])),
     "zero column": (lambda: select_step(Selection(no_competition(np.eye(3)[::-1] * 0.5)), 1),
                     ([], [])),
-    "all rejected": (_all_rejected_step, ([[0], [0]], [[3], [3]])),
+    "all rejected": (_all_rejected_step, ([3, 3], [0, 0])),
     "all accepted": (lambda: select_step(Selection(no_competition(np.ones((4, 4)))), 2),
-                     ([[], [], []], [[], [], []])),
+                     ([], [])),
 }
 
 
 @pytest.mark.parametrize("case", list(STEPS))
-def test_guard_entries_round_trip_through_guards(case):
+def test_step_trace_equality_reads_every_column(case):
     make, expected = STEPS[case]
     step = make()
-    upstream, downstream = step.guards()
-    assert (upstream, downstream) == expected
-    assert step.verdicts.tolist() == [not down for down in downstream]
-    rows = [*upstream, *downstream]
-    entries = (np.array([len(row) for row in rows]), np.array([k for row in rows for k in row]))
-    rebuilt = StepTrace(step.participant, step.objective, step.candidates, step.verdicts, entries)
-    assert rebuilt == step
-    # equality reads every column: one more entry in any of them differs
+    assert (step.rivals.tolist(), step.descendants.tolist()) == expected
+    assert len(step.rivals) == np.count_nonzero(~step.verdicts)
+    cols = [step.candidates, step.verdicts, step.rivals, step.descendants]
+    assert StepTrace(step.participant, step.objective, *map(np.copy, cols)) == step
+    # one more entry in any column differs
     for k in range(4):
-        cols = [step.candidates, step.verdicts, *entries]
-        cols[k] = np.append(cols[k], 0)
-        assert StepTrace(step.participant, step.objective, cols[0], cols[1], tuple(cols[2:])) != step
+        changed = list(cols)
+        changed[k] = np.append(cols[k], 0)
+        assert StepTrace(step.participant, step.objective, *changed) != step
 
 
 @settings(max_examples=80, deadline=None)
@@ -427,22 +414,47 @@ def seeded_instance(seed: int, n: int, competition: float, benefit: float = 0.3)
     return Instance(n, s, w)
 
 
-# SHA-256 of `fedcollab select` output as written by the direct-scan engine
-# (before the conflict matrices); any byte drift in the output fails here.
+def _select_output(tmp_path, seed, n, competition) -> bytes:
+    src, out = tmp_path / "instance.txt", tmp_path / "selection.txt"
+    src.write_text(formats.serialize_instance(seeded_instance(seed, n, competition)))
+    assert main(["select", "--instance", str(src), "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+# SHA-256 of `fedcollab select` output as written since a reject records
+# one reason (r, d); any byte drift in the output fails here.
 GOLDEN_SELECT = [
-    (11, 40, 0.02, "42842fe197246703dcd3adaec9f9da3f367edce7f2a69ea334e81e3a821d3f27"),
-    (12, 40, 0.15, "4033ab343a4279941863f1faddf05cb114980a2d595414c68fe046fc40f63da4"),
-    (13, 160, 0.01, "de179f418560fdbb9bb90d768b176488a1fc89af061a71c152ef2c4f3f081a7c"),
-    (14, 160, 0.15, "bb8fa67b7a48a46d98ed85b14c82f21a559b58c192c13d49fff73665150575dd"),
+    (11, 40, 0.02, "90fde6e1271b595fd2eb9ea9e399a0d4a17f626357111418c5e8ccaf15cd84e3"),
+    (12, 40, 0.15, "bb0b0c0bcd0097894390e1131f18f17332972803df9455bf3fe5f9e1d725b321"),
+    (13, 160, 0.01, "6ce0a256e723be6b12533977ffe7f6f884e1559dedc2f0a9e1f475cab2c8d383"),
+    (14, 160, 0.15, "907bb491e52799c3f87edb8c2855726ef8d207ff1ceebadf9b1c98e5f27f86fe"),
 ]
 
 
 @pytest.mark.parametrize("seed,n,competition,digest", GOLDEN_SELECT)
 def test_select_output_is_byte_stable(tmp_path, seed, n, competition, digest):
-    src, out = tmp_path / "instance.txt", tmp_path / "selection.txt"
-    src.write_text(formats.serialize_instance(seeded_instance(seed, n, competition)))
-    assert main(["select", "--instance", str(src), "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    output = _select_output(tmp_path, seed, n, competition)
+    assert hashlib.sha256(output).hexdigest() == digest
+
+
+# SHA-256 of the same outputs with every `decision` line cut to its first
+# five fields (key, participant, candidate, weight, verdict), as written
+# by every engine since the direct scan: the graph, the order, the
+# objectives and the verdicts, without the reasons.
+GOLDEN_SELECT_VERDICTS = [
+    (11, 40, 0.02, "a8f919ebce6f153d5ee83fc97d11c97e2592ff5f350d54650c678a8652e8cac9"),
+    (12, 40, 0.15, "72970656c59e790d36ee78d2052143ac50439ae02009d04603fe3536464c0276"),
+    (13, 160, 0.01, "4e1224f6d59269a6c52d739b1d2cea11d61b0bfa8078fa909c49e5c8b10bcf66"),
+    (14, 160, 0.15, "c7821f928ab6fe27f670988ae2cd544f47d3e7c06a75b24a564d2343cb7800a1"),
+]
+
+
+@pytest.mark.parametrize("seed,n,competition,digest", GOLDEN_SELECT_VERDICTS)
+def test_select_verdicts_are_byte_stable(tmp_path, seed, n, competition, digest):
+    lines = _select_output(tmp_path, seed, n, competition).split(b"\n")
+    cut = [b" ".join(line.split(b" ")[:5]) if line.startswith(b"decision ") else line
+           for line in lines]
+    assert hashlib.sha256(b"\n".join(cut)).hexdigest() == digest
 
 
 # SHA-256 of `fedcollab verify` output on n=12 select outputs, where the
