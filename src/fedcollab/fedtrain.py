@@ -278,7 +278,7 @@ class ExperimentReport:
     preset: str | None
     clique_cover: Partition
     coalitions: Partition
-    usage_edges: tuple[tuple[int, int], ...]
+    usage: np.ndarray  # the n x n boolean edge matrix of the usage graph
     benefit: np.ndarray
     aggregation: str = AGGREGATION_RULE
 
@@ -357,5 +357,5 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
     return ExperimentReport(
         methods=tuple(methods), reps=reps, mean=mean, std=std, config=config,
         train_config=train_config, preset=preset, clique_cover=cover, coalitions=coalitions,
-        usage_edges=tuple(usage.edges()), benefit=instance.benefit,
+        usage=usage.x.copy(), benefit=instance.benefit,
     )

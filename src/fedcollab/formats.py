@@ -8,13 +8,16 @@ labels are the canonical output form. Each file kind has a grammar table
 (keyword -> usage and field parsers) read by one checked loop,
 :func:`_lines`, which words every diagnostic as a :class:`FileFormatError`
 with line and column positions. A pair list is held only as its n x n
-matrix, allocated at the ``n`` line. The edge-list kinds (instance, usage
+matrix, allocated at the ``n`` line, and leaves the reader as that matrix:
+a usage graph is built from it (:meth:`UsageGraph.from_edges`) and a
+report keeps its usage edges in it. The edge-list kinds (instance, usage
 and benefit files) have one reader body, :func:`_edge_lists`:
-:func:`_plain` reads a plain text in bulk, its lines classified by key in
-numpy and each key's columns written into the matrices at once, and any
-other text takes the loop, where :func:`_add_pair` checks each pair line
-and sets its cell, as in configs and reports. Integer
-fields are an optional ``-`` and ASCII digits in both readers. Writers
+:func:`_plain` reads a plain text in bulk (line ends "\\n" or "\\r\\n",
+non-ASCII text only in comments), its lines classified by key in numpy
+and each key's columns written into the matrices at once, and any other
+text takes the loop, where :func:`_add_pair` checks each pair line and
+sets its cell, as in configs and reports. Integer fields are an optional
+``-`` and ASCII digits in both readers. Writers
 share :func:`_edge_lines` for ``<key> <label> <label>[ <weight>]`` lines
 and :func:`_group_lines` for the cover and coalition groups. The scalar
 keys of configs and reports are the defaulted fields of
@@ -169,6 +172,10 @@ def _word(token: str, n) -> str:
     return token
 
 
+def _node_or_none(token: str, n: int) -> int | None:
+    return None if token == "none" else _node(token, n)
+
+
 # ---------------------------------------------------------------------------
 # the one parse loop
 
@@ -188,7 +195,8 @@ def _grammar(table: dict) -> dict[str, _Rule]:
     for key, (usage, fields, *empty) in table.items():
         repeat = fields[-2] if fields[-1] is ... else None
         rules[key] = _Rule(f"'{key} {usage}'", fields[:-2] if repeat else fields, repeat,
-                           empty[0] if empty else None, _node in fields)
+                           empty[0] if empty else None,
+                           not {_node, _node_or_none}.isdisjoint(fields))
     return rules
 
 
@@ -229,7 +237,7 @@ def _lines(text: str, kind: str, grammar: dict[str, _Rule], skip=()):
         if len(tokens) != count and (rule.repeat is None or len(tokens) < count):
             raise line.error(f"expected {rule.usage}", min(count + 1, len(tokens)))
         if rule.needs_n and n is None:
-            raise line.error("'n' must be declared before any edges")
+            raise line.error("'n' must be declared before any line that names a participant")
         values = line.values
         try:
             for k, token in enumerate(tokens):
@@ -252,7 +260,8 @@ def _lines(text: str, kind: str, grammar: dict[str, _Rule], skip=()):
 # edge lists in bulk
 
 _BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"  # ASCII line breaks of str.splitlines besides "\n"
-_COMMENT = re.compile(r"#[^\n]*")  # as _lines cuts a line at its first '#'
+# as _lines cuts a line at its first '#': a comment ends at any str.splitlines break
+_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
 _INDENT = re.compile(r"^ +", re.MULTILINE)  # as _lines drops the spaces before a key
 _CHUNK = 1 << 16  # characters read at a time: only one chunk's tokens are held at once
 
@@ -283,8 +292,10 @@ def _plain(text: str, grammar: dict[str, _Rule], skip=()):
     read ``_CHUNK`` characters at a time; ``None`` for any other text,
     which :func:`_lines` then reads line by line.
 
-    Plain means: ASCII, lines broken by "\\n" alone, and every line, once
-    its comment is cut, its tabs read as spaces and its leading spaces
+    Plain means: lines broken by "\\n" or "\\r\\n" and by no other break of
+    ``str.splitlines`` (not even inside a comment, which :func:`_lines`
+    would end there), ASCII outside comments, and every line, once its
+    comment is cut, its tabs read as spaces and its leading spaces
     dropped, empty, a ``skip`` key followed by a space, ``n`` (first and
     once, 1..MAX_NODES in ASCII digits) or a key of ``grammar`` followed by
     a space and exactly its field count. Participants are canonical
@@ -293,29 +304,30 @@ def _plain(text: str, grammar: dict[str, _Rule], skip=()):
     positive. Such a text parses through :func:`_lines` without error to
     the same values, so this never raises.
 
-    No Python string is made per line. Comments are cut, and the tabs and
-    indents of a chunk that has any are normalised, over the whole chunk
-    at once; each chunk is then classified in numpy: a line's first 16
-    bytes, read as two uint64 words, are matched against each skip and
-    grammar prefix (:func:`_starting`). Only the ``n`` line and the runs of
-    consecutive lines of one grammar key are sliced out and split. A key's
-    tokens are read column-wise, field f of every line as the strided slice
-    ``tokens[f::arity]``: a line of the wrong width shifts a later key word
-    off the stride, where it is read as a participant or a weight and
-    refused. Checked columns go into the matrices a chunk at once; a
-    repeated pair sets a cell twice, leaving fewer nonzero cells than lines.
+    No Python string is made per line. A chunk ends after a "\\n", so no
+    "\\r\\n" is split; its "\\r\\n" are read as "\\n", comments are cut, and
+    the tabs and indents of a chunk that has any are normalised, over the
+    whole chunk at once; each chunk is then classified in numpy: a line's
+    first 16 bytes, read as two uint64 words, are matched against each
+    skip and grammar prefix (:func:`_starting`). Only the ``n`` line and
+    the runs of consecutive lines of one grammar key are sliced out and
+    split. A key's tokens are read column-wise, field f of every line as
+    the strided slice ``tokens[f::arity]``: a line of the wrong width
+    shifts a later key word off the stride, where it is read as a
+    participant or a weight and refused. Checked columns go into the
+    matrices a chunk at once; a repeated pair sets a cell twice, leaving
+    fewer nonzero cells than lines.
     """
-    if not text.isascii() or any(c in text for c in _BREAKS):
-        return None
     dropped = [_prefix(f"{key} ") for key in skip]
     prefixes = {key: _prefix(key + " ") for key in grammar}
     n, node, matrices, cells = None, {}, {}, dict.fromkeys(grammar, 0)  # cells set per key
     begin = 0
     while begin < len(text):
-        end = text.find("\n", begin + _CHUNK)
-        end = len(text) if end < 0 else end
-        chunk, begin = text[begin:end], end + 1
+        end = text.find("\n", begin + _CHUNK) + 1 or len(text)
+        chunk, begin = text[begin:end].replace("\r\n", "\n"), end
         chunk = _COMMENT.sub("", chunk) if "#" in chunk else chunk
+        if not chunk.isascii() or any(c in chunk for c in _BREAKS):  # _COMMENT stops at a break
+            return None
         if "\t" in chunk or "\n " in chunk or chunk.startswith(" "):  # as _lines splits
             chunk = _INDENT.sub("", chunk.replace("\t", " "))
         # line k of the chunk is chunk[starts[k]:ends[k]]; the padding gives
@@ -564,11 +576,11 @@ _USAGE = _grammar({"edge": ("<from> <to>", (_node, _node))})
 
 
 def parse_usage(text: str, expected_n: int | None = None) -> UsageGraph:
-    """The usage graph of the ``edge`` lines: the edge matrix's ``argwhere``
-    array goes straight to :meth:`UsageGraph.from_edges`, which rebuilds the
-    closure once; ``closure`` lines are never read."""
-    n, matrices = _edge_lists(text, "usage-graph", _USAGE, _SELECTION_KEYS, expected_n)
-    return UsageGraph.from_edges(n, np.argwhere(matrices["edge"]))
+    """The usage graph of the ``edge`` lines: their matrix goes straight to
+    :meth:`UsageGraph.from_edges`, which rebuilds the closure once;
+    ``closure`` lines are never read."""
+    matrices = _edge_lists(text, "usage-graph", _USAGE, _SELECTION_KEYS, expected_n)[1]
+    return UsageGraph.from_edges(matrices["edge"])
 
 
 def serialize_usage(usage: UsageGraph) -> str:
@@ -614,7 +626,7 @@ def parse_benefit(text: str, expected_n: int | None = None) -> np.ndarray:
 
 _SIM_CONFIG = _grammar({
     "samples": ("<count> ...", (_int("sample count"), ...)),
-    "flipped": ("<participant|none> ...", (_word, ...)),  # read once n is final
+    "flipped": ("<participant|none> ...", (_node_or_none, ...)),
     "competing": _COMPETING,
     "reps": _REPS,
     **_scalar_rules(_CONFIG_SYNTH), **_scalar_rules(_CONFIG_TRAIN),
@@ -641,17 +653,11 @@ def parse_sim_config(text: str):
     if "samples" not in last:
         raise FileFormatError("config file declares no 'samples'", 1, 1)
     n = last["n"].values[0]
-    flipped = [False] * n
-    flips = last.get("flipped")
-    for k, token in enumerate(flips.values if flips else (), start=1):
-        if token != "none":
-            try:
-                flipped[_node(token, n)] = True
-            except ValueError as exc:
-                raise flips.error(str(exc), k) from None
+    flips = set(last["flipped"].values) if "flipped" in last else set()
     try:
         config = SyntheticConfig(n=n, samples=tuple(last["samples"].values),
-                                 flipped=tuple(flipped), **_scalars(last, _CONFIG_SYNTH))
+                                 flipped=tuple(i in flips for i in range(n)),
+                                 **_scalars(last, _CONFIG_SYNTH))
         train_config = TrainConfig(**_scalars(last, _CONFIG_TRAIN))
     except ValueError as exc:
         raise FileFormatError(str(exc)) from None
@@ -703,8 +709,9 @@ def serialize_report(report: ExperimentReport) -> str:
                                    or "-")]
     lines += _scalar_lines(tc, _REPORT_TRAIN)
     lines += _group_lines(report.clique_cover, report.coalitions)
-    lines += [f"usage_edge {node_label(j)} {node_label(i)}" for j, i in report.usage_edges]
-    lines += _edge_lines("benefit", report.benefit, _labels(cfg.n))
+    label = _labels(cfg.n)
+    lines += _edge_lines("usage_edge", report.usage, label)
+    lines += _edge_lines("benefit", report.benefit, label)
     lines += [f"mse {m} {node_label(i)} {report.mean[m][i]!r} {report.std[m][i]!r}"
               for m in report.methods for i in range(cfg.n)]
     return "\n".join(lines) + "\n"
@@ -735,7 +742,7 @@ def parse_report(text: str) -> ExperimentReport:
     lists: dict[str, list] = {"cover": [], "coalition": []}
     placed: dict[str, set[int]] = {"cover": set(), "coalition": set()}
     pairs: dict[str, np.ndarray] = {}  # 'usage_edge' and 'benefit', from the 'n' line on
-    usage_edges: list[_Line] = []
+    usage_lines: list[_Line] = []  # to word the support check
     mse: dict[tuple[str, int], _Line] = {}
     for line in _lines(text, "report", _REPORT):
         key, values = line.key, line.values
@@ -748,7 +755,7 @@ def parse_report(text: str) -> ExperimentReport:
         elif key in pairs:
             _add_pair(pairs[key], line)
             if key == "usage_edge":
-                usage_edges.append(line)
+                usage_lines.append(line)
         elif key == "mse":
             if (values[0], values[1]) in mse:
                 raise line.error(f"duplicate mse row ({values[0]}, {node_label(values[1])})")
@@ -778,7 +785,7 @@ def parse_report(text: str) -> ExperimentReport:
             left_out = min(set(range(n)) - members)
             raise last[key].error(f"the '{key}' groups leave out participant "
                                   f"{node_label(left_out)}")
-    for line in usage_edges:  # benefit lines may follow the edge
+    for line in usage_lines:  # benefit lines may follow the edge
         j, i = line.values
         if not pairs["benefit"][j, i]:
             raise line.error(f"usage edge ({node_label(j)}, {node_label(i)}) has no "
@@ -800,7 +807,7 @@ def parse_report(text: str) -> ExperimentReport:
         config=config, train_config=train_config, preset=_last(last, "preset"),
         clique_cover=Partition(tuple(lists["cover"]), "clique_cover", cover_mode),
         coalitions=Partition(tuple(lists["coalition"]), "scc_coalitions", cover_mode),
-        usage_edges=tuple(tuple(line.values) for line in usage_edges), benefit=pairs["benefit"],
+        usage=pairs["usage_edge"], benefit=pairs["benefit"],
         aggregation=" ".join(last["aggregation"].values) if "aggregation" in last else "",
     )
 

@@ -111,9 +111,10 @@ class UsageGraph:
     ``x`` holds exactly the selected edges, so it starts all False and its
     diagonal stays False; ``closure`` starts as the identity (every
     participant reaches itself). ``from_edges`` builds a graph from a whole
-    edge set, and ``add_edge`` is the one checked mutator of a built one;
-    both keep ``closure`` equal to the reflexive-transitive closure of
-    ``x``. ``read_only`` gives a view that cannot be written.
+    edge set, given as the n x n boolean matrix that becomes ``x``, and
+    ``add_edge`` is the one checked mutator of a built one; both keep
+    ``closure`` equal to the reflexive-transitive closure of ``x``.
+    ``read_only`` gives a view that cannot be written.
     """
 
     __slots__ = ("n", "x", "closure")
@@ -126,13 +127,19 @@ class UsageGraph:
         self.closure = np.eye(n, dtype=bool)
 
     @classmethod
-    def from_edges(cls, n: int, edges) -> "UsageGraph":
-        """The graph of ``edges`` ((j, i) pairs or an (E, 2) array), checked by
-        :meth:`_checked`, its closure computed in place by one row-OR per
-        pivot k (Warshall): every row that reaches k gains k's row."""
-        usage = cls(n)
-        js, is_ = usage._checked(*np.asarray(edges, dtype=np.intp).reshape(-1, 2).T)
-        usage.x[js, is_] = usage.closure[js, is_] = True
+    def from_edges(cls, x: np.ndarray) -> "UsageGraph":
+        """The graph whose edge set is ``x``, a square boolean matrix with no
+        diagonal cell set (n = ``len(x)``), copied; its closure is computed
+        in place by one row-OR per pivot k (Warshall): every row that
+        reaches k gains k's row."""
+        x = np.asarray(x)
+        if x.dtype != bool or x.ndim != 2 or x.shape[0] != x.shape[1]:
+            raise ValueError(f"an edge matrix is square and boolean, got {x.dtype} {x.shape}")
+        if x.diagonal().any():
+            k = int(x.diagonal().argmax())
+            raise ValueError(f"self-edge ({k}, {k}) is not a collaboration")
+        usage = cls(len(x))
+        usage.x[x] = usage.closure[x] = True
         clo = usage.closure
         for k in range(usage.n):
             clo[clo[:, k]] |= clo[k]
@@ -154,21 +161,19 @@ class UsageGraph:
 
     _check = Instance.check_node  # the same bounds check, against this graph's n
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Edges (j, i), meaning i uses j's updates, in row-major order."""
-        js, is_ = np.nonzero(self.x)
-        return list(zip(js.tolist(), is_.tolist()))
-
     def add_edge(self, j: int, i: int) -> "UsageGraph":
-        """Authorize i to use j's updates: the edge is checked by
-        :meth:`_checked`, as :meth:`from_edges` checks its pairs, and then
-        added by :meth:`_add_new`, which updates the closure in place."""
-        # i is range-checked first, as _checked reads it, also past intp's range
-        js, is_ = self._checked(*np.array([[j], [self._check(i)]], dtype=np.intp))
-        return self._add_new(js, is_[0])
+        """Authorize i to use j's updates: i and then j must be in range, and
+        the edge new and not a self-edge; :meth:`_add_new` adds it and
+        updates the closure in place."""
+        i, j = self._check(i), self._check(j)
+        if j == i:
+            raise ValueError(f"self-edge ({j}, {i}) is not a collaboration")
+        if self.x[j, i]:
+            raise ValueError(f"edge ({j}, {i}) already present")
+        return self._add_new([j], i)
 
-    def _add_new(self, js: np.ndarray, i: int) -> "UsageGraph":
-        """Add the edges j -> i for ``js``, an index array of distinct nodes in
+    def _add_new(self, js, i: int) -> "UsageGraph":
+        """Add the edges j -> i for ``js``, a list or array of distinct nodes in
         range, none of them i and none with its edge in ``x``; nothing checks.
         :meth:`add_edge` calls it on one checked edge, and
         :func:`fedcollab.selection.select_step` on a step's accepted edges,
@@ -184,25 +189,6 @@ class UsageGraph:
         ancestors = self.closure[:, js].any(axis=1)
         self.closure[ancestors] |= self.closure[i]
         return self
-
-    def _checked(self, js: np.ndarray, is_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``js`` and ``is_``, equal-length index arrays of edges j -> i, as
-        given if every edge is new; the first pair in the order given that is
-        out of range (i, then j), a self-edge, in ``x`` already or a repeat
-        raises."""
-        cj, ci = js.clip(0, self.n - 1), is_.clip(0, self.n - 1)  # flagged if clipped
-        bad = (cj != js) | (ci != is_) | (cj == ci) | self.x[cj, ci]
-        key = cj * self.n + ci
-        order = key.argsort(kind="stable")
-        ordered = key[order]
-        bad[order[1:]] |= ordered[1:] == ordered[:-1]  # a repeat of an earlier pair
-        if bad.any():
-            k = bad.argmax()
-            i, j = self._check(int(is_[k])), self._check(int(js[k]))
-            if j == i:
-                raise ValueError(f"self-edge ({j}, {i}) is not a collaboration")
-            raise ValueError(f"edge ({j}, {i}) already present")
-        return js, is_
 
     def path_witness(self, j: int, i: int) -> PathWitness | None:
         """A shortest selected path j -> ... -> i, or None if unreachable: the

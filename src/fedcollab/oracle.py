@@ -3,9 +3,11 @@
 Nothing here imports the selection engine or reads the incremental
 closure. Feasibility is decided by a depth-first
 search over the selected benefit edges from each competitor towards the
-other, and the per-step optimum by enumerating subsets of a
+other, at any size, and the per-step optimum by enumerating subsets of a
 participant's candidates, which are read straight from the instance.
-Size guards are hard errors; a partial oracle is worse than none.
+That enumeration is exponential, so :func:`optimal_step` refuses
+n > ``PATH_ENUM_MAX_NODES`` with a hard error; a partial oracle is worse
+than none.
 
 The tests check :func:`optimal_step` in turn against the paper's ILP,
 ``ilp_optimum`` in ``tests/conftest.py``, which has no size guard.
@@ -24,12 +26,6 @@ PATH_ENUM_MAX_NODES = 12
 
 class OracleSizeError(ValueError):
     """Instance too large for exhaustive enumeration."""
-
-
-def _check_path_size(instance: Instance) -> None:
-    if instance.n > PATH_ENUM_MAX_NODES:
-        raise OracleSizeError(
-            f"path enumeration is limited to n <= {PATH_ENUM_MAX_NODES}, got n={instance.n}")
 
 
 def _candidate_list(instance: Instance, i: int) -> list[int]:
@@ -69,7 +65,6 @@ def _paths_feasible(instance: Instance, x: np.ndarray) -> bool:
 
 def conflict_free_by_paths(instance: Instance, usage: UsageGraph) -> bool:
     """Path-search twin of graphs.conflict_free; ignores the closure."""
-    _check_path_size(instance)
     return _paths_feasible(instance, usage.x)
 
 
@@ -83,7 +78,9 @@ def optimal_step(instance: Instance, usage: UsageGraph, i: int) -> tuple[float, 
     subset. Value ties go to the subset found first (smallest size, then
     candidate-priority order).
     """
-    _check_path_size(instance)
+    if instance.n > PATH_ENUM_MAX_NODES:
+        raise OracleSizeError(
+            f"subset enumeration is limited to n <= {PATH_ENUM_MAX_NODES}, got n={instance.n}")
     cands = _candidate_list(instance, i)  # at most PATH_ENUM_MAX_NODES - 1
     if not _paths_feasible(instance, usage.x):
         raise ValueError("prior usage graph is not conflict-free")

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedcollab import formats
@@ -247,7 +248,7 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--benefit", str(wfile),
                      "--out", str(tmp_path / "t.csv"), "--report", str(rep_out)]) == 0
         report = formats.parse_report(rep_out.read_text())
-        assert report.usage_edges == ((2, 0),)
+        assert np.argwhere(report.usage).tolist() == [[2, 0]]
 
     def test_benefit_file_of_another_n_exits_2(self, tmp_path, capsys):
         cfg, wfile = tmp_path / "sim.txt", tmp_path / "w.txt"
@@ -257,6 +258,15 @@ class TestSimulate:
                      "--out", str(tmp_path / "t.csv")]) == 2
         assert capsys.readouterr().err == \
             "error: line 1, column 3: benefit matrix has n=4 but the config has n=3\n"
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_flipped_before_n_exits_2(self, tmp_path, capsys):
+        # 'flipped' names participants, so it must follow the 'n' line
+        cfg = tmp_path / "sim.txt"
+        cfg.write_text("flipped v2\nn 3\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == ("error: line 1, column 1: 'n' must be declared before "
+                                           "any line that names a participant\n")
         assert not (tmp_path / "t.csv").exists()
 
     def test_preset_table_layout(self, tmp_path):

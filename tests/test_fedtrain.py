@@ -66,7 +66,7 @@ class TestAggregationWeights:
     @pytest.mark.parametrize("weight,shown", [(0.0, "0.0"), (np.nan, "nan"), (-1.0, "-1.0")])
     def test_collaborator_without_benefit_is_refused_before_dividing(self, weight, shown):
         # a zero sum would give NaN weights, and NaN passes the sum guard
-        usage = UsageGraph.from_edges(3, [(0, 1), (2, 1)])
+        usage = UsageGraph(3).add_edge(0, 1).add_edge(2, 1)
         w = np.zeros((3, 3))
         w[0, 1], w[2, 1] = 0.5, weight
         message = rf"usage edge \(2, 1\) has benefit {shown}, which is not positive"
@@ -75,11 +75,11 @@ class TestAggregationWeights:
             with pytest.raises(ValueError, match=message):
                 aggregation_coefficients(usage, w, 1)
             with pytest.raises(ValueError, match=r"usage edge \(0, 1\) has benefit 0.0"):
-                _mixing(UsageGraph.from_edges(3, [(0, 1)]), np.zeros((3, 3)), [30, 30, 30])
+                _mixing(UsageGraph(3).add_edge(0, 1), np.zeros((3, 3)), [30, 30, 30])
 
     def test_overflowing_weights_fail_the_sum_guard(self):
         # each weight is finite, but the self weight doubles their sum past the float range
-        usage = UsageGraph.from_edges(3, [(0, 1)])
+        usage = UsageGraph(3).add_edge(0, 1)
         w = np.zeros((3, 3))
         w[0, 1] = 1e308
         message = r"aggregation weights of participant v2 \(index 1\) sum past the float range"
@@ -357,7 +357,7 @@ class TestRunExperiment:
             "config": with_seed(report.config, report.config.seed + 1),
             "train_config": replace(report.train_config, rounds=report.train_config.rounds + 1),
             "preset": "weak_noniid", "clique_cover": report.coalitions,
-            "coalitions": report.clique_cover, "usage_edges": report.usage_edges + ((1, 2),),
+            "coalitions": report.clique_cover, "usage": ~report.usage,
             "benefit": report.benefit + 1.0, "aggregation": report.aggregation + " ",
         }
         # a field added to the report must be given a changed value here
@@ -371,7 +371,7 @@ class TestRunExperiment:
         w[0, 2] = 0.7
         report = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=2,
                                 benefit=w, methods=("fedcompetitors",))
-        assert report.usage_edges == ((0, 2),)
+        assert np.argwhere(report.usage).tolist() == [[0, 2]]
         assert np.array_equal(report.benefit, w)
 
     def test_rejects_unknown_method(self):
@@ -416,9 +416,7 @@ class TestRunExperiment:
         monkeypatch.setattr(fedtrain, "_round_loop", counting_loop)
         report = run_experiment(self.CFG, [(0, 1)], methods=methods, benefit=w,
                                 train_config=FAST, reps=2)
-        usage = UsageGraph(3)
-        for j, i in report.usage_edges:
-            usage.add_edge(j, i)
+        usage = UsageGraph.from_edges(report.usage)
         grouping = {"local": _singletons(3), "fedavg": report.clique_cover.groups,
                     "ce": report.coalitions.groups, "fedcompetitors": usage}
         sizes = [len(y) for _, y in generate_task(self.CFG).train]

@@ -109,15 +109,16 @@ def reports(draw):
     spread = {m: tuple(draw(st.lists(finite, min_size=n, max_size=n))) for m in methods}
     config = draw(configs(n))
     benefit = draw(benefits(n))
-    support = list(zip(*np.nonzero(benefit)))  # a usage edge needs a positive benefit
-    edges = draw(st.lists(st.sampled_from(support), unique=True) if support else st.just([]))
+    # a usage edge needs a positive benefit
+    usage = (benefit > 0) & np.array(draw(st.lists(st.booleans(), min_size=n * n,
+                                                   max_size=n * n))).reshape(n, n)
     return ExperimentReport(
         methods=methods, reps=draw(st.integers(1, 100)),
         mean=rows, std=spread, config=config, train_config=draw(train_configs),
         preset=draw(st.none() | st.sampled_from(PRESET_NAMES)),
         clique_cover=Partition(draw(partitions(n)), "clique_cover", mode),
         coalitions=Partition(draw(partitions(n)), "scc_coalitions", mode),
-        usage_edges=tuple((int(j), int(i)) for j, i in edges), benefit=benefit,
+        usage=usage, benefit=benefit,
         aggregation=" ".join(draw(st.lists(st.text("abc=,-", min_size=1), max_size=4))))
 
 
@@ -342,3 +343,27 @@ def test_tabs_and_blank_lines_stay_in_the_bulk_reader(rng, chunk):
         with patch.object(formats, "_plain", return_value=None):
             checked = _outcome(parse, edited, *args)
         assert bulk == checked == _outcome(parse, text, *args)
+
+
+@pytest.mark.parametrize("chunk", [64, formats._CHUNK])
+def test_crlf_and_non_ascii_comments_stay_in_the_bulk_reader(rng, chunk):
+    # "\r\n" is read as "\n", and a comment is cut before the chunk is held
+    # to ASCII: both texts are read in bulk, to the values the checked loop
+    # reads from them; a "\x85" in a comment breaks the line in the loop, so
+    # that text is left to the loop, which refuses the line it starts
+    instance = make_instance(rng, 12)
+    refuse = AssertionError("the checked loop read the text")
+    for parse, write in EDGE_LISTS.items():
+        text = write(instance)
+        lines = text.splitlines(True)
+        commented = "".join([*lines[:2], "# région\n", *lines[2:]])
+        for edited in (text.replace("\n", "\r\n"), commented):
+            with patch.object(formats, "_lines", side_effect=refuse), \
+                    patch.object(formats, "_CHUNK", chunk):
+                bulk = _outcome(parse, edited)
+            with patch.object(formats, "_plain", return_value=None):
+                checked = _outcome(parse, edited)
+            assert bulk == checked == _outcome(parse, text)
+        broken = "".join([*lines[:2], "# région\x85bogus\n", *lines[2:]])
+        with patch.object(formats, "_CHUNK", chunk):
+            assert _outcome(parse, broken)[0] is FileFormatError

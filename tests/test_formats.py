@@ -163,6 +163,13 @@ reps 4
         assert tc.local_epochs == TrainConfig().local_epochs
         assert reps == 4
 
+    def test_flipped_takes_none_in_any_place(self):
+        text = "n 4\nsamples 5 5 5 5\nflipped v1 none 3 none\n"
+        assert formats.parse_sim_config(text)[0].flipped == (True, False, False, True)
+        with pytest.raises(FileFormatError) as exc:
+            formats.parse_sim_config("n 3\nsamples 5 5 5\nflipped none v4\n")
+        assert str(exc.value) == "line 3, column 14: participant 'v4' out of range for n=3"
+
     def test_round_trip(self):
         cfg, edges, tc, reps = formats.parse_sim_config(self.TEXT)
         text = formats.serialize_sim_config(cfg, edges, tc, reps)
@@ -254,7 +261,7 @@ class TestReportGroups:
         report = formats.parse_report(self.BASE)
         assert report.clique_cover.groups == ((0, 1),)
         assert report.coalitions.groups == ((0,), (1,))
-        assert report.usage_edges == ((0, 1),)
+        assert np.argwhere(report.usage).tolist() == [[0, 1]]
 
     @pytest.mark.parametrize("old,new,message", [
         ("cover v1 v2", "cover v1 v1",
@@ -274,12 +281,6 @@ class TestReportGroups:
         with pytest.raises(FileFormatError) as exc:
             formats.parse_report(self.BASE.replace(old, new))
         assert str(exc.value) == message
-
-    def test_usage_edges_come_in_file_order(self):
-        text = (TestReportFormat.MINIMAL.replace("n 2", "n 3").replace("5 5", "5 5 5")
-                + "mse local v3 0.5 0.1\nusage_edge v3 v1\nusage_edge v2 v1\n"
-                  "usage_edge v1 v2\nbenefit v1 v2 0.5\nbenefit v2 v1 0.5\nbenefit v3 v1 0.5\n")
-        assert formats.parse_report(text).usage_edges == ((2, 0), (1, 0), (0, 1))
 
     def test_report_without_groups_still_parses(self):
         report = formats.parse_report(TestReportFormat.MINIMAL)

@@ -135,7 +135,7 @@ class TestSelectStep:
         inst = Instance(3, s, w)
         usage, trace = select_collaborators(inst)
         assert trace.order == (1, 2, 0)
-        assert usage.edges() == [(2, 1)]
+        assert np.argwhere(usage.x).tolist() == [[2, 1]]
         # the reason: rival 2 reaches the candidate 1 and competes with 0 itself
         assert columns(trace.steps[2]) == (0, 0.0, [1], [False], [2], [0])
 
@@ -182,6 +182,17 @@ class TestSelectAll:
             usage, _ = select_collaborators(inst)
             assert conflict_free_by_paths(inst, usage)
 
+    def test_conflict_free_by_path_search_past_the_enumerators_cap(self, rng):
+        # the path referee has no size cap, and it sees one competing pair
+        # joined by a benefit edge break the selection
+        for n in range(13, 61):
+            inst = make_instance(rng, n, edge_prob=float(rng.uniform(0.1, 0.5)))
+            usage, _ = select_collaborators(inst)
+            assert conflict_free_by_paths(inst, usage)
+            x = usage.x.copy()
+            x[tuple(np.argwhere(inst.competing & (inst.benefit > 0))[0])] = True
+            assert not conflict_free_by_paths(inst, UsageGraph.from_edges(x))
+
     def test_rejections_justified_by_guards(self, rng):
         # every rejection records a competing pair (r, d), and force-adding
         # the rejected edge into the final graph joins that pair
@@ -193,14 +204,16 @@ class TestSelectAll:
                 assert len(rejected) == len(step.rivals) == len(step.descendants)
                 for k, r, d in zip(rejected, step.rivals.tolist(), step.descendants.tolist()):
                     assert inst.competing[r, d]
-                    forced = UsageGraph.from_edges(inst.n, [*usage.edges(), (k, step.participant)])
+                    x = usage.x.copy()
+                    x[k, step.participant] = True
+                    forced = UsageGraph.from_edges(x)
                     assert forced.closure[r, d] and not conflict_free(inst, forced)
 
     def test_selected_edges_respect_benefit_and_competition(self, rng):
         for _ in range(40):
             inst = make_instance(rng)
             usage, _ = select_collaborators(inst)
-            for j, i in usage.edges():
+            for j, i in np.argwhere(usage.x).tolist():
                 assert inst.benefit[j, i] > 0
                 assert not inst.competing[j, i]
 
@@ -252,7 +265,9 @@ def test_recorded_guards_match_reference_scan(n, density, seed):
             assert before[r, k] and before[i, d] and inst.competing[r, d]
             assert r == min(downstream) and d in upstream
             if n <= 12:
-                forced = UsageGraph.from_edges(n, [*usage.edges(), (k, i)])
+                x = usage.x.copy()
+                x[k, i] = True
+                forced = UsageGraph.from_edges(x)
                 assert not conflict_free_by_paths(inst, forced)
         assert next(reasons, None) is None
     assert replay == usage
@@ -289,7 +304,7 @@ def test_unchecked_update_builds_a_valid_graph(n, density, seed):
     selection = Selection(inst)
     for i in perm + perm[:int(rng.integers(0, n + 1))]:
         select_step(selection, i)
-        rebuilt = UsageGraph.from_edges(n, selection.usage.edges())
+        rebuilt = UsageGraph.from_edges(selection.usage.x)
         assert np.array_equal(rebuilt.x, selection.usage.x)
         assert np.array_equal(rebuilt.closure, selection.usage.closure)
 
@@ -398,7 +413,7 @@ def test_accepts_are_the_empty_guard_candidates_before_the_step(n, density, seed
     inst = make_instance(np.random.default_rng(seed), n, edge_prob=density)
     selection = Selection(inst)
     for i in processing_order(inst):
-        before = UsageGraph.from_edges(n, selection.usage.edges())
+        before = UsageGraph.from_edges(selection.usage.x)
         expected = {j for j in candidate_collaborators(inst, i).tolist()
                     if before.x[j, i] or competitor_guards(inst, before, i, j) == (set(), set())}
         step = select_step(selection, i)
