@@ -5,6 +5,14 @@ to --out files (or stdout), diagnostics to stderr. Exit codes: 0 success
 (verify: conflict-free), 1 verify found a violation, 2 malformed input
 file or a file or standard output that cannot be written, 3 invalid
 instance or out of memory, 4 training divergence.
+
+verify runs the oracle's path search beside the closure check only up to
+n = ``PATH_ENUM_MAX_NODES`` and writes ``path_check skipped`` above it,
+which keeps its output as it has been. The search has no size cap (one
+depth-first search per participant with a competitor), but it is not
+free: at n=200, on a seeded random instance with 5% of its pairs
+competing and half of them benefiting, and that instance's selection, it
+took 22-26 ms on a 2-vCPU machine, which every larger verify would pay.
 """
 
 from __future__ import annotations

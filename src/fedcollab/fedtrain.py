@@ -52,7 +52,7 @@ import numpy as np
 from .graphs import Instance, InvalidInstanceError, UsageGraph
 from .partition import Partition, min_clique_cover, scc_coalitions
 from .selection import select_collaborators
-from .synthdata import (SyntheticConfig, SyntheticTask, competing_matrix,
+from .synthdata import (PRESET_NAMES, SyntheticConfig, SyntheticTask, competing_matrix,
                         generate_task, with_seed)
 
 METHODS = ("local", "fedavg", "ce", "fedcompetitors")
@@ -312,7 +312,9 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
     held fixed across repetitions; repetitions redraw data and shuffle
     streams. They train in blocks, one round-loop call each, whose tasks
     hold at most ``MAX_SAMPLES`` samples in all, and a diverging
-    repetition stops its block at that round.
+    repetition stops its block at that round. ``preset`` only labels the
+    report, and is None or a name of ``PRESET_NAMES``: a report writes it
+    as it is and must read it back.
     """
     for m in methods:
         if m not in METHODS:
@@ -323,6 +325,8 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
         raise ValueError(f"methods must be distinct, got {methods}")
     if reps < 1:
         raise ValueError("reps must be positive")
+    if preset is not None and preset not in PRESET_NAMES:
+        raise ValueError(f"preset must be None or one of {PRESET_NAMES}, got {preset!r}")
 
     competing = competing_matrix(config.n, competing_edges)  # checked before the costly estimate
     if benefit is None:

@@ -9,20 +9,23 @@ labels are the canonical output form. Each file kind has a grammar table
 :func:`_lines`, which words every diagnostic as a :class:`FileFormatError`
 with line and column positions. A pair list is held only as its n x n
 matrix, allocated at the ``n`` line, and leaves the reader as that matrix:
-a usage graph is built from it (:meth:`UsageGraph.from_edges`) and a
-report keeps its usage edges in it. The edge-list kinds (instance, usage
+a usage graph is built from it (:meth:`UsageGraph.from_edges`), a
+report keeps its usage edges in it, and a config's competing pairs are
+read off it row-major. The edge-list kinds (instance, usage
 and benefit files) have one reader body, :func:`_edge_lists`:
 :func:`_plain` reads a plain text in bulk (line ends "\\n" or "\\r\\n",
 non-ASCII text only in comments), its lines classified by key in numpy
 and each key's columns written into the matrices at once, and any other
 text takes the loop, where :func:`_add_pair` checks each pair line and
 sets its cell, as in configs and reports. Integer fields are an optional
-``-`` and ASCII digits in both readers. Writers
-share :func:`_edge_lines` for ``<key> <label> <label>[ <weight>]`` lines
-and :func:`_group_lines` for the cover and coalition groups. The scalar
-keys of configs and reports are the defaulted fields of
-:class:`SyntheticConfig` and :class:`TrainConfig`, for parser and
-serializer alike.
+``-`` and ASCII digits in both readers, and a placeholder for no
+participant (``none``, or ``-`` in a report) is a field parser's value.
+Writers share :func:`_edge_lines` for ``<key> <label> <label>[ <weight>]``
+lines and :func:`_group_lines` for the cover and coalition groups. Configs
+and reports hold one config section under their own key prefixes, its
+scalar keys the defaulted fields of :class:`SyntheticConfig` and
+:class:`TrainConfig`: :func:`_configs` builds both classes from it and
+:func:`_config_lines` writes it.
 """
 
 from __future__ import annotations
@@ -176,6 +179,10 @@ def _node_or_none(token: str, n: int) -> int | None:
     return None if token == "none" else _node(token, n)
 
 
+def _node_or_dash(token: str, n: int) -> int | None:
+    return None if token == "-" else _node(token, n)
+
+
 # ---------------------------------------------------------------------------
 # the one parse loop
 
@@ -184,19 +191,17 @@ class _Rule(NamedTuple):
     usage: str
     fixed: tuple[Callable, ...]
     repeat: Callable | None  # parses each field after the fixed ones
-    empty: str | None  # a lone field that stands for no fields
     needs_n: bool
 
 
 def _grammar(table: dict) -> dict[str, _Rule]:
-    """Compile ``{key: (usage, fields[, empty])}``; a ``...`` at the end of
+    """Compile ``{key: (usage, fields)}``; a ``...`` at the end of
     ``fields`` repeats the parser before it any number of times."""
     rules = {}
-    for key, (usage, fields, *empty) in table.items():
+    for key, (usage, fields) in table.items():
         repeat = fields[-2] if fields[-1] is ... else None
         rules[key] = _Rule(f"'{key} {usage}'", fields[:-2] if repeat else fields, repeat,
-                           empty[0] if empty else None,
-                           not {_node, _node_or_none}.isdisjoint(fields))
+                           not {_node, _node_or_none, _node_or_dash}.isdisjoint(fields))
     return rules
 
 
@@ -231,8 +236,6 @@ def _lines(text: str, kind: str, grammar: dict[str, _Rule], skip=()):
         if rule is _N and n is not None:
             raise line.error("duplicate 'n' declaration")
         tokens = head[1].split() if len(head) > 1 else []
-        if rule.empty is not None and tokens == [rule.empty]:
-            tokens = []
         count = len(rule.fixed)
         if len(tokens) != count and (rule.repeat is None or len(tokens) < count):
             raise line.error(f"expected {rule.usage}", min(count + 1, len(tokens)))
@@ -490,6 +493,32 @@ def _scalar_lines(obj, keys: dict) -> list[str]:
             for key, (name, kind) in keys.items()]
 
 
+def _configs(last: dict[str, _Line], prefix: str, synth_keys: dict, train_keys: dict,
+             **fixed) -> tuple[SyntheticConfig, TrainConfig]:
+    """The SyntheticConfig and TrainConfig of a file's latest lines: its
+    '<prefix>samples' and '<prefix>flipped' lines, its scalar keys and
+    ``fixed``; a value either class refuses becomes a FileFormatError."""
+    n = last["n"].values[0]
+    flips = set(last[prefix + "flipped"].values) if prefix + "flipped" in last else set()
+    try:
+        return (SyntheticConfig(n=n, samples=tuple(last[prefix + "samples"].values),
+                                flipped=tuple(i in flips for i in range(n)),
+                                **fixed, **_scalars(last, synth_keys)),
+                TrainConfig(**_scalars(last, train_keys)))
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from None
+
+
+def _config_lines(config: SyntheticConfig, keys: dict, prefix: str,
+                  none: str | None) -> list[str]:
+    """The scalar lines of ``config``, its '<prefix>samples' line and its
+    '<prefix>flipped' line, which reads ``none`` when nobody is flipped and
+    is left out when ``none`` is None too."""
+    flips = " ".join(node_label(i) for i, f in enumerate(config.flipped) if f) or none
+    return [*_scalar_lines(config, keys), f"{prefix}samples " + " ".join(map(str, config.samples)),
+            *([f"{prefix}flipped {flips}"] if flips else [])]
+
+
 _COMPETING = ("<a> <b>", (_node, _node))
 _BENEFIT = ("<from> <to> <weight>", (_node, _node, _float("benefit weight")))
 _REPS = ("<count>", (_int("reps", 1),))
@@ -637,42 +666,30 @@ def parse_sim_config(text: str):
     """Parse a simulation config file.
 
     Returns (SyntheticConfig, competing_edges, TrainConfig, reps|None);
-    the training keys and reps are optional and fall back to defaults.
+    the competing pairs are (smaller, larger) in row-major order, and the
+    training keys and reps are optional and fall back to defaults.
     """
     last: dict[str, _Line] = {}  # the latest line of each key but 'competing'
-    competing = []  # (smaller, larger) per 'competing' line, in file order
     for line in _lines(text, "config", _SIM_CONFIG):
         if line.key == "competing":
-            _add_pair(matrices["competing"], line)
-            competing.append((min(line.values), max(line.values)))
+            _add_pair(competing, line)
         else:
             last[line.key] = line
             if line.key == "n":
-                matrices = _zeros(line.values[0], ("competing",))
+                competing = np.zeros((line.values[0],) * 2, dtype=bool)
     _check_sizes(last)
     if "samples" not in last:
         raise FileFormatError("config file declares no 'samples'", 1, 1)
-    n = last["n"].values[0]
-    flips = set(last["flipped"].values) if "flipped" in last else set()
-    try:
-        config = SyntheticConfig(n=n, samples=tuple(last["samples"].values),
-                                 flipped=tuple(i in flips for i in range(n)),
-                                 **_scalars(last, _CONFIG_SYNTH))
-        train_config = TrainConfig(**_scalars(last, _CONFIG_TRAIN))
-    except ValueError as exc:
-        raise FileFormatError(str(exc)) from None
-    return config, tuple(competing), train_config, _last(last, "reps")
+    config, train_config = _configs(last, "", _CONFIG_SYNTH, _CONFIG_TRAIN)
+    pairs = tuple(map(tuple, np.argwhere(np.triu(competing)).tolist()))
+    return config, pairs, train_config, _last(last, "reps")
 
 
 def serialize_sim_config(config: SyntheticConfig, competing_edges,
                          train_config: TrainConfig | None = None,
                          reps: int | None = None) -> str:
     lines = ["# synthetic simulation config", f"n {config.n}",
-             *_scalar_lines(config, _CONFIG_SYNTH),
-             "samples " + " ".join(str(m) for m in config.samples)]
-    flips = [node_label(i) for i, f in enumerate(config.flipped) if f]
-    if flips:
-        lines.append("flipped " + " ".join(flips))
+             *_config_lines(config, _CONFIG_SYNTH, "", None)]
     competing = np.triu(competing_matrix(config.n, competing_edges))
     lines += _edge_lines("competing", competing, _labels(config.n))
     if train_config is not None:
@@ -696,18 +713,15 @@ def serialize_partitions(cover: Partition, coalitions: Partition, n: int) -> str
 
 
 def serialize_report(report: ExperimentReport) -> str:
-    cfg, tc = report.config, report.train_config
+    cfg = report.config
     lines = ["# experiment report", f"n {cfg.n}",
              "methods " + " ".join(report.methods),
              f"reps {report.reps}", f"seed {cfg.seed}"]
     if report.preset is not None:
         lines.append(f"preset {report.preset}")
     lines.append(f"aggregation {report.aggregation}")
-    lines += _scalar_lines(cfg, _REPORT_SYNTH)
-    lines += ["config_samples " + " ".join(str(m) for m in cfg.samples),
-              "config_flipped " + (" ".join(node_label(i) for i, f in enumerate(cfg.flipped) if f)
-                                   or "-")]
-    lines += _scalar_lines(tc, _REPORT_TRAIN)
+    lines += _config_lines(cfg, _REPORT_SYNTH, "config_", "-")
+    lines += _scalar_lines(report.train_config, _REPORT_TRAIN)
     lines += _group_lines(report.clique_cover, report.coalitions)
     label = _labels(cfg.n)
     lines += _edge_lines("usage_edge", report.usage, label)
@@ -725,7 +739,7 @@ _REPORT = _grammar({
     "aggregation": ("<word> ...", (_word, ...)),
     **_scalar_rules(_REPORT_SYNTH),
     "config_samples": ("<count> ...", (_int("sample count"), ...)),
-    "config_flipped": ("<participant> ... | -", (_node, ...), "-"),
+    "config_flipped": ("<participant> ... | -", (_node_or_dash, ...)),
     **_scalar_rules(_REPORT_TRAIN),
     "cover_mode": ("<exact|greedy>", (_choice("cover_mode", ("exact", "greedy")),)),
     "cover": ("<participant> ...", (_node, ...)),
@@ -791,15 +805,9 @@ def parse_report(text: str) -> ExperimentReport:
             raise line.error(f"usage edge ({node_label(j)}, {node_label(i)}) has no "
                              f"positive benefit line")
 
-    seed, cover_mode = _last(last, "seed", 0), _last(last, "cover_mode")
-    flipped_idx = last["config_flipped"].values if "config_flipped" in last else []
-    try:
-        config = SyntheticConfig(n=n, samples=tuple(last["config_samples"].values),
-                                 flipped=tuple(i in flipped_idx for i in range(n)), seed=seed,
-                                 **_scalars(last, _REPORT_SYNTH))
-        train_config = TrainConfig(**_scalars(last, _REPORT_TRAIN))
-    except ValueError as exc:
-        raise FileFormatError(str(exc)) from None
+    config, train_config = _configs(last, "config_", _REPORT_SYNTH, _REPORT_TRAIN,
+                                    seed=_last(last, "seed", 0))
+    cover_mode = _last(last, "cover_mode")
     return ExperimentReport(
         methods=methods, reps=_last(last, "reps", 1),
         mean={m: tuple(mse[m, i].values[2] for i in range(n)) for m in methods},

@@ -1,9 +1,9 @@
 """Independent brute-force references for testing the fast paths.
 
 Nothing here imports the selection engine or reads the incremental
-closure. Feasibility is decided by a depth-first
-search over the selected benefit edges from each competitor towards the
-other, at any size, and the per-step optimum by enumerating subsets of a
+closure. Feasibility is decided by one depth-first search over the
+selected benefit edges from each participant that has a competitor, at
+any size, and the per-step optimum by enumerating subsets of a
 participant's candidates, which are read straight from the instance.
 That enumeration is exponential, so :func:`optimal_step` refuses
 n > ``PATH_ENUM_MAX_NODES`` with a hard error; a partial oracle is worse
@@ -36,18 +36,16 @@ def _candidate_list(instance: Instance, i: int) -> list[int]:
                   key=lambda j: (-w[j], j))
 
 
-def _reaches(adj: np.ndarray, source: int, target: int) -> bool:
-    """Whether a path of one or more edges leads from source to target
-    over a boolean adjacency; each node is expanded at most once."""
+def _reached(adj: np.ndarray, source: int) -> np.ndarray:
+    """The nodes a path of one or more edges leads to from source over a
+    boolean adjacency, as a mask; each node is expanded at most once."""
     seen = np.zeros(adj.shape[0], dtype=bool)
     stack = [source]
     while stack:
-        for v in np.flatnonzero(adj[stack.pop()] & ~seen).tolist():
-            if v == target:
-                return True
-            seen[v] = True
-            stack.append(v)
-    return False
+        new = adj[stack.pop()] & ~seen
+        seen |= new
+        stack += np.flatnonzero(new).tolist()
+    return seen
 
 
 def _paths_feasible(instance: Instance, x: np.ndarray) -> bool:
@@ -55,12 +53,14 @@ def _paths_feasible(instance: Instance, x: np.ndarray) -> bool:
 
     No competing pair may be joined, in either direction, by a path whose
     edges are all selected benefit edges, so the search runs on those
-    edges alone.
+    edges alone: one search from each participant that has a competitor,
+    which must reach none of them (competing is symmetric, so this covers
+    both directions).
     """
     adj = (instance.benefit > 0.0) & x
-    pairs = np.transpose(np.nonzero(instance.competing))
-    # competing is symmetric: covers both directions
-    return not any(_reaches(adj, j, i) for j, i in pairs.tolist())
+    rivals = instance.competing
+    return not any((_reached(adj, j) & rivals[j]).any()
+                   for j in np.flatnonzero(rivals.any(axis=1)).tolist())
 
 
 def conflict_free_by_paths(instance: Instance, usage: UsageGraph) -> bool:

@@ -3,14 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from fedcollab import fedtrain
+from fedcollab import fedtrain, formats
 from fedcollab.fedtrain import (METHODS, TrainConfig, TrainingDivergenceError,
                                 aggregation_coefficients, estimate_benefit,
                                 loss_gradient, mean_squared_error, run_experiment,
                                 _mixing, _participant_streams,
                                 _rep_seed, _round_loop, _scores, _singletons)
 from fedcollab.graphs import InvalidInstanceError, UsageGraph
-from fedcollab.synthdata import (SyntheticConfig, generate_task, preset,
+from fedcollab.synthdata import (PRESET_NAMES, SyntheticConfig, generate_task, preset,
                                  polynomial_features, with_seed)
 
 FAST = TrainConfig(rounds=5, local_epochs=1)
@@ -389,6 +389,23 @@ class TestRunExperiment:
         monkeypatch.setattr(fedtrain, "estimate_benefit", fail)
         with pytest.raises(ValueError, match="'methods' needs at least one method"):
             run_experiment(self.CFG, [], methods=(), train_config=FAST, reps=1)
+
+    @pytest.mark.parametrize("label", ["a#b", "my preset", ""])
+    def test_rejects_a_preset_label_its_report_would_not_read_back(self, monkeypatch, label):
+        # 'a#b' would read back as 'a'; the other two would not parse at all
+        def fail(*args):
+            raise AssertionError("benefit estimated for an experiment that cannot run")
+
+        monkeypatch.setattr(fedtrain, "estimate_benefit", fail)
+        with pytest.raises(ValueError, match="preset must be None or one of"):
+            run_experiment(self.CFG, [], train_config=FAST, reps=1, preset=label)
+
+    @pytest.mark.parametrize("label", PRESET_NAMES)
+    def test_a_bundled_preset_label_reads_back(self, label):
+        report = run_experiment(self.CFG, [], train_config=FAST, reps=1, methods=("local",),
+                                preset=label)
+        assert formats.parse_report(formats.serialize_report(report)) == report
+        assert report.preset == label
 
     def test_rejects_repeated_method(self):
         # a report listing a method twice would not parse back

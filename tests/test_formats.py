@@ -175,10 +175,13 @@ reps 4
         text = formats.serialize_sim_config(cfg, edges, tc, reps)
         assert formats.parse_sim_config(text) == (cfg, edges, tc, reps)
 
-    def test_competing_pairs_come_in_file_order_smaller_first(self):
-        # neither row-major nor sorted: the pairs are returned as the lines list them
-        text = "n 5\nsamples 5 5 5 5 5\ncompeting v3 v4\ncompeting v2 v1\ncompeting v5 v1\n"
-        assert formats.parse_sim_config(text)[1] == ((2, 3), (0, 1), (0, 4))
+    def test_competing_pairs_come_row_major_smaller_first(self):
+        # the same pairs in another line order and orientation parse the same
+        head = "n 5\nsamples 5 5 5 5 5\n"
+        one = head + "competing v3 v4\ncompeting v2 v1\ncompeting v5 v1\n"
+        two = head + "competing v1 v5\ncompeting v4 v3\ncompeting v1 v2\n"
+        assert formats.parse_sim_config(one)[1] == ((0, 1), (0, 4), (2, 3))
+        assert formats.parse_sim_config(two) == formats.parse_sim_config(one)
 
     def test_writer_folds_repeated_and_reversed_pairs(self):
         cfg = SyntheticConfig(n=6, samples=(10,) * 6, flipped=(False,) * 6)
@@ -251,6 +254,37 @@ class TestReportFormat:
         with pytest.raises(FileFormatError) as exc:
             formats.parse_report(self.MINIMAL.replace(old, new))
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("line,flipped", [
+        ("config_flipped -", (False, False)),  # as the writer puts it when nobody is
+        ("config_flipped", (False, False)),
+        ("config_flipped v1 -", (True, False)),  # a '-' anywhere stands for nobody
+        ("config_flipped - v2 - v2", (False, True)),
+    ])
+    def test_config_flipped_reads_a_dash_as_no_participant(self, line, flipped):
+        assert formats.parse_report(self.MINIMAL + line + "\n").config.flipped == flipped
+
+    @pytest.mark.parametrize("text,message", [
+        ("n 3\nconfig_flipped v9\n",
+         "line 2, column 16: participant 'v9' out of range for n=3"),
+        ("n 3\nconfig_flipped - v9\n",
+         "line 2, column 18: participant 'v9' out of range for n=3"),
+        ("config_flipped -\nn 2\n",
+         "line 1, column 1: 'n' must be declared before any line that names a participant"),
+        ("config_flipped v1\nn 2\n",
+         "line 1, column 1: 'n' must be declared before any line that names a participant"),
+    ])
+    def test_config_flipped_names_participants_of_n(self, text, message):
+        with pytest.raises(FileFormatError) as exc:
+            formats.parse_report(text)
+        assert str(exc.value) == message
+
+    def test_every_participant_flipped_at_the_node_limit(self):
+        n = formats.MAX_NODES
+        text = (f"n {n}\nmethods local\nconfig_samples" + " 5" * n + "\nconfig_flipped "
+                + " ".join(f"v{i + 1}" for i in range(n)) + "\ncover_mode exact\n"
+                + "".join(f"mse local v{i + 1} 0.5 0.1\n" for i in range(n)))
+        assert formats.parse_report(text).config.flipped == (True,) * n
 
 
 class TestReportGroups:

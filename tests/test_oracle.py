@@ -6,7 +6,7 @@ import pytest
 
 from fedcollab import oracle
 from fedcollab.graphs import Instance, UsageGraph, conflict_free
-from fedcollab.oracle import (OracleSizeError, _candidate_list, _reaches, conflict_free_by_paths,
+from fedcollab.oracle import (OracleSizeError, _candidate_list, _reached, conflict_free_by_paths,
                               optimal_step)
 from fedcollab.selection import (Selection, candidate_collaborators, processing_order,
                                  select_collaborators, select_step)
@@ -24,26 +24,28 @@ def adjacency(n, edges):
 class TestReaches:
     def test_follows_paths_of_any_length(self):
         adj = adjacency(4, [(0, 1), (1, 3), (0, 2), (2, 3), (1, 2)])
-        assert _reaches(adj, 0, 3) and _reaches(adj, 1, 3) and _reaches(adj, 0, 2)
-        assert not _reaches(adj, 3, 0) and not _reaches(adj, 2, 1)
+        assert _reached(adj, 0).tolist() == [False, True, True, True]
+        assert _reached(adj, 1).tolist() == [False, False, True, True]
+        assert not _reached(adj, 3).any() and not _reached(adj, 2)[1]
 
     def test_no_path_from_sink(self):
-        assert not _reaches(adjacency(2, [(0, 1)]), 1, 0)
+        assert not _reached(adjacency(2, [(0, 1)]), 1).any()
 
     def test_cycle_without_the_target_ends_false(self):
         adj = adjacency(5, [(0, 1), (1, 2), (2, 0), (2, 1), (4, 0)])
-        assert not _reaches(adj, 0, 4)
-        assert not _reaches(adj, 1, 3)
-        assert _reaches(adj, 4, 2)
+        assert _reached(adj, 0).tolist() == [True, True, True, False, False]
+        assert not _reached(adj, 1)[3]
+        assert _reached(adj, 4)[2]
 
     def test_matches_the_closure(self, rng):
         for _ in range(100):
             n = int(rng.integers(1, 9))
             usage = make_usage(rng, n, max_edges=2 * n)
             for a in range(n):
+                reached = _reached(usage.x, a)
                 for b in range(n):
                     if a != b:
-                        assert _reaches(usage.x, a, b) == usage.closure[a, b]
+                        assert reached[b] == usage.closure[a, b]
 
 
 class TestConflictFreeByPaths:
