@@ -30,7 +30,7 @@ from .graphs import Instance, InvalidInstanceError, conflict_violations
 from .oracle import PATH_ENUM_MAX_NODES, conflict_free_by_paths
 from .partition import min_clique_cover, scc_coalitions
 from .selection import select_collaborators
-from .synthdata import PRESET_NAMES, competing_matrix, generate_task, preset, with_seed
+from .synthdata import PRESET_NAMES, generate_task, preset, with_seed
 
 
 def _read(path: str) -> str:
@@ -58,9 +58,8 @@ def _write(path: str | None, text: str) -> None:
 def _instance_from_args(args) -> Instance:
     if args.instance is not None:
         return formats.parse_instance(_read(args.instance))
-    config, edges = preset(args.preset, args.seed)
-    benefit = estimate_benefit(generate_task(config))
-    return Instance(config.n, competing_matrix(config.n, edges), benefit)
+    config, competing = preset(args.preset, args.seed)
+    return Instance(config.n, competing, estimate_benefit(generate_task(config)))
 
 
 def _cmd_select(args) -> int:
@@ -106,10 +105,10 @@ def _cmd_partition(args) -> int:
 
 def _cmd_simulate(args) -> int:
     if args.preset is not None:
-        config, edges = preset(args.preset, args.seed if args.seed is not None else 0)
+        config, competing = preset(args.preset, args.seed if args.seed is not None else 0)
         train_config, file_reps = TrainConfig(), None
     else:
-        config, edges, train_config, file_reps = formats.parse_sim_config(_read(args.config))
+        config, competing, train_config, file_reps = formats.parse_sim_config(_read(args.config))
         if args.seed is not None:
             config = with_seed(config, args.seed)
     if args.reps is not None and args.reps < 1:
@@ -127,7 +126,7 @@ def _cmd_simulate(args) -> int:
     reps = args.reps if args.reps is not None else (file_reps if file_reps is not None else 10)
     formats.check_training_work(train_config.rounds, train_config.local_epochs, reps,
                                 config.samples)
-    report = run_experiment(config, edges, methods=methods, train_config=train_config,
+    report = run_experiment(config, competing, methods=methods, train_config=train_config,
                             reps=reps, benefit=benefit, preset=args.preset)
     _write(args.out, formats.report_to_csv(report))
     if args.report is not None:

@@ -17,27 +17,27 @@ method to its grouping, which is either
   connected components of the benefit graph inside each clique) for
   ``ce``. Groups are mixed once more after the last round, so every
   member ends with the group's model; or
-* a UsageGraph, for ``fedcompetitors``: i itself and its authorized
-  collaborators, weighted by their benefit values and i by the largest
-  of them (nobody trusts a collaborator more than itself), normalized
-  to sum 1.
+* an n x n edge matrix, the usage graph's for ``fedcompetitors``: i
+  itself and the collaborators of its column, weighted by their benefit
+  values and i by the largest of them (nobody trusts a collaborator more
+  than itself), normalized to sum 1.
 
 Every participant draws shuffling randomness from its own seeded
 stream, so a participant's trained model depends only on its own data
 and the models that reach it through its mixing row.
 
 The loop trains a list of distinct mixings (rows, mix_after) on a list
-of tasks, the repetitions of one config, in lock step. Task r has its
-own shuffle streams, seeded by its repetition seed, and every mixing of
-a task sees the same minibatches. Participants with equal training-set
-sizes form a size group. Each round and epoch, every member draws its
-own permutation from its own stream in each task, as it would alone,
-and its shuffled rows are gathered from the task's training rows. Each
-minibatch index is then one batched gradient step for every mixing,
-every task and every member of the group. Each model's arithmetic is
-the same as a one-participant loop, so the results are bit-identical to
-training each task, each mixing and each participant on its own.
-``estimate_benefit`` makes one loop call for one task, and
+of tasks, the repetitions of one config, in lock step. Each task has its
+own shuffle streams, seeded by its repetition seed ``task.config.seed``,
+and every mixing of a task sees the same minibatches. Participants with
+equal training-set sizes form a size group. Each round and epoch, every
+member draws its own permutation from its own stream in each task, as it
+would alone, and its shuffled rows are gathered from the task's training
+rows. Each minibatch index is then one batched gradient step for every
+mixing, every task and every member of the group. Each model's
+arithmetic is the same as a one-participant loop, so the results are
+bit-identical to training each task, each mixing and each participant on
+its own. ``estimate_benefit`` makes one loop call for one task, and
 ``run_experiment`` one per block of repetitions, for the distinct
 mixings of its methods; the tasks of a block hold at most
 ``MAX_SAMPLES`` samples in all.
@@ -49,11 +49,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graphs import Instance, InvalidInstanceError, UsageGraph
+from .graphs import Instance, InvalidInstanceError, check_competing
 from .partition import Partition, min_clique_cover, scc_coalitions
 from .selection import select_collaborators
-from .synthdata import (PRESET_NAMES, SyntheticConfig, SyntheticTask, competing_matrix,
-                        generate_task, with_seed)
+from .synthdata import PRESET_NAMES, SyntheticConfig, SyntheticTask, generate_task, with_seed
 
 METHODS = ("local", "fedavg", "ce", "fedcompetitors")
 
@@ -113,7 +112,7 @@ def _participant_streams(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(n)]
 
 
-def aggregation_coefficients(usage: UsageGraph, benefit: np.ndarray,
+def aggregation_coefficients(usage: np.ndarray, benefit: np.ndarray,
                              i: int) -> tuple[list[int], np.ndarray]:
     """Personalized mixing weights for participant i: (collaborators, coefs).
 
@@ -122,7 +121,7 @@ def aggregation_coefficients(usage: UsageGraph, benefit: np.ndarray,
     list. Empty collaborator list means no mixing at all. A collaborator
     without positive benefit, or a sum past the float range, is refused.
     """
-    collaborators = np.flatnonzero(usage.x[:, i])
+    collaborators = np.flatnonzero(usage[:, i])
     if not collaborators.size:
         return [], np.array([1.0])
     ws = np.array(benefit[collaborators, i], dtype=np.float64)
@@ -151,9 +150,9 @@ def _singletons(n: int) -> tuple[tuple[int, ...], ...]:
 def _mixing(grouping, benefit: np.ndarray | None,
             sizes: list[int]) -> tuple[list[Mixing], bool]:
     """Each participant's mixing row for ``grouping``, a tuple of groups
-    or a UsageGraph read with ``benefit``, and whether the models are
-    mixed once more after the last round (some group has two members)."""
-    if isinstance(grouping, UsageGraph):
+    or an n x n edge matrix read with ``benefit``, and whether the models
+    are mixed once more after the last round (some group has two members)."""
+    if isinstance(grouping, np.ndarray):
         rows = []
         for i in range(len(sizes)):
             collaborators, coefs = aggregation_coefficients(grouping, benefit, i)
@@ -188,20 +187,20 @@ _UNCHECKED = np.errstate(over="ignore", invalid="ignore")
 
 
 @_UNCHECKED
-def _round_loop(tasks: list[SyntheticTask], seeds: list[int],
-                mixings: list[tuple[list[Mixing], bool]], cfg: TrainConfig) -> np.ndarray:
+def _round_loop(tasks: list[SyntheticTask], mixings: list[tuple[list[Mixing], bool]],
+                cfg: TrainConfig) -> np.ndarray:
     """The models after ``cfg.rounds`` rounds of each mixing (rows,
     mix_after) on each task, shape (len(tasks), len(mixings), n, degree).
 
     The tasks share their training-set sizes (repetitions of one config),
-    and task r shuffles with the streams of ``seeds[r]``. Every model is
-    trained in lock step, by size group, with the arithmetic of a
+    and each task shuffles with the streams of ``task.config.seed``. Every
+    model is trained in lock step, by size group, with the arithmetic of a
     one-participant loop. A call stops at the first round in which any of
     its models is non-finite, whichever task it belongs to.
     """
     sizes = [len(y) for _, y in tasks[0].train]
     groups = _size_groups(sizes)
-    streams = [_participant_streams(seed, len(sizes)) for seed in seeds]
+    streams = [_participant_streams(task.config.seed, len(sizes)) for task in tasks]
     # (mixing, participant, task, degree): a mixing row sums (task, degree) slices
     thetas = np.zeros((len(mixings), len(sizes), len(tasks), tasks[0].config.degree))
     for rnd in range(cfg.rounds):
@@ -253,7 +252,7 @@ def estimate_benefit(task: SyntheticTask, train_config: TrainConfig = TrainConfi
     """
     cfg = train_config
     local = _mixing(_singletons(task.n), None, [len(y) for _, y in task.train])
-    thetas = _round_loop([task], [task.config.seed], [local], cfg)[0, 0]
+    thetas = _round_loop([task], [local], cfg)[0, 0]
 
     # cross[j, i]: j's local model on i's validation data
     cross = np.array([[mean_squared_error(theta, *data) for data in task.val]
@@ -297,7 +296,7 @@ def _rep_seed(base: int, rep: int) -> int:
     return int(np.random.SeedSequence([base, rep]).generate_state(1)[0])
 
 
-def run_experiment(config: SyntheticConfig, competing_edges, *,
+def run_experiment(config: SyntheticConfig, competing: np.ndarray, *,
                    methods: tuple[str, ...] = METHODS,
                    train_config: TrainConfig = TrainConfig(),
                    reps: int = 10,
@@ -328,11 +327,11 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
     if preset is not None and preset not in PRESET_NAMES:
         raise ValueError(f"preset must be None or one of {PRESET_NAMES}, got {preset!r}")
 
-    competing = competing_matrix(config.n, competing_edges)  # checked before the costly estimate
+    competing = check_competing(config.n, competing)  # before the costly estimate
     if benefit is None:
         benefit = estimate_benefit(generate_task(config), train_config)
     instance = Instance(config.n, competing, benefit)
-    usage, _ = select_collaborators(instance)
+    usage = select_collaborators(instance)[0].x
     cover = min_clique_cover(instance)
     coalitions = scc_coalitions(instance, cover)
     grouping = {"local": _singletons(config.n), "fedavg": cover.groups,
@@ -341,8 +340,8 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
     block = max(1, MAX_SAMPLES // sum(config.samples))
     scores: dict[str, list[np.ndarray]] = {m: [] for m in methods}
     for first in range(0, reps, block):
-        seeds = [_rep_seed(config.seed, rep) for rep in range(first, min(first + block, reps))]
-        tasks = [generate_task(with_seed(config, seed)) for seed in seeds]
+        tasks = [generate_task(with_seed(config, _rep_seed(config.seed, rep)))
+                 for rep in range(first, min(first + block, reps))]
         sizes = [len(y) for _, y in tasks[0].train]
         keys = {}
         for m in methods:
@@ -351,7 +350,7 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
         # methods whose mixings coincide (ce on singleton coalitions and local,
         # say) train bit-identical models, so each distinct mixing trains once
         distinct = list(dict.fromkeys(keys.values()))
-        for task, thetas in zip(tasks, _round_loop(tasks, seeds, distinct, train_config)):
+        for task, thetas in zip(tasks, _round_loop(tasks, distinct, train_config)):
             trained = {key: _scores(t, task.val) for key, t in zip(distinct, thetas)}
             for m in methods:
                 scores[m].append(trained[keys[m]])
@@ -361,5 +360,5 @@ def run_experiment(config: SyntheticConfig, competing_edges, *,
     return ExperimentReport(
         methods=tuple(methods), reps=reps, mean=mean, std=std, config=config,
         train_config=train_config, preset=preset, clique_cover=cover, coalitions=coalitions,
-        usage=usage.x.copy(), benefit=instance.benefit,
+        usage=usage, benefit=instance.benefit,
     )

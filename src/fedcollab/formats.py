@@ -10,9 +10,9 @@ labels are the canonical output form. Each file kind has a grammar table
 with line and column positions. A pair list is held only as its n x n
 matrix, allocated at the ``n`` line, and leaves the reader as that matrix:
 a usage graph is built from it (:meth:`UsageGraph.from_edges`), a
-report keeps its usage edges in it, and a config's competing pairs are
-read off it row-major. The edge-list kinds (instance, usage
-and benefit files) have one reader body, :func:`_edge_lists`:
+report keeps its usage edges in it, and a config returns its competing
+matrix. The edge-list kinds (instance, usage and benefit files) have one
+reader body, :func:`_edge_lists`:
 :func:`_plain` reads a plain text in bulk (line ends "\\n" or "\\r\\n",
 non-ASCII text only in comments), its lines classified by key in numpy
 and each key's columns written into the matrices at once, and any other
@@ -40,10 +40,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fedtrain import MAX_SAMPLES, METHODS, ExperimentReport, TrainConfig
-from .graphs import Instance, InvalidInstanceError, UsageGraph, potentials
+from .graphs import Instance, InvalidInstanceError, UsageGraph, check_competing, potentials
 from .partition import Partition
 from .selection import SelectionTrace
-from .synthdata import SyntheticConfig, competing_matrix
+from .synthdata import SyntheticConfig
 
 _TOKEN = re.compile(r"\S+")
 
@@ -493,20 +493,34 @@ def _scalar_lines(obj, keys: dict) -> list[str]:
             for key, (name, kind) in keys.items()]
 
 
-def _configs(last: dict[str, _Line], prefix: str, synth_keys: dict, train_keys: dict,
-             **fixed) -> tuple[SyntheticConfig, TrainConfig]:
-    """The SyntheticConfig and TrainConfig of a file's latest lines: its
-    '<prefix>samples' and '<prefix>flipped' lines, its scalar keys and
-    ``fixed``; a value either class refuses becomes a FileFormatError."""
+def _configs(last: dict[str, _Line], prefix: str, synth_keys: dict,
+             train_keys: dict) -> tuple[SyntheticConfig, TrainConfig]:
+    """The SyntheticConfig and TrainConfig of a file's latest lines. A value
+    either class refuses becomes a FileFormatError, with the class's
+    message, at the first value of the line that is refused first when the
+    latest lines are given one at a time, in file order."""
     n = last["n"].values[0]
-    flips = set(last[prefix + "flipped"].values) if prefix + "flipped" in last else set()
-    try:
-        return (SyntheticConfig(n=n, samples=tuple(last[prefix + "samples"].values),
+
+    def build(given: dict[str, _Line]) -> tuple[SyntheticConfig, TrainConfig]:
+        # without its samples line a config has one sample per participant
+        samples = given[prefix + "samples"].values if prefix + "samples" in given else [1] * n
+        flips = set(given[prefix + "flipped"].values) if prefix + "flipped" in given else set()
+        return (SyntheticConfig(n=n, samples=tuple(samples),
                                 flipped=tuple(i in flips for i in range(n)),
-                                **fixed, **_scalars(last, synth_keys)),
-                TrainConfig(**_scalars(last, train_keys)))
-    except ValueError as exc:
-        raise FileFormatError(str(exc)) from None
+                                **_scalars(given, synth_keys)),
+                TrainConfig(**_scalars(given, train_keys)))
+
+    try:
+        return build(last)
+    except ValueError:
+        pass
+    given: dict[str, _Line] = {}
+    for line in sorted(last.values()):  # _Line sorts by its line number
+        given[line.key] = line
+        try:
+            build(given)
+        except ValueError as exc:
+            raise line.error(str(exc), 1) from None
 
 
 def _config_lines(config: SyntheticConfig, keys: dict, prefix: str,
@@ -665,33 +679,30 @@ _SIM_CONFIG = _grammar({
 def parse_sim_config(text: str):
     """Parse a simulation config file.
 
-    Returns (SyntheticConfig, competing_edges, TrainConfig, reps|None);
-    the competing pairs are (smaller, larger) in row-major order, and the
-    training keys and reps are optional and fall back to defaults.
+    Returns (SyntheticConfig, competing matrix, TrainConfig, reps|None);
+    the training keys and reps are optional and fall back to defaults.
     """
-    last: dict[str, _Line] = {}  # the latest line of each key but 'competing'
+    last: dict[str, _Line] = {}  # the latest line of each key
     for line in _lines(text, "config", _SIM_CONFIG):
-        if line.key == "competing":
+        last[line.key] = line
+        if line.key == "n":
+            competing = np.zeros((line.values[0],) * 2, dtype=bool)
+        elif line.key == "competing":
             _add_pair(competing, line)
-        else:
-            last[line.key] = line
-            if line.key == "n":
-                competing = np.zeros((line.values[0],) * 2, dtype=bool)
     _check_sizes(last)
     if "samples" not in last:
         raise FileFormatError("config file declares no 'samples'", 1, 1)
     config, train_config = _configs(last, "", _CONFIG_SYNTH, _CONFIG_TRAIN)
-    pairs = tuple(map(tuple, np.argwhere(np.triu(competing)).tolist()))
-    return config, pairs, train_config, _last(last, "reps")
+    return config, competing, train_config, _last(last, "reps")
 
 
-def serialize_sim_config(config: SyntheticConfig, competing_edges,
+def serialize_sim_config(config: SyntheticConfig, competing: np.ndarray,
                          train_config: TrainConfig | None = None,
                          reps: int | None = None) -> str:
+    upper = np.triu(check_competing(config.n, competing))
     lines = ["# synthetic simulation config", f"n {config.n}",
-             *_config_lines(config, _CONFIG_SYNTH, "", None)]
-    competing = np.triu(competing_matrix(config.n, competing_edges))
-    lines += _edge_lines("competing", competing, _labels(config.n))
+             *_config_lines(config, _CONFIG_SYNTH, "", None),
+             *_edge_lines("competing", upper, _labels(config.n))]
     if train_config is not None:
         lines += _scalar_lines(train_config, _CONFIG_TRAIN)
     if reps is not None:
@@ -805,8 +816,9 @@ def parse_report(text: str) -> ExperimentReport:
             raise line.error(f"usage edge ({node_label(j)}, {node_label(i)}) has no "
                              f"positive benefit line")
 
-    config, train_config = _configs(last, "config_", _REPORT_SYNTH, _REPORT_TRAIN,
-                                    seed=_last(last, "seed", 0))
+    # the report's own 'seed' line is the config's seed
+    config, train_config = _configs(last, "config_", _REPORT_SYNTH | {"seed": ("seed", int)},
+                                    _REPORT_TRAIN)
     cover_mode = _last(last, "cover_mode")
     return ExperimentReport(
         methods=methods, reps=_last(last, "reps", 1),

@@ -26,14 +26,27 @@ class InvalidInstanceError(ValueError):
     """Raised when an instance violates the data-model invariants."""
 
 
+def check_competing(n: int, competing) -> np.ndarray:
+    """A boolean copy of ``competing`` if n x n, symmetric, zero-diagonal and not complete."""
+    competing = np.asarray(competing, dtype=bool).copy()
+    if competing.shape != (n, n):
+        raise InvalidInstanceError(f"competing adjacency must be {n}x{n}, got {competing.shape}")
+    if competing.diagonal().any():
+        raise InvalidInstanceError("competing adjacency must have a zero diagonal")
+    if not np.array_equal(competing, competing.T):
+        raise InvalidInstanceError("competing adjacency must be symmetric")
+    if n >= 2 and competing.sum() == n * (n - 1):
+        raise InvalidInstanceError("complete competition graph leaves no one to collaborate with")
+    return competing
+
+
 class Instance:
     """Immutable problem input: participant count, competition, benefit.
 
     Invariants enforced at construction:
 
-    * ``competing`` is symmetric boolean with a zero diagonal and is not
-      the complete graph (a fully competing ecosystem admits no
-      collaboration at all and is rejected up front);
+    * ``competing`` passes :func:`check_competing` (a fully competing
+      ecosystem admits no collaboration at all and is rejected up front);
     * ``benefit`` entries are finite and nonnegative; the diagonal is
       meaningless and stored as zero. The benefit each participant offers
       (row sum) and receives (column sum) is finite too, so potentials and
@@ -45,22 +58,14 @@ class Instance:
     def __init__(self, n: int, competing: np.ndarray, benefit: np.ndarray) -> None:
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise InvalidInstanceError(f"participant count must be a positive integer, got {n!r}")
-        competing = np.asarray(competing, dtype=bool).copy()
+        competing = check_competing(n, competing)
         benefit = np.asarray(benefit, dtype=np.float64).copy()
-        if competing.shape != (n, n):
-            raise InvalidInstanceError(f"competing adjacency must be {n}x{n}, got {competing.shape}")
         if benefit.shape != (n, n):
             raise InvalidInstanceError(f"benefit matrix must be {n}x{n}, got {benefit.shape}")
-        if competing.diagonal().any():
-            raise InvalidInstanceError("competing adjacency must have a zero diagonal")
-        if not np.array_equal(competing, competing.T):
-            raise InvalidInstanceError("competing adjacency must be symmetric")
         if not np.isfinite(benefit).all():
             raise InvalidInstanceError("benefit weights must be finite")
         if (benefit < 0).any():
             raise InvalidInstanceError("benefit weights must be nonnegative")
-        if n >= 2 and competing.sum() == n * (n - 1):
-            raise InvalidInstanceError("complete competition graph leaves no one to collaborate with")
         np.fill_diagonal(benefit, 0.0)
         with np.errstate(over="ignore"):
             sums = (benefit.sum(axis=1), benefit.sum(axis=0))

@@ -16,7 +16,7 @@ arrays are kept. The features x themselves are the first column.
 
 Two fixed eight-participant presets are bundled, one row each of the
 ``PRESETS`` table (samples, flips, competing pairs) that :func:`preset`
-reads:
+reads, returning the pairs as their matrix (:func:`competing_matrix`):
 
 * ``weak_noniid`` — rho = 0.01, quantity skew (participants 1, 2, 5, 6
   hold 2000 samples, the rest 100), no flips; the two large blocks
@@ -159,12 +159,13 @@ def generate_task(config: SyntheticConfig) -> SyntheticTask:
     return SyntheticTask(config=config, weights=weights, train=train, val=val)
 
 
-def preset(name: str, seed: int = 0) -> tuple[SyntheticConfig, tuple[tuple[int, int], ...]]:
-    """Bundled (config, competing edges) pair for a named preset."""
+def preset(name: str, seed: int = 0) -> tuple[SyntheticConfig, np.ndarray]:
+    """Bundled (config, competing matrix) pair for a named preset."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
     samples, flipped, edges = PRESETS[name]
-    return SyntheticConfig(len(samples), samples, flipped, rho=0.01, seed=seed), edges
+    n = len(samples)
+    return SyntheticConfig(n, samples, flipped, rho=0.01, seed=seed), competing_matrix(n, edges)
 
 
 def competing_matrix(n: int, edges) -> np.ndarray:

@@ -341,6 +341,25 @@ class TestSimulate:
         assert message in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("old,new,message", [
+        ("rho 0.0", "rho -1", "line 2, column 5: rho and noise_std must be nonnegative"),
+        ("samples 60 50 40", "samples 60 50",
+         "line 3, column 9: samples must list a positive count per participant"),
+        ("samples 60 50 40", "samples 60 0 40",
+         "line 3, column 9: samples must list a positive count per participant"),
+        ("seed 5", "seed -4", "line 4, column 6: seed must be nonnegative, got -4"),
+        ("rounds 4", "rounds 0",
+         "line 6, column 8: rounds, local_epochs and batch_size must be positive"),
+        ("reps 2", "val_fraction 1.5", "line 7, column 14: val_fraction must be in (0, 1)"),
+    ])
+    def test_a_refused_value_exits_2_at_its_line(self, tmp_path, capsys, old, new, message):
+        # the latest line of the key that the config classes refuse
+        cfg = tmp_path / "sim.txt"
+        cfg.write_text(SIM_CONFIG.replace(old, new))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("old,new,message", [
         ("samples 60 50 40", "samples 2_0 20 20",
          "line 3, column 9: expected an integer for sample count, got '2_0'"),
         ("rounds 4", "rounds +1", "line 6, column 8: expected an integer for rounds, got '+1'"),
@@ -535,6 +554,29 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith(f"error: line {line}, ") and message in err
         assert len(err.splitlines()) == 1 and not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("config_rho 0.0", "config_rho -2", "column 12: rho and noise_std must be nonnegative"),
+        ("seed 5", "seed -4", "column 6: seed must be nonnegative, got -4"),
+        ("train_rounds 4", "train_rounds 0",
+         "column 14: rounds, local_epochs and batch_size must be positive"),
+    ])
+    def test_a_refused_config_value_exits_2_at_its_line(self, tmp_path, capsys, old, new,
+                                                        message):
+        cfg = tmp_path / "sim.txt"
+        cfg.write_text(SIM_CONFIG)
+        rep_out = tmp_path / "report.txt"
+        assert main(["simulate", "--config", str(cfg), "--reps", "1",
+                     "--out", str(tmp_path / "a.csv"), "--report", str(rep_out)]) == 0
+        capsys.readouterr()
+        lines = rep_out.read_text().splitlines()
+        line = lines.index(old) + 1
+        lines[line - 1] = new
+        bad = tmp_path / "r.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--in", str(bad), "--out", str(tmp_path / "c.csv")]) == 2
+        assert capsys.readouterr().err == f"error: line {line}, {message}\n"
+        assert not (tmp_path / "c.csv").exists()
 
     def test_groups_that_are_not_a_partition_exit_2(self, tmp_path, capsys):
         # the hand-made file (a repeated cover member, a coalition that leaves

@@ -10,17 +10,17 @@ from fedcollab.fedtrain import (METHODS, TrainConfig, TrainingDivergenceError,
                                 _mixing, _participant_streams,
                                 _rep_seed, _round_loop, _scores, _singletons)
 from fedcollab.graphs import InvalidInstanceError, UsageGraph
-from fedcollab.synthdata import (PRESET_NAMES, SyntheticConfig, generate_task, preset,
-                                 polynomial_features, with_seed)
+from fedcollab.synthdata import (PRESET_NAMES, SyntheticConfig, competing_matrix,
+                                 generate_task, preset, with_seed)
 
 FAST = TrainConfig(rounds=5, local_epochs=1)
 
 
-def trained(task, grouping, cfg, seed, benefit=None):
+def trained(task, grouping, cfg, benefit=None):
     """Per-participant validation MSE after training one grouping, by the
     path run_experiment takes: _round_loop over _mixing, then _scores."""
     mixing = _mixing(grouping, benefit, [len(y) for _, y in task.train])
-    return _scores(_round_loop([task], [seed], [mixing], cfg)[0, 0], task.val)
+    return _scores(_round_loop([task], [mixing], cfg)[0, 0], task.val)
 
 
 def small_task(n=2, samples=(60, 60), flipped=None, rho=0.01, seed=0):
@@ -49,7 +49,7 @@ class TestLossAndGradient:
 
 class TestAggregationWeights:
     def test_sum_to_one_and_self_rule(self):
-        usage = UsageGraph(4).add_edge(1, 0).add_edge(2, 0)
+        usage = UsageGraph(4).add_edge(1, 0).add_edge(2, 0).x
         w = np.zeros((4, 4))
         w[1, 0], w[2, 0] = 0.3, 0.9
         collaborators, coefs = aggregation_coefficients(usage, w, 0)
@@ -60,13 +60,14 @@ class TestAggregationWeights:
         assert coefs[0] == max(coefs)
 
     def test_no_collaborators(self):
-        collaborators, coefs = aggregation_coefficients(UsageGraph(3), np.zeros((3, 3)), 1)
+        no_edges = np.zeros((3, 3), dtype=bool)
+        collaborators, coefs = aggregation_coefficients(no_edges, np.zeros((3, 3)), 1)
         assert collaborators == [] and coefs.tolist() == [1.0]
 
     @pytest.mark.parametrize("weight,shown", [(0.0, "0.0"), (np.nan, "nan"), (-1.0, "-1.0")])
     def test_collaborator_without_benefit_is_refused_before_dividing(self, weight, shown):
         # a zero sum would give NaN weights, and NaN passes the sum guard
-        usage = UsageGraph(3).add_edge(0, 1).add_edge(2, 1)
+        usage = UsageGraph(3).add_edge(0, 1).add_edge(2, 1).x
         w = np.zeros((3, 3))
         w[0, 1], w[2, 1] = 0.5, weight
         message = rf"usage edge \(2, 1\) has benefit {shown}, which is not positive"
@@ -75,11 +76,11 @@ class TestAggregationWeights:
             with pytest.raises(ValueError, match=message):
                 aggregation_coefficients(usage, w, 1)
             with pytest.raises(ValueError, match=r"usage edge \(0, 1\) has benefit 0.0"):
-                _mixing(UsageGraph(3).add_edge(0, 1), np.zeros((3, 3)), [30, 30, 30])
+                _mixing(UsageGraph(3).add_edge(0, 1).x, np.zeros((3, 3)), [30, 30, 30])
 
     def test_overflowing_weights_fail_the_sum_guard(self):
         # each weight is finite, but the self weight doubles their sum past the float range
-        usage = UsageGraph(3).add_edge(0, 1)
+        usage = UsageGraph(3).add_edge(0, 1).x
         w = np.zeros((3, 3))
         w[0, 1] = 1e308
         message = r"aggregation weights of participant v2 \(index 1\) sum past the float range"
@@ -94,7 +95,7 @@ class TestTrainContracts:
                                 (20, "non-finite model parameters during round")):
             cfg = TrainConfig(rounds=rounds, learning_rate=1e30)
             with pytest.raises(TrainingDivergenceError, match=message):
-                trained(small_task(), _singletons(2), cfg, seed=0)
+                trained(small_task(), _singletons(2), cfg)
         with pytest.raises(TrainingDivergenceError, match="during benefit estimation"):
             estimate_benefit(small_task(), TrainConfig(rounds=3, learning_rate=1e30))
 
@@ -109,8 +110,8 @@ class TestTrainContracts:
 
     def test_deterministic(self):
         task = small_task(seed=3)
-        a = trained(task, _singletons(2), FAST, seed=11)
-        b = trained(task, _singletons(2), FAST, seed=11)
+        a = trained(task, _singletons(2), FAST)
+        b = trained(task, _singletons(2), FAST)
         assert np.array_equal(a, b)
 
 
@@ -118,9 +119,9 @@ class TestSingleParticipant:
     def test_all_methods_collapse_to_local(self):
         task = small_task(n=1, samples=(80,))
         # local, fedavg and ce all group the one participant alone
-        for grouping in (_singletons(1), UsageGraph(1)):
-            scores = trained(task, grouping, FAST, seed=5, benefit=np.zeros((1, 1)))
-            assert np.array_equal(scores, trained_alone(task, FAST, 5))
+        for grouping in (_singletons(1), np.zeros((1, 1), dtype=bool)):
+            scores = trained(task, grouping, FAST, benefit=np.zeros((1, 1)))
+            assert np.array_equal(scores, trained_alone(task, FAST))
 
     @pytest.mark.parametrize("method", ["fedavg", "ce", "fedcompetitors"])
     def test_self_only_mixing_is_local_bit_for_bit(self, method):
@@ -128,9 +129,9 @@ class TestSingleParticipant:
         task = small_task(n=4, samples=(90, 70, 50, 30), seed=4)
         benefit = np.full((4, 4), 0.5)
         np.fill_diagonal(benefit, 0.0)
-        grouping = UsageGraph(4) if method == "fedcompetitors" else _singletons(4)
-        scores = trained(task, grouping, FAST, seed=9, benefit=benefit)
-        assert np.array_equal(scores, trained_alone(task, FAST, 9))
+        grouping = np.zeros((4, 4), dtype=bool) if method == "fedcompetitors" else _singletons(4)
+        scores = trained(task, grouping, FAST, benefit=benefit)
+        assert np.array_equal(scores, trained_alone(task, FAST))
 
     def test_singleton_rows_are_exactly_self_only(self):
         # a group of one weighs its member by size / size, which is exactly 1.0
@@ -150,10 +151,10 @@ def sgd_epochs(theta, phi, y, epochs, lr, batch, rng):
     return out
 
 
-def trained_alone(task, cfg, seed):
+def trained_alone(task, cfg):
     """Reference local training: each participant continues SGD from its
     own previous model every round, with no mixing step at all."""
-    streams = _participant_streams(seed, task.n)
+    streams = _participant_streams(task.config.seed, task.n)
     scores = []
     for i in range(task.n):
         theta = np.zeros(task.config.degree)
@@ -164,11 +165,11 @@ def trained_alone(task, cfg, seed):
     return np.array(scores)
 
 
-def shared_model_fedavg(task, groups, cfg, seed):
+def shared_model_fedavg(task, groups, cfg):
     """Reference FedAvg with one shared model per group: every round each
     member trains from the group's model, which then becomes the members'
     sample-count weighted average, summed in group order."""
-    streams = _participant_streams(seed, task.n)
+    streams = _participant_streams(task.config.seed, task.n)
     thetas = np.zeros((task.n, task.config.degree))
     for group in groups:
         shared = np.zeros(task.config.degree)
@@ -189,17 +190,17 @@ class TestFedAvgReference:
     def test_mixing_rows_match_shared_model(self, groups):
         task = small_task(n=4, samples=(90, 70, 50, 30), rho=0.2, seed=2)
         cfg = TrainConfig(rounds=6, local_epochs=2, batch_size=16)
-        scores = trained(task, groups, cfg, seed=13)
-        assert np.array_equal(scores, shared_model_fedavg(task, groups, cfg, 13))
+        scores = trained(task, groups, cfg)
+        assert np.array_equal(scores, shared_model_fedavg(task, groups, cfg))
 
 
-def sequential_models(task, rows, mix_after, cfg, seed):
+def sequential_models(task, rows, mix_after, cfg):
     """Reference round loop: participant after participant, minibatch
     after minibatch, each starting from its ordered mixing-row sum."""
     def mix(thetas, row):
         return sum(c * thetas[j] for c, j in zip(row[1], row[0]))
 
-    streams = _participant_streams(seed, task.n)
+    streams = _participant_streams(task.config.seed, task.n)
     thetas = np.zeros((task.n, task.config.degree))
     for _ in range(cfg.rounds):
         thetas = np.array([sgd_epochs(mix(thetas, row), *task.train[i], cfg.local_epochs,
@@ -224,8 +225,7 @@ class TestLockStep:
     def test_one_loop_call_matches_each_mixing_alone_and_sequential(self):
         # training sets of 49, 1, 49, 104 and 20: v1 and v3 share a size group,
         # batches of 10 leave a partial last batch, and v2 trains on one sample;
-        # three repetitions of the task, each with its own shuffle seed
-        seeds = [21, 22, 40]
+        # three repetitions of the task, each shuffling by its own seed
         tasks = [small_task(n=5, samples=(61, 1, 61, 130, 25), rho=0.2, seed=seed)
                  for seed in (3, 4, 5)]
         sizes = [len(y) for _, y in tasks[0].train]
@@ -233,7 +233,7 @@ class TestLockStep:
         cfg = TrainConfig(rounds=4, local_epochs=2, batch_size=10)
         cover = ((0, 2, 3), (1, 4))
         coalitions = ((0, 2), (1, 4), (3,))
-        usage = UsageGraph(5).add_edge(2, 0).add_edge(3, 0).add_edge(0, 1).add_edge(4, 3)
+        usage = UsageGraph(5).add_edge(2, 0).add_edge(3, 0).add_edge(0, 1).add_edge(4, 3).x
         benefit = np.zeros((5, 5))
         benefit[2, 0], benefit[3, 0], benefit[0, 1], benefit[4, 3] = 0.3, 0.8, 0.5, 0.2
         grouping = {"local": _singletons(5), "fedavg": cover, "ce": coalitions,
@@ -241,15 +241,14 @@ class TestLockStep:
         mixings = [_mixing(grouping[m], benefit, sizes) for m in METHODS]
         assert len({(tuple(rows), after) for rows, after in mixings}) == len(METHODS)
 
-        together = _round_loop(tasks, seeds, mixings, cfg)
+        together = _round_loop(tasks, mixings, cfg)
         assert together.shape == (3, len(METHODS), 5, tasks[0].config.degree)
-        for task, seed, models in zip(tasks, seeds, together):
-            assert np.array_equal(models, _round_loop([task], [seed], mixings, cfg)[0])
+        for task, models in zip(tasks, together):
+            assert np.array_equal(models, _round_loop([task], mixings, cfg)[0])
             for k, (rows, mix_after) in enumerate(mixings):
-                alone = _round_loop([task], [seed], [(rows, mix_after)], cfg)
+                alone = _round_loop([task], [(rows, mix_after)], cfg)
                 assert np.array_equal(models[k], alone[0, 0])
-                assert np.array_equal(models[k],
-                                      sequential_models(task, rows, mix_after, cfg, seed))
+                assert np.array_equal(models[k], sequential_models(task, rows, mix_after, cfg))
 
 
 def zero_labels(task, i):
@@ -262,12 +261,12 @@ class TestUsageGating:
     def test_unreachable_data_cannot_influence_model(self):
         # chain 0 -> 1 (1 uses 0); node 2 is unreachable to both
         cfg = SyntheticConfig(n=3, samples=(50, 50, 50), flipped=(False,) * 3, seed=6)
-        usage = UsageGraph(3).add_edge(0, 1)
+        usage = UsageGraph(3).add_edge(0, 1).x
         w = np.zeros((3, 3))
         w[0, 1] = 0.5
 
         def run(task):
-            return trained(task, usage, FAST, seed=6, benefit=w)
+            return trained(task, usage, FAST, benefit=w)
 
         base_scores = run(generate_task(cfg))
         poisoned = generate_task(cfg)
@@ -319,30 +318,47 @@ class TestBaselineSanity:
         grand = (tuple(range(4)),)
         locals_, fedavgs = [], []
         for rep in range(12):
-            seed = _rep_seed(cfg.seed, rep)
-            task = generate_task(with_seed(cfg, seed))
-            locals_.append(trained(task, _singletons(4), tc, seed))
-            fedavgs.append(trained(task, grand, tc, seed))
+            task = generate_task(with_seed(cfg, _rep_seed(cfg.seed, rep)))
+            locals_.append(trained(task, _singletons(4), tc))
+            fedavgs.append(trained(task, grand, tc))
         assert (np.mean(fedavgs, axis=0) <= np.mean(locals_, axis=0)).all()
+
+
+@pytest.fixture
+def no_estimate(monkeypatch):
+    """Fail the test if benefit is estimated."""
+    def fail(*args):
+        raise AssertionError("benefit estimated for an experiment that cannot run")
+
+    monkeypatch.setattr(fedtrain, "estimate_benefit", fail)
 
 
 class TestRunExperiment:
     CFG = SyntheticConfig(n=3, samples=(200, 200, 60), flipped=(False,) * 3, seed=8)
+    COMPETING = competing_matrix(3, [(0, 1)])  # v1 and v2 compete
+    NONE = np.zeros((3, 3), dtype=bool)
 
     def test_report_shape_and_determinism(self):
-        report = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=3)
+        report = run_experiment(self.CFG, self.COMPETING, train_config=FAST, reps=3)
         assert report.methods == METHODS
         assert report.config.n == 3 and report.reps == 3
         for m in METHODS:
             assert len(report.mean[m]) == 3
             assert all(s >= 0 for s in report.std[m])
-        report2 = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=3)
+        report2 = run_experiment(self.CFG, self.COMPETING, train_config=FAST, reps=3)
         assert report == report2
 
-    @pytest.mark.parametrize("pair", [(-1, 2), (0, 3), (1, 1)])
-    def test_refuses_a_competing_pair_outside_the_nodes(self, pair):
-        with pytest.raises(ValueError, match=r"competing pair .* is not two distinct nodes of n=3"):
-            run_experiment(self.CFG, [(0, 1), pair], train_config=FAST, reps=1)
+    @pytest.mark.parametrize("competing,message", [
+        (np.zeros((4, 4), dtype=bool), r"competing adjacency must be 3x3, got \(4, 4\)"),
+        ([(0, 1)], r"competing adjacency must be 3x3, got \(1, 2\)"),  # a pair list
+        (np.triu(COMPETING), "competing adjacency must be symmetric"),
+        (np.eye(3, dtype=bool), "competing adjacency must have a zero diagonal"),
+        (~np.eye(3, dtype=bool), "complete competition graph"),
+    ], ids=["shape", "pairs", "asymmetric", "self-competing", "complete"])
+    def test_refuses_a_bad_competing_matrix_before_estimating_benefit(self, no_estimate,
+                                                                     competing, message):
+        with pytest.raises(InvalidInstanceError, match=message):
+            run_experiment(self.CFG, competing, train_config=FAST, reps=1)
 
     def test_equality_reads_every_field(self):
         from dataclasses import fields, replace
@@ -350,7 +366,7 @@ class TestRunExperiment:
         def bumped(scores):
             return {m: tuple(v + 1.0 for v in vs) for m, vs in scores.items()}
 
-        report = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=1)
+        report = run_experiment(self.CFG, self.COMPETING, train_config=FAST, reps=1)
         changed = {
             "methods": report.methods[::-1], "reps": report.reps + 1,
             "mean": bumped(report.mean), "std": bumped(report.std),
@@ -369,48 +385,41 @@ class TestRunExperiment:
     def test_user_supplied_benefit_bypasses_estimation(self):
         w = np.zeros((3, 3))
         w[0, 2] = 0.7
-        report = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=2,
+        report = run_experiment(self.CFG, self.COMPETING, train_config=FAST, reps=2,
                                 benefit=w, methods=("fedcompetitors",))
         assert np.argwhere(report.usage).tolist() == [[0, 2]]
         assert np.array_equal(report.benefit, w)
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
-            run_experiment(self.CFG, [], methods=("magic",), train_config=FAST, reps=1)
+            run_experiment(self.CFG, self.NONE, methods=("magic",), train_config=FAST, reps=1)
 
     def test_rejects_zero_reps(self):
         with pytest.raises(ValueError, match="reps must be positive"):
-            run_experiment(self.CFG, [], train_config=FAST, reps=0)
+            run_experiment(self.CFG, self.NONE, train_config=FAST, reps=0)
 
-    def test_rejects_no_methods_before_estimating_benefit(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("benefit estimated for an experiment that cannot run")
-
-        monkeypatch.setattr(fedtrain, "estimate_benefit", fail)
+    def test_rejects_no_methods_before_estimating_benefit(self, no_estimate):
         with pytest.raises(ValueError, match="'methods' needs at least one method"):
-            run_experiment(self.CFG, [], methods=(), train_config=FAST, reps=1)
+            run_experiment(self.CFG, self.NONE, methods=(), train_config=FAST, reps=1)
 
     @pytest.mark.parametrize("label", ["a#b", "my preset", ""])
-    def test_rejects_a_preset_label_its_report_would_not_read_back(self, monkeypatch, label):
+    def test_rejects_a_preset_label_its_report_would_not_read_back(self, no_estimate, label):
         # 'a#b' would read back as 'a'; the other two would not parse at all
-        def fail(*args):
-            raise AssertionError("benefit estimated for an experiment that cannot run")
-
-        monkeypatch.setattr(fedtrain, "estimate_benefit", fail)
         with pytest.raises(ValueError, match="preset must be None or one of"):
-            run_experiment(self.CFG, [], train_config=FAST, reps=1, preset=label)
+            run_experiment(self.CFG, self.NONE, train_config=FAST, reps=1, preset=label)
 
     @pytest.mark.parametrize("label", PRESET_NAMES)
     def test_a_bundled_preset_label_reads_back(self, label):
-        report = run_experiment(self.CFG, [], train_config=FAST, reps=1, methods=("local",),
-                                preset=label)
+        report = run_experiment(self.CFG, self.NONE, train_config=FAST, reps=1,
+                                methods=("local",), preset=label)
         assert formats.parse_report(formats.serialize_report(report)) == report
         assert report.preset == label
 
     def test_rejects_repeated_method(self):
         # a report listing a method twice would not parse back
         with pytest.raises(ValueError, match="methods must be distinct"):
-            run_experiment(self.CFG, [], methods=("local", "local"), train_config=FAST, reps=1)
+            run_experiment(self.CFG, self.NONE, methods=("local", "local"), train_config=FAST,
+                           reps=1)
 
     @pytest.mark.parametrize("methods,mutual,trained", [
         # no usage edges and singleton coalitions: ce and fedcompetitors are local
@@ -423,19 +432,18 @@ class TestRunExperiment:
                                                       mutual, trained):
         calls = []
 
-        def counting_loop(tasks, seeds, mixings, cfg):
+        def counting_loop(tasks, mixings, cfg):
             calls.append((len(tasks), list(mixings)))
-            return _round_loop(tasks, seeds, mixings, cfg)
+            return _round_loop(tasks, mixings, cfg)
 
         w = np.zeros((3, 3))
         if mutual:
             w[0, 2], w[2, 0] = 0.5, 0.4
         monkeypatch.setattr(fedtrain, "_round_loop", counting_loop)
-        report = run_experiment(self.CFG, [(0, 1)], methods=methods, benefit=w,
+        report = run_experiment(self.CFG, self.COMPETING, methods=methods, benefit=w,
                                 train_config=FAST, reps=2)
-        usage = UsageGraph.from_edges(report.usage)
         grouping = {"local": _singletons(3), "fedavg": report.clique_cover.groups,
-                    "ce": report.coalitions.groups, "fedcompetitors": usage}
+                    "ce": report.coalitions.groups, "fedcompetitors": report.usage}
         sizes = [len(y) for _, y in generate_task(self.CFG).train]
         expected = [(tuple(rows), after)
                     for rows, after in (_mixing(grouping[m], w, sizes) for m in trained)]
@@ -443,22 +451,22 @@ class TestRunExperiment:
         assert calls == [(2, expected)]
         monkeypatch.undo()
         for m in methods:  # the reused scores are the ones m trains on its own
-            assert report.mean[m] == run_experiment(self.CFG, [(0, 1)], methods=(m,),
+            assert report.mean[m] == run_experiment(self.CFG, self.COMPETING, methods=(m,),
                                                     benefit=w, train_config=FAST,
                                                     reps=2).mean[m]
 
     def test_repetitions_train_in_blocks_capped_by_max_samples(self, monkeypatch):
         calls = []
 
-        def counting_loop(tasks, seeds, mixings, cfg):
+        def counting_loop(tasks, mixings, cfg):
             calls.append(len(tasks))
-            return _round_loop(tasks, seeds, mixings, cfg)
+            return _round_loop(tasks, mixings, cfg)
 
-        whole = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=5)
+        whole = run_experiment(self.CFG, self.COMPETING, train_config=FAST, reps=5)
         monkeypatch.setattr(fedtrain, "_round_loop", counting_loop)
         # room for two repetitions' samples per loop call, not three
         monkeypatch.setattr(fedtrain, "MAX_SAMPLES", 3 * sum(self.CFG.samples) - 1)
-        blocked = run_experiment(self.CFG, [(0, 1)], train_config=FAST, reps=5)
+        blocked = run_experiment(self.CFG, self.COMPETING, train_config=FAST, reps=5)
         # the benefit estimate trains one task, then the blocks of 2, 2 and 1
         assert calls == [1, 2, 2, 1]
         assert blocked == whole
@@ -466,8 +474,8 @@ class TestRunExperiment:
 
 class TestPresetQualitative:
     def test_strong_noniid_orderings(self):
-        cfg, edges = preset("strong_noniid", seed=7)
-        report = run_experiment(cfg, edges, reps=3, preset="strong_noniid")
+        cfg, competing = preset("strong_noniid", seed=7)
+        report = run_experiment(cfg, competing, reps=3, preset="strong_noniid")
         local = np.array(report.mean["local"])
         fedavg = np.array(report.mean["fedavg"])
         fcomp = np.array(report.mean["fedcompetitors"])
@@ -475,8 +483,8 @@ class TestPresetQualitative:
         assert (fcomp <= local).all()
 
     def test_weak_noniid_small_participants_gain(self):
-        cfg, edges = preset("weak_noniid", seed=7)
-        report = run_experiment(cfg, edges, reps=3, preset="weak_noniid",
+        cfg, competing = preset("weak_noniid", seed=7)
+        report = run_experiment(cfg, competing, reps=3, preset="weak_noniid",
                                 methods=("local", "fedcompetitors"))
         local = np.array(report.mean["local"])
         fcomp = np.array(report.mean["fedcompetitors"])

@@ -37,14 +37,21 @@ def benefits(draw, n):
 
 
 @st.composite
-def instances(draw, max_n=8):
-    n = draw(st.integers(1, max_n))
+def competitions(draw, n):
+    """A symmetric boolean n x n competition matrix; never the complete
+    graph, which ``check_competing`` refuses."""
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     competing = np.zeros((n, n), dtype=bool)
     for a, b in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs) - 1)
                      if len(pairs) > 1 else st.just([])):
         competing[a, b] = competing[b, a] = True
-    return Instance(n, competing, draw(benefits(n)))
+    return competing
+
+
+@st.composite
+def instances(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    return Instance(n, draw(competitions(n)), draw(benefits(n)))
 
 
 @st.composite
@@ -82,12 +89,13 @@ def test_selection_round_trip(instance):
 def test_sim_config_round_trip(data):
     n = data.draw(st.integers(1, 8))
     config = data.draw(configs(n))
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    competing = data.draw(competitions(n))
     train = data.draw(st.none() | train_configs)
     reps = data.draw(st.none() | st.integers(1, 1000))
-    parsed = formats.parse_sim_config(formats.serialize_sim_config(config, edges, train, reps))
-    assert parsed == (config, tuple(sorted(edges)), train or TrainConfig(), reps)
+    parsed, parsed_competing, *rest = formats.parse_sim_config(
+        formats.serialize_sim_config(config, competing, train, reps))
+    assert parsed == config and np.array_equal(parsed_competing, competing)
+    assert rest == [train or TrainConfig(), reps]
 
 
 @st.composite

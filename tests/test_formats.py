@@ -11,7 +11,7 @@ from fedcollab.fedtrain import ExperimentReport, TrainConfig, run_experiment
 from fedcollab.formats import FileFormatError
 from fedcollab.graphs import Instance, InvalidInstanceError, UsageGraph
 from fedcollab.selection import select_collaborators
-from fedcollab.synthdata import SyntheticConfig
+from fedcollab.synthdata import SyntheticConfig, competing_matrix
 
 from conftest import make_instance
 
@@ -155,10 +155,11 @@ reps 4
 """
 
     def test_parse_full(self):
-        cfg, edges, tc, reps = formats.parse_sim_config(self.TEXT)
+        cfg, competing, tc, reps = formats.parse_sim_config(self.TEXT)
         assert cfg == SyntheticConfig(n=3, samples=(100, 80, 60),
                                       flipped=(False, False, True), rho=0.05, seed=9)
-        assert edges == ((0, 1),)
+        assert competing.dtype == bool
+        assert np.array_equal(competing, competing_matrix(3, [(0, 1)]))
         assert tc.rounds == 7 and tc.learning_rate == 0.01
         assert tc.local_epochs == TrainConfig().local_epochs
         assert reps == 4
@@ -171,52 +172,88 @@ reps 4
         assert str(exc.value) == "line 3, column 14: participant 'v4' out of range for n=3"
 
     def test_round_trip(self):
-        cfg, edges, tc, reps = formats.parse_sim_config(self.TEXT)
-        text = formats.serialize_sim_config(cfg, edges, tc, reps)
-        assert formats.parse_sim_config(text) == (cfg, edges, tc, reps)
+        cfg, competing, tc, reps = formats.parse_sim_config(self.TEXT)
+        text = formats.serialize_sim_config(cfg, competing, tc, reps)
+        again, competing_again, *rest = formats.parse_sim_config(text)
+        assert again == cfg and np.array_equal(competing_again, competing)
+        assert rest == [tc, reps]
 
     def test_competing_pairs_come_row_major_smaller_first(self):
-        # the same pairs in another line order and orientation parse the same
+        # the same pairs in another line order and orientation parse to one
+        # matrix, which the writer writes row-major, the smaller node first
         head = "n 5\nsamples 5 5 5 5 5\n"
         one = head + "competing v3 v4\ncompeting v2 v1\ncompeting v5 v1\n"
         two = head + "competing v1 v5\ncompeting v4 v3\ncompeting v1 v2\n"
-        assert formats.parse_sim_config(one)[1] == ((0, 1), (0, 4), (2, 3))
-        assert formats.parse_sim_config(two) == formats.parse_sim_config(one)
+        cfg, competing = formats.parse_sim_config(one)[:2]
+        assert np.array_equal(competing, competing_matrix(5, [(0, 1), (0, 4), (2, 3)]))
+        assert np.array_equal(formats.parse_sim_config(two)[1], competing)
+        written = formats.serialize_sim_config(cfg, competing).splitlines()
+        assert [line for line in written if line.startswith("competing")] == [
+            "competing v1 v2", "competing v1 v5", "competing v3 v4"]
 
     def test_writer_folds_repeated_and_reversed_pairs(self):
+        # the matrix holds each pair in both orders; the writer writes it once
         cfg = SyntheticConfig(n=6, samples=(10,) * 6, flipped=(False,) * 6)
-        text = formats.serialize_sim_config(cfg, [(0, 1), (1, 0), (5, 2)])
-        assert formats.parse_sim_config(text)[1] == ((0, 1), (2, 5))
+        competing = competing_matrix(6, [(0, 1), (1, 0), (5, 2)])
+        text = formats.serialize_sim_config(cfg, competing)
+        assert text.count("competing ") == 2
+        assert np.array_equal(formats.parse_sim_config(text)[1], competing)
 
-    @pytest.mark.parametrize("pair", [(2, 2), (-1, 0), (0, 3)])
-    def test_writer_refuses_pairs_its_parser_would(self, pair):
-        # a self pair, and nodes outside 0..n-1, which numpy would wrap or refuse
+    @pytest.mark.parametrize("competing,message", [
+        (np.zeros((4, 4), dtype=bool), r"competing adjacency must be 3x3, got \(4, 4\)"),
+        (np.triu(competing_matrix(3, [(0, 1)])), "competing adjacency must be symmetric"),
+        (np.eye(3, dtype=bool), "competing adjacency must have a zero diagonal"),
+        (~np.eye(3, dtype=bool), "complete competition graph"),
+    ], ids=["shape", "asymmetric", "self-competing", "complete"])
+    def test_writer_refuses_what_check_competing_refuses(self, competing, message):
+        # triu would drop the lower half of an asymmetric matrix and write a
+        # self pair that the parser refuses; simulate refuses a complete one
         cfg = SyntheticConfig(n=3, samples=(10,) * 3, flipped=(False,) * 3)
-        with pytest.raises(ValueError, match="two distinct nodes of n=3"):
-            formats.serialize_sim_config(cfg, [(0, 1), pair])
+        with pytest.raises(InvalidInstanceError, match=message):
+            formats.serialize_sim_config(cfg, competing)
 
     def test_missing_samples(self):
         with pytest.raises(FileFormatError, match="samples"):
             formats.parse_sim_config("n 2\n")
 
     def test_semantic_validation_becomes_format_error(self):
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError) as exc:
             formats.parse_sim_config("n 2\nsamples 10\n")  # wrong count
+        assert str(exc.value) == ("line 2, column 9: samples must list a positive count "
+                                  "per participant")
+
+    @pytest.mark.parametrize("lines,message", [
+        ("samples 10 10\nrho -1\n", "line 3, column 5: rho and noise_std must be nonnegative"),
+        ("samples 10 10\nrounds 0\n",
+         "line 3, column 8: rounds, local_epochs and batch_size must be positive"),
+        ("samples 10 10\nval_fraction 1.5\n", "line 3, column 14: val_fraction must be in (0, 1)"),
+        ("samples 10 0\n", "line 2, column 9: samples must list a positive count per participant"),
+        # the latest line of the refused key, and the first refused line in file order
+        ("noise_std -1\nsamples 10 10\nnoise_std -2\n",
+         "line 4, column 11: rho and noise_std must be nonnegative"),
+        ("rounds 0\nsamples 10\n",
+         "line 2, column 8: rounds, local_epochs and batch_size must be positive"),
+        ("samples 10 10\nseed -3\nrho -1\n", "line 3, column 6: seed must be nonnegative, got -3"),
+    ])
+    def test_a_refused_value_names_its_line(self, lines, message):
+        with pytest.raises(FileFormatError) as exc:
+            formats.parse_sim_config("n 2\n" + lines)
+        assert str(exc.value) == message
 
 
 class TestReportFormat:
     def test_round_trip(self):
         cfg = SyntheticConfig(n=3, samples=(80, 60, 50), flipped=(False, True, False),
                               seed=4)
-        report = run_experiment(cfg, [(0, 2)], train_config=TrainConfig(rounds=3),
-                                reps=2, preset=None)
+        report = run_experiment(cfg, competing_matrix(3, [(0, 2)]),
+                                train_config=TrainConfig(rounds=3), reps=2, preset=None)
         text = formats.serialize_report(report)
         assert formats.parse_report(text) == report
 
     def test_n_and_seed_are_the_configs(self):
         cfg = SyntheticConfig(n=3, samples=(80, 60, 50), flipped=(False,) * 3, seed=11)
-        report = run_experiment(cfg, [], train_config=TrainConfig(rounds=2), reps=1,
-                                methods=("local",))
+        report = run_experiment(cfg, np.zeros((3, 3), dtype=bool),
+                                train_config=TrainConfig(rounds=2), reps=1, methods=("local",))
         assert not {"n", "seed"} & {f.name for f in dataclasses.fields(report)}
         text = formats.serialize_report(report)
         assert text.splitlines()[1] == "n 3" and "seed 11" in text.splitlines()
@@ -226,8 +263,9 @@ class TestReportFormat:
 
     def test_csv_layout(self):
         cfg = SyntheticConfig(n=2, samples=(40, 40), flipped=(False, False), seed=1)
-        report = run_experiment(cfg, [], train_config=TrainConfig(rounds=2),
-                                reps=2, methods=("local", "fedavg"))
+        report = run_experiment(cfg, np.zeros((2, 2), dtype=bool),
+                                train_config=TrainConfig(rounds=2), reps=2,
+                                methods=("local", "fedavg"))
         csv = formats.report_to_csv(report)
         lines = csv.strip().splitlines()
         assert lines[0] == "participant,local,fedavg"
@@ -253,6 +291,19 @@ class TestReportFormat:
         assert formats.parse_report(self.MINIMAL).clique_cover.mode == "exact"
         with pytest.raises(FileFormatError) as exc:
             formats.parse_report(self.MINIMAL.replace(old, new))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("line,message", [
+        ("config_rho -2", "line 8, column 12: rho and noise_std must be nonnegative"),
+        ("seed -1", "line 8, column 6: seed must be nonnegative, got -1"),
+        ("train_rounds 0",
+         "line 8, column 14: rounds, local_epochs and batch_size must be positive"),
+        ("config_samples 5", "line 8, column 16: samples must list a positive count "
+                             "per participant"),
+    ])
+    def test_a_refused_config_value_names_its_line(self, line, message):
+        with pytest.raises(FileFormatError) as exc:
+            formats.parse_report(self.MINIMAL + line + "\n")
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("line,flipped", [
@@ -445,8 +496,9 @@ def test_readme_examples_parse():
     instance = next(b for b in blocks if "samples" not in b)
     config = next(b for b in blocks if "samples" in b)
     assert formats.parse_instance(instance).n == 3
-    cfg, edges, tc, reps = formats.parse_sim_config(config)
-    assert (cfg.n, cfg.flipped, edges, reps) == (3, (False, False, True), ((0, 1),), 10)
+    cfg, competing, tc, reps = formats.parse_sim_config(config)
+    assert (cfg.n, cfg.flipped, reps) == (3, (False, False, True), 10)
+    assert np.array_equal(competing, competing_matrix(3, [(0, 1)]))
 
 
 def test_readme_library_example_runs():

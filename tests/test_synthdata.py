@@ -40,18 +40,18 @@ class TestConfigValidation:
 
 class TestPresets:
     def test_weak_preset_values(self):
-        cfg, edges = preset("weak_noniid", seed=3)
+        cfg, competing = preset("weak_noniid", seed=3)
         assert cfg.rho == 0.01
         assert cfg.samples == (2000, 2000, 100, 100, 2000, 2000, 100, 100)
         assert cfg.flipped == (False,) * 8
         assert cfg.seed == 3
-        assert len(edges) == 8
+        assert np.count_nonzero(np.triu(competing)) == 8
 
     def test_strong_preset_values(self):
-        cfg, edges = preset("strong_noniid")
+        cfg, competing = preset("strong_noniid")
         assert cfg.samples == (2000,) * 8
         assert cfg.flipped == (False,) * 4 + (True,) * 4
-        assert len(edges) == 8
+        assert np.count_nonzero(np.triu(competing)) == 8
 
     @pytest.mark.parametrize("name,samples,flipped,pairs", [
         ("weak_noniid", (2000, 2000, 100, 100, 2000, 2000, 100, 100), (False,) * 8,
@@ -61,10 +61,12 @@ class TestPresets:
     ])
     def test_preset_is_its_table_row(self, name, samples, flipped, pairs):
         for seed in (0, 7):
-            cfg, edges = preset(name, seed)
+            cfg, competing = preset(name, seed)
             assert cfg == SyntheticConfig(n=8, samples=samples, flipped=flipped, rho=0.01,
                                           seed=seed)
-            assert edges == pairs == PRESETS[name][2]
+            assert competing.dtype == bool
+            assert np.array_equal(competing, competing_matrix(8, pairs))
+            assert pairs == PRESETS[name][2]
         assert PRESET_NAMES == tuple(PRESETS) == ("weak_noniid", "strong_noniid")
         assert (PRESETS["weak_noniid"][2], PRESETS["strong_noniid"][2]) == (
             WEAK_COMPETING_EDGES, STRONG_COMPETING_EDGES)
@@ -74,8 +76,7 @@ class TestPresets:
             preset("nope")
 
     def test_competing_matrix_symmetric(self):
-        _, edges = preset("strong_noniid")
-        s = competing_matrix(8, edges)
+        _, s = preset("strong_noniid")
         assert np.array_equal(s, s.T) and not s.diagonal().any()
 
     @pytest.mark.parametrize("pair", [(-1, 2), (0, 4), (1, 1), (0, 1.0)])
