@@ -99,7 +99,7 @@ def _cmd_partition(args) -> int:
     instance = _instance_from_args(args)
     cover = min_clique_cover(instance)
     coalitions = scc_coalitions(instance, cover)
-    _write(args.out, formats.serialize_partitions(cover, coalitions, instance.n))
+    _write(args.out, formats.serialize_partitions(cover, coalitions))
     return 0
 
 

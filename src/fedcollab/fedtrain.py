@@ -20,7 +20,8 @@ method to its grouping, which is either
 * an n x n edge matrix, the usage graph's for ``fedcompetitors``: i
   itself and the collaborators of its column, weighted by their benefit
   values and i by the largest of them (nobody trusts a collaborator more
-  than itself), normalized to sum 1.
+  than itself), normalized to sum 1. ``aggregation_coefficients`` returns
+  that mixing row.
 
 Every participant draws shuffling randomness from its own seeded
 stream, so a participant's trained model depends only on its own data
@@ -112,18 +113,20 @@ def _participant_streams(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(n)]
 
 
-def aggregation_coefficients(usage: np.ndarray, benefit: np.ndarray,
-                             i: int) -> tuple[list[int], np.ndarray]:
-    """Personalized mixing weights for participant i: (collaborators, coefs).
+# A mixing row (sources, coefs): a round starts from sum(coefs[k] * model[sources[k]]).
+Mixing = tuple[tuple[int, ...], tuple[float, ...]]
 
-    coefs[0] belongs to i itself and equals the largest collaborator
-    benefit before normalization; coefs[1:] follow the collaborator
-    list. Empty collaborator list means no mixing at all. A collaborator
+
+def aggregation_coefficients(usage: np.ndarray, benefit: np.ndarray, i: int) -> Mixing:
+    """Participant i's personalized mixing row ((i, *collaborators), coefs).
+
+    coefs[0] is i's own weight, the largest collaborator benefit before
+    normalization; no collaborator gives ((i,), (1.0,)). A collaborator
     without positive benefit, or a sum past the float range, is refused.
     """
     collaborators = np.flatnonzero(usage[:, i])
     if not collaborators.size:
-        return [], np.array([1.0])
+        return (i,), (1.0,)
     ws = np.array(benefit[collaborators, i], dtype=np.float64)
     refused = np.flatnonzero(~(ws > 0))  # NaN included
     if refused.size:
@@ -136,11 +139,7 @@ def aggregation_coefficients(usage: np.ndarray, benefit: np.ndarray,
     if not np.isfinite(total):
         raise InvalidInstanceError(f"aggregation weights of participant v{i + 1} (index {i}) "
                                    "sum past the float range")
-    return collaborators.tolist(), raw / total
-
-
-# A mixing row (sources, coefs): a round starts from sum(coefs[k] * model[sources[k]]).
-Mixing = tuple[tuple[int, ...], tuple[float, ...]]
+    return (i, *collaborators.tolist()), tuple((raw / total).tolist())
 
 
 def _singletons(n: int) -> tuple[tuple[int, ...], ...]:
@@ -148,23 +147,21 @@ def _singletons(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _mixing(grouping, benefit: np.ndarray | None,
-            sizes: list[int]) -> tuple[list[Mixing], bool]:
+            sizes: list[int]) -> tuple[tuple[Mixing, ...], bool]:
     """Each participant's mixing row for ``grouping``, a tuple of groups
     or an n x n edge matrix read with ``benefit``, and whether the models
-    are mixed once more after the last round (some group has two members)."""
+    are mixed once more after the last round (some group has two members).
+    The pair is hashable, so equal mixings compare and hash equal."""
     if isinstance(grouping, np.ndarray):
-        rows = []
-        for i in range(len(sizes)):
-            collaborators, coefs = aggregation_coefficients(grouping, benefit, i)
-            rows.append(((i, *collaborators), tuple(coefs.tolist())))
-        return rows, False
+        return tuple(aggregation_coefficients(grouping, benefit, i)
+                     for i in range(len(sizes))), False
     rows = [None] * len(sizes)
     for group in grouping:
         weights = np.array([sizes[i] for i in group], dtype=np.float64)
         weights = tuple((weights / weights.sum()).tolist())
         for i in group:
             rows[i] = (tuple(group), weights)
-    return rows, any(len(g) > 1 for g in grouping)
+    return tuple(rows), any(len(g) > 1 for g in grouping)
 
 
 def _mix(thetas: np.ndarray, row: Mixing) -> np.ndarray:
@@ -187,7 +184,7 @@ _UNCHECKED = np.errstate(over="ignore", invalid="ignore")
 
 
 @_UNCHECKED
-def _round_loop(tasks: list[SyntheticTask], mixings: list[tuple[list[Mixing], bool]],
+def _round_loop(tasks: list[SyntheticTask], mixings: list[tuple[tuple[Mixing, ...], bool]],
                 cfg: TrainConfig) -> np.ndarray:
     """The models after ``cfg.rounds`` rounds of each mixing (rows,
     mix_after) on each task, shape (len(tasks), len(mixings), n, degree).
@@ -343,10 +340,7 @@ def run_experiment(config: SyntheticConfig, competing: np.ndarray, *,
         tasks = [generate_task(with_seed(config, _rep_seed(config.seed, rep)))
                  for rep in range(first, min(first + block, reps))]
         sizes = [len(y) for _, y in tasks[0].train]
-        keys = {}
-        for m in methods:
-            rows, mix_after = _mixing(grouping[m], instance.benefit, sizes)
-            keys[m] = (tuple(rows), mix_after)
+        keys = {m: _mixing(grouping[m], instance.benefit, sizes) for m in methods}
         # methods whose mixings coincide (ce on singleton coalitions and local,
         # say) train bit-identical models, so each distinct mixing trains once
         distinct = list(dict.fromkeys(keys.values()))

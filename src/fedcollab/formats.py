@@ -699,6 +699,8 @@ def parse_sim_config(text: str):
 def serialize_sim_config(config: SyntheticConfig, competing: np.ndarray,
                          train_config: TrainConfig | None = None,
                          reps: int | None = None) -> str:
+    if reps is not None and reps < 1:  # parse_sim_config would refuse the file
+        raise ValueError(f"reps must be at least 1, got {reps}")
     upper = np.triu(check_competing(config.n, competing))
     lines = ["# synthetic simulation config", f"n {config.n}",
              *_config_lines(config, _CONFIG_SYNTH, "", None),
@@ -714,7 +716,8 @@ def serialize_sim_config(config: SyntheticConfig, competing: np.ndarray,
 # partitions
 
 
-def serialize_partitions(cover: Partition, coalitions: Partition, n: int) -> str:
+def serialize_partitions(cover: Partition, coalitions: Partition) -> str:
+    n = sum(map(len, cover.groups))  # a cover holds each participant once
     lines = ["# baseline groupings", f"n {n}", *_group_lines(cover, coalitions)]
     return "\n".join(lines) + "\n"
 
@@ -819,14 +822,13 @@ def parse_report(text: str) -> ExperimentReport:
     # the report's own 'seed' line is the config's seed
     config, train_config = _configs(last, "config_", _REPORT_SYNTH | {"seed": ("seed", int)},
                                     _REPORT_TRAIN)
-    cover_mode = _last(last, "cover_mode")
     return ExperimentReport(
         methods=methods, reps=_last(last, "reps", 1),
         mean={m: tuple(mse[m, i].values[2] for i in range(n)) for m in methods},
         std={m: tuple(mse[m, i].values[3] for i in range(n)) for m in methods},
         config=config, train_config=train_config, preset=_last(last, "preset"),
-        clique_cover=Partition(tuple(lists["cover"]), "clique_cover", cover_mode),
-        coalitions=Partition(tuple(lists["coalition"]), "scc_coalitions", cover_mode),
+        clique_cover=Partition(tuple(lists["cover"]), _last(last, "cover_mode")),
+        coalitions=Partition(tuple(lists["coalition"])),
         usage=pairs["usage_edge"], benefit=pairs["benefit"],
         aggregation=" ".join(last["aggregation"].values) if "aggregation" in last else "",
     )

@@ -21,11 +21,11 @@ EXACT_COVER_MAX_NODES = 16
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint node groups covering 0..n-1."""
+    """Disjoint node groups covering 0..n-1, plus a clique cover's mode
+    ("exact" or "greedy"); coalitions have none."""
 
     groups: tuple[tuple[int, ...], ...]
-    kind: str  # "clique_cover" | "scc_coalitions"
-    mode: str | None = None  # "exact" | "greedy" for covers
+    mode: str | None = None
 
     def validate_cover(self, instance: Instance) -> None:
         """Raise ValueError unless the groups split 0..n-1 into non-competing
@@ -112,7 +112,7 @@ def min_clique_cover(instance: Instance) -> Partition:
         colors, mode = _color_exact(instance.competing), "exact"
     else:
         colors, mode = _color_greedy(instance.competing), "greedy"
-    return Partition(groups=_canonical_groups(colors), kind="clique_cover", mode=mode)
+    return Partition(_canonical_groups(colors), mode)
 
 
 def strongly_connected_components(adjacency: np.ndarray, nodes: list[int]) -> list[tuple[int, ...]]:
@@ -153,12 +153,11 @@ def scc_coalitions(instance: Instance, within: Partition) -> Partition:
     """Refine a clique cover into benefit-graph strongly connected coalitions.
 
     Only mutual (direct or transitive) benefit inside a clique keeps
-    participants together; everyone else trains alone.
+    participants together; everyone else trains alone. ``within`` may be
+    any split into non-competing cliques, so coalitions refine to themselves.
     """
-    if within.kind != "clique_cover":
-        raise ValueError(f"expected a clique_cover partition, got kind={within.kind!r}")
     within.validate_cover(instance)
     benefit_adj = instance.benefit > 0.0
     groups = (scc for clique in within.groups  # disjoint, so sorted by first member
               for scc in strongly_connected_components(benefit_adj, list(clique)))
-    return Partition(groups=tuple(sorted(groups)), kind="scc_coalitions", mode=within.mode)
+    return Partition(tuple(sorted(groups)))

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import coo_array
 
+from fedcollab import formats
 from fedcollab.graphs import Instance, UsageGraph
 
 
@@ -45,6 +47,45 @@ def make_usage(rng: np.random.Generator, n: int, max_edges: int | None = None,
     for j, i in pool[: rng.integers(0, limit + 1)]:
         usage.add_edge(j, i)
     return usage
+
+
+def benefit_text(instance: Instance) -> str:
+    """A benefit file: the instance file without its 'competing' lines."""
+    return "".join(line for line in formats.serialize_instance(instance).splitlines(True)
+                   if not line.startswith("competing"))
+
+
+# "\t" and "\x1f" split fields but break no line; "edges" and "benefit2" are
+# a key word with a suffix, "edge\t" and "benefit\t" one followed by a tab
+ODD = ["v01", "V2", "３", "v²", "1_0", "+1", "-0.0", "nan", "1e400", "#", "\x0b", "\x85", "\r",
+       "\t", "\x1f", "edges", "benefit2", "edge\t", "benefit\t"]
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` with a few lines edited: a field swapped for an odd token,
+    a field dropped or inserted, a line repeated, 'n' moved or repeated."""
+    lines = text.split("\n")
+    n_line = next(line for line in lines if line.startswith("n "))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        fields = lines[k].split(" ")
+        op = draw(st.sampled_from(["swap", "drop", "insert", "repeat", "move n", "repeat n"]))
+        if op == "swap":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(ODD))
+        elif op == "drop":
+            del fields[draw(st.integers(0, len(fields) - 1))]
+        elif op == "insert":
+            fields.insert(draw(st.integers(0, len(fields))), draw(st.sampled_from(ODD + ["v1"])))
+        lines[k] = " ".join(fields)
+        if op == "repeat":
+            lines.insert(k, lines[k])
+        elif op == "move n" and n_line in lines:
+            lines.remove(n_line)
+            lines.insert(k, n_line)
+        elif op == "repeat n":
+            lines.insert(k, n_line)
+    return "\n".join(lines)
 
 
 def closure_by_squaring(x: np.ndarray) -> np.ndarray:

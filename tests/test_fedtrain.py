@@ -52,17 +52,16 @@ class TestAggregationWeights:
         usage = UsageGraph(4).add_edge(1, 0).add_edge(2, 0).x
         w = np.zeros((4, 4))
         w[1, 0], w[2, 0] = 0.3, 0.9
-        collaborators, coefs = aggregation_coefficients(usage, w, 0)
-        assert collaborators == [1, 2]
-        assert coefs.sum() == pytest.approx(1.0, abs=1e-15)
+        sources, coefs = aggregation_coefficients(usage, w, 0)
+        assert sources == (0, 1, 2) and isinstance(coefs, tuple)
+        assert sum(coefs) == pytest.approx(1.0, abs=1e-15)
         # self weight equals the best collaborator weight before normalizing
         assert coefs[0] == pytest.approx(0.9 / (0.9 + 0.3 + 0.9))
         assert coefs[0] == max(coefs)
 
     def test_no_collaborators(self):
         no_edges = np.zeros((3, 3), dtype=bool)
-        collaborators, coefs = aggregation_coefficients(no_edges, np.zeros((3, 3)), 1)
-        assert collaborators == [] and coefs.tolist() == [1.0]
+        assert aggregation_coefficients(no_edges, np.zeros((3, 3)), 1) == ((1,), (1.0,))
 
     @pytest.mark.parametrize("weight,shown", [(0.0, "0.0"), (np.nan, "nan"), (-1.0, "-1.0")])
     def test_collaborator_without_benefit_is_refused_before_dividing(self, weight, shown):
@@ -136,7 +135,7 @@ class TestSingleParticipant:
     def test_singleton_rows_are_exactly_self_only(self):
         # a group of one weighs its member by size / size, which is exactly 1.0
         rows, mix_after = _mixing(_singletons(3), None, [49, 1, 104])
-        assert rows == [((0,), (1.0,)), ((1,), (1.0,)), ((2,), (1.0,))] and not mix_after
+        assert rows == (((0,), (1.0,)), ((1,), (1.0,)), ((2,), (1.0,))) and not mix_after
 
 
 def sgd_epochs(theta, phi, y, epochs, lr, batch, rng):
@@ -239,7 +238,7 @@ class TestLockStep:
         grouping = {"local": _singletons(5), "fedavg": cover, "ce": coalitions,
                     "fedcompetitors": usage}
         mixings = [_mixing(grouping[m], benefit, sizes) for m in METHODS]
-        assert len({(tuple(rows), after) for rows, after in mixings}) == len(METHODS)
+        assert len(set(mixings)) == len(METHODS)
 
         together = _round_loop(tasks, mixings, cfg)
         assert together.shape == (3, len(METHODS), 5, tasks[0].config.degree)
@@ -445,8 +444,7 @@ class TestRunExperiment:
         grouping = {"local": _singletons(3), "fedavg": report.clique_cover.groups,
                     "ce": report.coalitions.groups, "fedcompetitors": report.usage}
         sizes = [len(y) for _, y in generate_task(self.CFG).train]
-        expected = [(tuple(rows), after)
-                    for rows, after in (_mixing(grouping[m], w, sizes) for m in trained)]
+        expected = [_mixing(grouping[m], w, sizes) for m in trained]
         # one loop call holding both repetitions, training each distinct mixing once
         assert calls == [(2, expected)]
         monkeypatch.undo()

@@ -17,7 +17,7 @@ from fedcollab.partition import Partition
 from fedcollab.selection import select_collaborators
 from fedcollab.synthdata import PRESET_NAMES, SyntheticConfig
 
-from conftest import make_instance
+from conftest import ODD, benefit_text, make_instance, mutated
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -124,8 +124,8 @@ def reports(draw):
         methods=methods, reps=draw(st.integers(1, 100)),
         mean=rows, std=spread, config=config, train_config=draw(train_configs),
         preset=draw(st.none() | st.sampled_from(PRESET_NAMES)),
-        clique_cover=Partition(draw(partitions(n)), "clique_cover", mode),
-        coalitions=Partition(draw(partitions(n)), "scc_coalitions", mode),
+        clique_cover=Partition(draw(partitions(n)), mode),
+        coalitions=Partition(draw(partitions(n))),
         usage=usage, benefit=benefit,
         aggregation=" ".join(draw(st.lists(st.text("abc=,-", min_size=1), max_size=4))))
 
@@ -167,51 +167,13 @@ def test_token_fuzz_ends_in_a_value_or_a_documented_error(parse, data):
 
 
 # edge-list kinds: the bulk reader against the checked loop alone
-def _benefit_text(instance):
-    return "".join(line for line in formats.serialize_instance(instance).splitlines(True)
-                   if not line.startswith("competing"))
-
-
 def _usage_text(instance):
     return formats.serialize_selection(instance, *select_collaborators(instance))
 
 
 EDGE_LISTS = {formats.parse_instance: formats.serialize_instance,
               formats.parse_usage: _usage_text,
-              formats.parse_benefit: _benefit_text}
-# "\t" and "\x1f" split fields but break no line; "edges" and "benefit2" are
-# a key word with a suffix, "edge\t" and "benefit\t" one followed by a tab
-ODD = ["v01", "V2", "３", "v²", "1_0", "+1", "-0.0", "nan", "1e400", "#", "\x0b", "\x85", "\r",
-       "\t", "\x1f", "edges", "benefit2", "edge\t", "benefit\t"]
-
-
-@st.composite
-def mutated(draw, text):
-    """``text`` with a few lines edited: a field swapped for an odd token,
-    a field dropped or inserted, a line repeated, 'n' moved or repeated."""
-    lines = text.split("\n")
-    n_line = next(line for line in lines if line.startswith("n "))
-    for _ in range(draw(st.integers(0, 3))):
-        k = draw(st.integers(0, len(lines) - 1))
-        fields = lines[k].split(" ")
-        op = draw(st.sampled_from(["swap", "drop", "insert", "repeat", "move n", "repeat n"]))
-        if op == "swap":
-            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(ODD))
-        elif op == "drop":
-            del fields[draw(st.integers(0, len(fields) - 1))]
-        elif op == "insert":
-            fields.insert(draw(st.integers(0, len(fields))), draw(st.sampled_from(ODD + ["v1"])))
-        lines[k] = " ".join(fields)
-        if op == "repeat":
-            lines.insert(k, lines[k])
-        elif op == "move n" and n_line in lines:
-            lines.remove(n_line)
-            lines.insert(k, n_line)
-        elif op == "repeat n":
-            lines.insert(k, n_line)
-    return "\n".join(lines)
-
-
+              formats.parse_benefit: benefit_text}
 def _outcome(parse, text, *args):
     try:
         value = parse(text, *args)
@@ -293,7 +255,7 @@ def test_plain_edge_lists_skip_the_checked_loop(rng, chunk, n):
         for text in (selection, formats.serialize_usage(usage)):
             parsed = formats.parse_usage(text, n)
             assert parsed == usage and np.array_equal(parsed.closure, usage.closure)
-        assert np.array_equal(formats.parse_benefit(_benefit_text(instance)), instance.benefit)
+        assert np.array_equal(formats.parse_benefit(benefit_text(instance)), instance.benefit)
 
 
 @pytest.mark.parametrize("chunk", [64, formats._CHUNK])

@@ -212,6 +212,18 @@ reps 4
         with pytest.raises(InvalidInstanceError, match=message):
             formats.serialize_sim_config(cfg, competing)
 
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_writer_refuses_reps_the_parser_refuses(self, reps):
+        cfg = SyntheticConfig(n=3, samples=(10,) * 3, flipped=(False,) * 3)
+        with pytest.raises(ValueError, match=f"^reps must be at least 1, got {reps}$"):
+            formats.serialize_sim_config(cfg, np.zeros((3, 3), dtype=bool), reps=reps)
+
+    @pytest.mark.parametrize("reps", [1, None])
+    def test_writer_round_trips_reps(self, reps):
+        cfg = SyntheticConfig(n=3, samples=(10,) * 3, flipped=(False,) * 3)
+        text = formats.serialize_sim_config(cfg, np.zeros((3, 3), dtype=bool), reps=reps)
+        assert formats.parse_sim_config(text)[3] == reps
+
     def test_missing_samples(self):
         with pytest.raises(FileFormatError, match="samples"):
             formats.parse_sim_config("n 2\n")

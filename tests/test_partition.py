@@ -90,7 +90,7 @@ class TestSccCoalitions:
         cover = min_clique_cover(inst)
         coalitions = scc_coalitions(inst, cover)
         assert all(len(g) == 1 for g in coalitions.groups)
-        assert coalitions.kind == "scc_coalitions"
+        assert coalitions.mode is None
 
     def test_benefit_cycle_within_clique_groups_together(self):
         w = np.zeros((3, 3))
@@ -135,11 +135,13 @@ class TestSccCoalitions:
                 sub_mutual = sub_reach & sub_reach.T
                 assert set(group) == {k for k in clique if sub_mutual[group[0], k]}
 
-    def test_requires_clique_cover_input(self, rng):
-        inst = make_instance(rng, 4)
-        bogus = Partition(groups=((0, 1), (2, 3)), kind="scc_coalitions")
-        with pytest.raises(ValueError, match="clique_cover"):
-            scc_coalitions(inst, bogus)
+    def test_refining_its_own_coalitions_returns_them_unchanged(self, rng):
+        # coalitions are non-competing cliques covering 0..n-1, so they are a
+        # valid cover to refine, and each is already strongly connected
+        for _ in range(30):
+            inst = make_instance(rng, edge_prob=0.3, density=0.4)
+            coalitions = scc_coalitions(inst, min_clique_cover(inst))
+            assert scc_coalitions(inst, coalitions) == coalitions
 
     @pytest.mark.parametrize("groups,message", [
         (((0, 1), (1, 2)), "node 1 appears in two groups"),
@@ -153,14 +155,14 @@ class TestSccCoalitions:
     ])
     def test_rejects_a_clique_cover_that_is_not_one(self, groups, message):
         inst = instance_from_edges(3, [(0, 2)])
-        cover = Partition(groups=groups, kind="clique_cover", mode="exact")
+        cover = Partition(groups, "exact")
         with pytest.raises(ValueError, match=message):
             scc_coalitions(inst, cover)
 
     def test_reports_the_first_competing_pair_in_group_order(self):
         # pairs (a, b) with a < b are read with a, then b, in the group's order
         inst = instance_from_edges(5, [(0, 2), (1, 3), (2, 4)])
-        cover = Partition(groups=((4,), (3, 1, 0, 2)), kind="clique_cover", mode="exact")
+        cover = Partition(((4,), (3, 1, 0, 2)), "exact")
         with pytest.raises(ValueError, match=r"competing pair \(1, 3\) grouped together"):
             cover.validate_cover(inst)
 
