@@ -3,8 +3,12 @@
 Subcommands: select, verify, partition, simulate, report. All data goes
 to --out files (or stdout), diagnostics to stderr. Exit codes: 0 success
 (verify: conflict-free), 1 verify found a violation, 2 malformed input
-file or a file or standard output that cannot be written, 3 invalid
-instance or out of memory, 4 training divergence.
+file, a file or standard output that cannot be written, or an argument
+list the parser refuses (a value of the wrong type such as ``--reps x``,
+an unknown option, no subcommand, or neither or both of a subcommand's
+exclusive sources such as ``--instance`` and ``--preset``), 3 invalid
+instance or out of memory, 4 training divergence. Exits 2-4 print one
+line on stderr; ``--help`` prints the usage and exits 0.
 
 verify runs the oracle's path search beside the closure check only up to
 n = ``PATH_ENUM_MAX_NODES`` and writes ``path_check skipped`` above it,
@@ -148,8 +152,21 @@ def _add_instance_source(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="seed for preset data generation")
 
 
+class _UsageError(Exception):
+    """An argument list the parser refuses; ``main`` exits 2 with it."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises its refusals instead of printing the usage and exiting, so
+    that ``main`` reports them as one line and returns 2. Subcommand
+    parsers are of the same class."""
+
+    def error(self, message: str):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fedcollab",
         description="Conflict-free collaborator selection and federated co-simulation.")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -194,12 +211,13 @@ _PARSER = build_parser()  # built once: main may be called many times in one pro
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = None
     try:
+        args = _PARSER.parse_args(argv)
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise formats.FileFormatError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
-    except formats.FileFormatError as exc:
+    except (formats.FileFormatError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvalidInstanceError as exc:
@@ -209,7 +227,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 4
     except MemoryError:
-        print(f"out of memory: fedcollab {args.command} could not finish", file=sys.stderr)
+        command = "fedcollab" if args is None else f"fedcollab {args.command}"
+        print(f"out of memory: {command} could not finish", file=sys.stderr)
         return 3
 
 

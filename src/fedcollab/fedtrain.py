@@ -23,6 +23,11 @@ method to its grouping, which is either
   than itself), normalized to sum 1. ``aggregation_coefficients`` returns
   that mixing row.
 
+A round mixes all participants of a mixing together, one array step per
+term position: the rows are padded to the widest with zero-coefficient
+terms, and each step adds every participant's k-th term, so each model
+is rounded as the ordered sum over its own row would round it.
+
 Every participant draws shuffling randomness from its own seeded
 stream, so a participant's trained model depends only on its own data
 and the models that reach it through its mixing row.
@@ -106,7 +111,7 @@ def loss_gradient(theta: np.ndarray, phi: np.ndarray, y: np.ndarray) -> np.ndarr
     computes it.
     """
     r = np.matmul(phi, theta[..., None])[..., 0] - y
-    return (2.0 / y.shape[-1]) * np.matmul(np.swapaxes(phi, -1, -2), r[..., None])[..., 0]
+    return (2.0 / y.shape[-1]) * np.matmul(phi.swapaxes(-1, -2), r[..., None])[..., 0]
 
 
 def _participant_streams(seed: int, n: int) -> list[np.random.Generator]:
@@ -164,10 +169,26 @@ def _mixing(grouping, benefit: np.ndarray | None,
     return tuple(rows), any(len(g) > 1 for g in grouping)
 
 
-def _mix(thetas: np.ndarray, row: Mixing) -> np.ndarray:
-    # an ordered Python sum, not a matrix product, so the rounding is fixed
-    sources, coefs = row
-    return sum(c * thetas[j] for c, j in zip(coefs, sources))
+def _mix_table(rows: tuple[Mixing, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(sources, coefs) as (n, width) arrays, each row padded to the widest
+    with zero-coefficient terms on its own first source."""
+    width = max(len(sources) for sources, _ in rows)
+    sources = np.array([src + src[:1] * (width - len(src)) for src, _ in rows], dtype=np.intp)
+    coefs = np.array([c + (0.0,) * (width - len(c)) for _, c in rows], dtype=np.float64)
+    return sources, coefs
+
+
+def _mix(thetas: np.ndarray, sources: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """Every participant's mixed model from ``thetas`` (n, ...), one array
+    step per term position, each participant's terms added in row order:
+    the rounding of ``sum(c * thetas[j] for c, j in zip(coefs, sources))``.
+    The leading ``0.0 +`` is that sum's integer start, and a padded term
+    adds +-0.0 to a running value that is never -0.0, for finite models."""
+    c = coefs.reshape(coefs.shape + (1,) * (thetas.ndim - 1))
+    out = 0.0 + c[:, 0] * thetas[sources[:, 0]]
+    for k in range(1, c.shape[1]):
+        out = out + c[:, k] * thetas[sources[:, k]]
+    return out
 
 
 def _size_groups(sizes: list[int]) -> list[list[int]]:
@@ -200,9 +221,9 @@ def _round_loop(tasks: list[SyntheticTask], mixings: list[tuple[tuple[Mixing, ..
     streams = [_participant_streams(task.config.seed, len(sizes)) for task in tasks]
     # (mixing, participant, task, degree): a mixing row sums (task, degree) slices
     thetas = np.zeros((len(mixings), len(sizes), len(tasks), tasks[0].config.degree))
+    tables = [_mix_table(rows) for rows, _ in mixings]
     for rnd in range(cfg.rounds):
-        start = np.array([[_mix(models, row) for row in rows]
-                          for models, (rows, _) in zip(thetas, mixings)])
+        start = np.array([_mix(models, *table) for models, table in zip(thetas, tables)])
         for members in groups:
             models = start[:, members]
             m = sizes[members[0]]
@@ -223,9 +244,9 @@ def _round_loop(tasks: list[SyntheticTask], mixings: list[tuple[tuple[Mixing, ..
             thetas[:, members] = models
         if not np.isfinite(thetas).all():
             raise TrainingDivergenceError(f"non-finite model parameters during round {rnd}")
-    for models, (rows, mix_after) in zip(thetas, mixings):
+    for models, table, (_, mix_after) in zip(thetas, tables, mixings):
         if mix_after:
-            models[:] = [_mix(models, row) for row in rows]
+            models[:] = _mix(models, *table)
     return np.moveaxis(thetas, 2, 0)
 
 

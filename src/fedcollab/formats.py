@@ -327,7 +327,8 @@ def _plain(text: str, grammar: dict[str, _Rule], skip=()):
     begin = 0
     while begin < len(text):
         end = text.find("\n", begin + _CHUNK) + 1 or len(text)
-        chunk, begin = text[begin:end].replace("\r\n", "\n"), end
+        chunk, begin = text[begin:end], end
+        chunk = chunk.replace("\r\n", "\n") if "\r" in chunk else chunk
         chunk = _COMMENT.sub("", chunk) if "#" in chunk else chunk
         if not chunk.isascii() or any(c in chunk for c in _BREAKS):  # _COMMENT stops at a break
             return None

@@ -12,7 +12,9 @@ feature-to-label maps are; flips create outright conflicting tasks. A
 task hands out each participant's train and validation rows of the
 powers (x, x^2, ..., x^degree) its labels were computed from, with those
 labels; the split is taken once, as the task is drawn, and no index
-arrays are kept. The features x themselves are the first column.
+arrays are kept. The features x themselves are the first column, and
+the powers are a running product, x^k = x^(k-1) * x, so they are the
+same bits whatever SIMD code numpy picks for the host.
 
 Two fixed eight-participant presets are bundled, one row each of the
 ``PRESETS`` table (samples, flips, competing pairs) that :func:`preset`
@@ -98,8 +100,15 @@ class SyntheticTask:
 
 
 def polynomial_features(x: np.ndarray, degree: int) -> np.ndarray:
-    """Feature map (x, x^2, ..., x^degree) as an (m, degree) matrix."""
-    return np.power.outer(x, np.arange(1, degree + 1, dtype=np.float64))
+    """Feature map (x, x^2, ..., x^degree) as an (m, degree) matrix, a
+    running product written column by column: x^k is x^(k-1) * x, k - 1
+    IEEE multiplies, so the features are the same bits on every host and
+    at every SIMD level (numpy's vectorized ``pow`` is neither)."""
+    phi = np.empty((len(x), degree))
+    phi[:, 0] = x
+    for k in range(1, degree):
+        np.multiply(phi[:, k - 1], x, out=phi[:, k])
+    return phi
 
 
 _BLOCK = 1 << 16  # rows moved at a time by _split_rows

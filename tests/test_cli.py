@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -435,12 +436,18 @@ class TestSimulate:
         assert len(err.splitlines()) == 1
 
 
-# SHA-256 of `simulate --report` (seed 0, --reps 2) as written when each
-# mixing trained in its own round loop, before the lock-step size groups;
-# any byte drift in the simulator's output fails here.
+# SHA-256 of `simulate --report` (seed 0, --reps 2) as written once the
+# feature map became a running product (x^k = x^(k-1) * x) instead of
+# numpy's vectorized pow; any byte drift in the simulator's output fails
+# here. The bytes do not depend on numpy's SIMD level
+# (test_simulate_bytes_do_not_depend_on_numpy_simd), but they do depend on
+# the kernel OpenBLAS picks at run time for the matrix products: these
+# hashes hold where it runs its SkylakeX kernels, and with
+# OPENBLAS_CORETYPE=Haswell, the kernel of an AVX2-only host, all three
+# simulate hashes differ.
 GOLDEN_SIMULATE = [
-    ("weak_noniid", "fc26be9a5c3916371a6ad291379a2f5c4a211930d7f91db6e0646b1ed69ba4c6"),
-    ("strong_noniid", "cbdf57b4b7a553b2900cccccc1862a048cf3b019593617cf1cbf793add00fec1"),
+    ("weak_noniid", "75e9a55040733307a364898a1a1ffbedec9dc542a423e183288170a7ac5b232e"),
+    ("strong_noniid", "5486b358c3cd935f412b6d55c9231d14d8b14ae3f51fcdc17904948f1f9977f3"),
 ]
 
 
@@ -468,9 +475,10 @@ batch_size 10
 reps 3
 """
 
-# SHA-256 of `simulate --config GOLDEN_CONFIG --report` as written when each
-# repetition trained in its own round loop.
-GOLDEN_SIMULATE_CONFIG = "be25f0e378f9ad2a749cc539187dcc09f7604186dee404ca57b7bf1f1734b972"
+# SHA-256 of `simulate --config GOLDEN_CONFIG --report` as written once the
+# feature map became a running product; like GOLDEN_SIMULATE, it holds
+# where OpenBLAS runs its SkylakeX kernels.
+GOLDEN_SIMULATE_CONFIG = "009a9f44fdca499c9d6e065e1fd94b187b78279adea4dcbbc36052d696970e7d"
 
 
 def test_simulate_config_report_is_byte_stable(tmp_path):
@@ -479,6 +487,59 @@ def test_simulate_config_report_is_byte_stable(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv"),
                  "--report", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_SIMULATE_CONFIG
+
+
+def _numpy_simd_targets() -> list[str]:
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    return list(__cpu_dispatch__)
+
+
+def _golden_simulate_calls(tmp_path, tag: str) -> list[list[str]]:
+    cfg = tmp_path / "golden.txt"
+    cfg.write_text(GOLDEN_CONFIG)
+    sources = [["--preset", p, "--seed", "0", "--reps", "2"] for p, _ in GOLDEN_SIMULATE]
+    return [["simulate", *source, "--out", str(tmp_path / f"{tag}{k}.csv"),
+             "--report", str(tmp_path / f"{tag}{k}.txt")]
+            for k, source in enumerate([*sources, ["--config", str(cfg)]])]
+
+
+# Run in a fresh interpreter with every SIMD target of numpy switched off:
+# prints the targets still on (none, or the switch did nothing), then runs
+# the calls given as JSON and exits with the largest exit code.
+_NO_SIMD_RUN = """\
+import json, sys
+from fedcollab.cli import main
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+print(json.dumps([t for t in sys.argv[2:] if __cpu_features__.get(t)]))
+sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))
+"""
+
+
+def test_simulate_bytes_do_not_depend_on_numpy_simd(tmp_path):
+    # numpy picks its SIMD code once, at import, so the switched-off run
+    # needs its own interpreter; the default run is this one's
+    targets = _numpy_simd_targets()
+    if not targets:
+        pytest.skip("this numpy build dispatches to no SIMD target")
+    default, plain = (_golden_simulate_calls(tmp_path, tag) for tag in ("default", "plain"))
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", _NO_SIMD_RUN, json.dumps(plain), *targets],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src),
+                               "NPY_DISABLE_CPU_FEATURES": " ".join(targets)})
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+    for argv in default:
+        assert main(argv) == 0
+    for ours, theirs in zip(default, plain):
+        for k in (-3, -1):  # the --out and --report files
+            assert Path(ours[k]).read_bytes() == Path(theirs[k]).read_bytes(), theirs
 
 
 # SHA-256 of `partition --preset` (seed 0) as written before the cover and
@@ -718,3 +779,31 @@ class TestFiles:
         assert main(["simulate", "--config", str(cfg), "--methods", "", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: --methods needs at least one method\n"
         assert not out.exists()
+
+
+class TestRefusedArguments:
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--preset", "weak_noniid", "--reps", "x"],
+         "fedcollab simulate: argument --reps: invalid int value: 'x'"),
+        (["select", "--preset", "weak_noniid", "--bogus"],
+         "fedcollab: unrecognized arguments: --bogus"),
+        (["select"], "fedcollab select: one of the arguments --instance --preset is required"),
+        (["partition", "--preset", "weak_noniid", "--instance", "i.txt"],
+         "fedcollab partition: argument --instance: not allowed with argument --preset"),
+        (["simulate", "--config", "c.txt", "--preset", "weak_noniid"],
+         "fedcollab simulate: argument --preset: not allowed with argument --config"),
+        ([], "fedcollab: the following arguments are required: command"),
+        (["--seed", "1"], "fedcollab: argument command: invalid choice: '1'"),
+    ])
+    def test_a_refused_argument_list_exits_2(self, capsys, argv, message):
+        # one line, no usage block, and a return rather than SystemExit
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+    def test_help_still_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fedcollab")

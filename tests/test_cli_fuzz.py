@@ -2,10 +2,12 @@
 ``cli.main`` call of one of the five subcommands, in process, on small
 valid files (n <= 8, at most 30 samples and 2 rounds) edited by
 ``mutated``, odd flag and config values, missing paths, directories given
-as paths and ``--out`` into a missing directory; argparse accepts every
-argument list. Every call must end in a documented exit code with the
-documented stderr, and a successful call's output must read back with its
-own parser.
+as paths, ``--out`` into a missing directory, and argument lists that the
+parser refuses (a value that is not an int, an unknown option, no
+subcommand, or neither or both of the exclusive sources). Every call must
+end in a documented exit code with the documented stderr, a refused
+argument list in exit code 2, and a successful call's output must read
+back with its own parser.
 
 Hypothesis draws a seed and the file edits; the call's shape comes from a
 generator on that seed, so that each choice is uniform: about half the
@@ -32,10 +34,11 @@ from conftest import benefit_text, make_instance, make_usage, mutated
 
 # simulate has the most arguments, so it gets two shares of the calls
 COMMANDS = ["select", "verify", "partition", "simulate", "simulate", "report"]
-# the arguments that may be odd, per command
-ARGS = {"select": ["path", "out", "seed"], "partition": ["path", "out", "seed"],
-        "verify": ["path", "out", "usage"], "report": ["path", "out"],
-        "simulate": ["path", "out", "seed", "reps", "benefit", "report", "config"]}
+# the arguments that may be odd, per command; an odd "argv" is one the parser refuses
+ARGS = {"select": ["path", "out", "seed", "argv"], "partition": ["path", "out", "seed", "argv"],
+        "verify": ["path", "out", "usage", "argv"], "report": ["path", "out", "argv"],
+        "simulate": ["path", "out", "seed", "reps", "benefit", "report", "config", "argv"]}
+REFUSALS = ["unknown option", "no subcommand", "no source", "both sources"]
 # every call draws one of these, refused or not
 METHOD_FLAGS = [None, "", "local", "local,", "ce,fedcompetitors", "local,local", "fedavg", "x"]
 
@@ -94,7 +97,7 @@ def test_every_call_ends_in_a_documented_exit_code(data):
         def flag(name, value):
             return [] if value is None else [name, value]
 
-        seed = pick("seed", [None, "0", "3"], ["-1"])
+        seed = pick("seed", [None, "0", "3"], ["-1", "x"])
         if command in ("select", "partition"):
             source = choice([None, *PRESET_NAMES])
             instance_path = path("instance.txt", formats.serialize_instance(instance))
@@ -119,7 +122,7 @@ def test_every_call_ends_in_a_documented_exit_code(data):
                 "rho 1e300\n", "learning_rate 1e300\n", "rounds 1000000000\n"])
             argv = ["--config", path("config.txt", config_text)]
             argv += flag("--seed", seed) + flag("--methods", methods)
-            argv += flag("--reps", pick("reps", [None, "1", "2"], ["0", "-3"]))
+            argv += flag("--reps", pick("reps", [None, "1", "2"], ["0", "-3", "x"]))
             benefit = pick("benefit", [None, instance], [other])
             if benefit is not None:
                 argv += ["--benefit", path("benefit.txt", benefit_text(benefit))]
@@ -131,12 +134,22 @@ def test_every_call_ends_in_a_documented_exit_code(data):
         target = pick("out", [str(tmp / "out.txt"), None],
                       [str(tmp / "dir"), str(tmp / "missing" / "out.txt")])
         argv = [command, *argv, *flag("--out", target)]
+        refusal = pick("argv", [None], REFUSALS)
+        if refusal == "unknown option":
+            argv.append("--bogus")
+        elif refusal == "no subcommand":
+            argv = argv[1:]
+        elif refusal == "no source":  # each command's first option is its source
+            argv = argv[:1] + argv[3:]
+        elif refusal == "both sources":  # an unknown option where there is one source
+            argv += ["--instance", "i.txt"] if "--preset" in argv else ["--preset", "weak_noniid"]
 
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)
         err = stderr.getvalue()
         assert code in (0, 1, 2, 3, 4), (argv, code)
+        assert refusal is None or code == 2, (argv, code)
         assert code != 1 or command == "verify", (argv, code)
         if code >= 2:  # one line, no traceback
             assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)

@@ -7,7 +7,7 @@ from fedcollab import fedtrain, formats
 from fedcollab.fedtrain import (METHODS, TrainConfig, TrainingDivergenceError,
                                 aggregation_coefficients, estimate_benefit,
                                 loss_gradient, mean_squared_error, run_experiment,
-                                _mixing, _participant_streams,
+                                _mix, _mix_table, _mixing, _participant_streams,
                                 _rep_seed, _round_loop, _scores, _singletons)
 from fedcollab.graphs import InvalidInstanceError, UsageGraph
 from fedcollab.synthdata import (PRESET_NAMES, SyntheticConfig, competing_matrix,
@@ -211,6 +211,30 @@ def sequential_models(task, rows, mix_after, cfg):
 
 
 class TestLockStep:
+    def test_one_step_mix_is_the_ordered_sum_bit_for_bit(self):
+        # rows of 1..64 terms in any order, models with signed zeros and
+        # values that cancel: each participant's mix rounds as its own sum
+        rng = np.random.default_rng(7)
+        n = 64
+        thetas = rng.normal(size=(n, 3, 4)) * 10.0 ** rng.integers(-20, 20, size=(n, 3, 4))
+        thetas[rng.random(thetas.shape) < 0.2] = 0.0
+        thetas[rng.random(thetas.shape) < 0.2] = -0.0
+        thetas[1] = -thetas[0]
+        rows = []
+        for i in range(n):
+            sources = (i, *rng.permutation(n)[:rng.integers(0, n)].tolist())
+            coefs = rng.random(len(sources))
+            coefs[rng.random(len(sources)) < 0.1] = 1.0
+            rows.append((sources, tuple((coefs / coefs.sum()).tolist())))
+        rows[0] = ((0, 1), (1.0, 1.0))  # cancels to zero, then padded terms add +-0.0
+        thetas[2] = -0.0
+        rows[2] = ((2,), (1.0,))  # the sum's integer start makes this +0.0
+        mixed = _mix(thetas, *_mix_table(tuple(rows)))
+        for i, (sources, coefs) in enumerate(rows):
+            expected = sum(c * thetas[j] for c, j in zip(coefs, sources))
+            assert np.array_equal(mixed[i], expected)
+            assert np.array_equal(np.signbit(mixed[i]), np.signbit(expected))
+
     def test_batched_gradient_equals_each_1d_call(self):
         rng = np.random.default_rng(3)
         theta = rng.normal(size=(4, 5, 3))

@@ -131,6 +131,17 @@ class TestGeneration:
             assert abs(residual.mean()) < 0.01
             assert abs(residual.std() - cfg.noise_std) < 0.01
 
+    @pytest.mark.parametrize("degree", [1, 2, 5])
+    def test_features_are_a_running_product(self, degree):
+        # x^k is x^(k-1) * x, one IEEE multiply each, not numpy's pow
+        x = np.random.default_rng(4).uniform(-1.0, 1.0, size=1000)
+        phi = polynomial_features(x, degree)
+        expected = [x]
+        for _ in range(degree - 1):
+            expected.append(expected[-1] * x)
+        assert phi.shape == (1000, degree) and phi.flags.c_contiguous
+        assert np.array_equal(phi, np.stack(expected, axis=1))
+
     def test_single_sample_participant(self):
         cfg = SyntheticConfig(n=1, samples=(1,), flipped=(False,), seed=0)
         task = generate_task(cfg)
