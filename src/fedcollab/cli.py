@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .fedtrain import (METHODS, TrainConfig, TrainingDivergenceError,
+from .fedtrain import (METHODS, TrainConfig, TrainingDivergenceError, check_training_work,
                        estimate_benefit, run_experiment)
 from .graphs import Instance, InvalidInstanceError, conflict_violations
 from .oracle import PATH_ENUM_MAX_NODES, conflict_free_by_paths
@@ -128,8 +128,7 @@ def _cmd_simulate(args) -> int:
             raise formats.FileFormatError(f"--methods lists {m!r} more than once")
     benefit = formats.parse_benefit(_read(args.benefit), config.n) if args.benefit else None
     reps = args.reps if args.reps is not None else (file_reps if file_reps is not None else 10)
-    formats.check_training_work(train_config.rounds, train_config.local_epochs, reps,
-                                config.samples)
+    check_training_work(train_config.rounds, train_config.local_epochs, reps, config.samples)
     report = run_experiment(config, competing, methods=methods, train_config=train_config,
                             reps=reps, benefit=benefit, preset=args.preset)
     _write(args.out, formats.report_to_csv(report))
@@ -152,17 +151,13 @@ def _add_instance_source(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="seed for preset data generation")
 
 
-class _UsageError(Exception):
-    """An argument list the parser refuses; ``main`` exits 2 with it."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """Raises its refusals instead of printing the usage and exiting, so
-    that ``main`` reports them as one line and returns 2. Subcommand
-    parsers are of the same class."""
+    """Raises its refusals as a :class:`formats.FileFormatError` instead of
+    printing the usage and exiting, so that ``main`` reports them as one
+    line and returns 2. Subcommand parsers are of the same class."""
 
     def error(self, message: str):
-        raise _UsageError(f"{self.prog}: {message}")
+        raise formats.FileFormatError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise formats.FileFormatError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
-    except (formats.FileFormatError, _UsageError) as exc:
+    except formats.FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvalidInstanceError as exc:

@@ -46,7 +46,10 @@ bit-identical to training each task, each mixing and each participant on
 its own. ``estimate_benefit`` makes one loop call for one task, and
 ``run_experiment`` one per block of repetitions, for the distinct
 mixings of its methods; the tasks of a block hold at most
-``MAX_SAMPLES`` samples in all.
+``MAX_SAMPLES`` samples in all. The simulator's job limits live here:
+``formats`` holds config and report files to ``MAX_SAMPLES`` and
+``MAX_DEGREE``, and ``simulate`` to ``MAX_TRAINING_WORK`` by
+``check_training_work``; ``run_experiment`` enforces none of them.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graphs import Instance, InvalidInstanceError, check_competing
+from .graphs import Instance, InvalidInstanceError, check_competing, equal_fields, node_label
 from .partition import Partition, min_clique_cover, scc_coalitions
 from .selection import select_collaborators
 from .synthdata import PRESET_NAMES, SyntheticConfig, SyntheticTask, generate_task, with_seed
@@ -67,12 +70,46 @@ AGGREGATION_RULE = "self-weight = max collaborator benefit, normalized to sum 1"
 MAX_SAMPLES = 10_000_000
 """Largest total of the sample counts a config or report file may declare
 (exit code 3 above): about 80 MB per float64 array drawn over all
-participants, refused before any data is generated. ``run_experiment``
-trains its repetitions in blocks whose tasks hold at most this many
-samples in all. ``simulate`` holds under 2 copies of the feature matrix
-at its peak: about 2.0 GB at this bound and ``formats.MAX_DEGREE``,
-extrapolated and not run (see ``formats.MAX_DEGREE``).
+participants, refused before any data is generated. ``simulate``'s peak
+memory at this bound is stated at ``MAX_DEGREE``.
 """
+
+MAX_DEGREE = 10
+"""Largest polynomial degree a config or report file may declare (exit
+code 3 above). A sample's features are ``degree`` float64 values, so one
+copy of the feature matrix of ``MAX_SAMPLES`` samples takes 800 MB at
+this bound; a larger degree is refused before any data is generated.
+``simulate`` holds under 2 such copies at its peak: the train and
+validation rows of the repetitions it trains together, and one size
+group's shuffled training rows for an epoch. Its ``ru_maxrss`` peak was
+442 MB at 2 x 1,000,000 samples and degree 10 (one round, one repetition,
+``local`` only), 30 MB of it the interpreter and imports and 256 MB the
+drawing of the task, whose splits reorder each feature matrix in place.
+Extrapolated linearly, not run: about 2.1 GB at ``MAX_SAMPLES`` samples.
+"""
+
+MAX_TRAINING_WORK = 1_000_000_000
+"""Largest training job ``simulate`` runs (exit code 3 above), counted as
+rounds x local_epochs x reps x the total sample count. Both presets at
+``--reps 10`` count 1.7 and 3.2 million. On one core of a 2-vCPU
+machine, all four methods together train them at 0.10-0.14 microseconds
+per unit, the ten repetitions stacked in one loop call, and six
+participants of 50-1600 samples at 100 rounds and ``--reps 10`` at
+0.10-0.18. One participant of 1,000,000 samples at one repetition stacks
+nothing and took 1.3 microseconds per unit, its benefit estimate
+included. So the bound is about 2-20 minutes of training, and a job
+that would take hours is refused before it starts.
+"""
+
+
+def check_training_work(rounds: int, local_epochs: int, reps: int, samples) -> None:
+    """Raise InvalidInstanceError when a job exceeds MAX_TRAINING_WORK."""
+    work = rounds * local_epochs * reps * sum(samples)
+    if work > MAX_TRAINING_WORK:
+        raise InvalidInstanceError(
+            f"training {rounds} rounds x {local_epochs} local epochs x {reps} reps over "
+            f"{sum(samples)} samples is {work} sample-epochs, above the limit of "
+            f"{MAX_TRAINING_WORK}")
 
 
 class TrainingDivergenceError(RuntimeError):
@@ -142,8 +179,8 @@ def aggregation_coefficients(usage: np.ndarray, benefit: np.ndarray, i: int) -> 
     with np.errstate(over="ignore"):
         total = raw.sum()
     if not np.isfinite(total):
-        raise InvalidInstanceError(f"aggregation weights of participant v{i + 1} (index {i}) "
-                                   "sum past the float range")
+        raise InvalidInstanceError(f"aggregation weights of participant {node_label(i)} "
+                                   f"(index {i}) sum past the float range")
     return (i, *collaborators.tolist()), tuple((raw / total).tolist())
 
 
@@ -235,8 +272,8 @@ def _round_loop(tasks: list[SyntheticTask], mixings: list[tuple[tuple[Mixing, ..
                     for r, task in enumerate(tasks):
                         order = streams[r][i].permutation(m)
                         phi, y = task.train[i]
-                        np.take(phi, order, axis=0, out=phi_e[g, r])
-                        np.take(y, order, out=y_e[g, r])
+                        phi.take(order, axis=0, out=phi_e[g, r])
+                        y.take(order, out=y_e[g, r])
                 for s in range(0, m, cfg.batch_size):
                     batch = slice(s, s + cfg.batch_size)
                     models -= cfg.learning_rate * loss_gradient(models, phi_e[:, :, batch],
@@ -302,12 +339,7 @@ class ExperimentReport:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExperimentReport):
             return NotImplemented
-        for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            if not (np.array_equal(mine, theirs) if isinstance(mine, np.ndarray)
-                    else mine == theirs):
-                return False
-        return True
+        return equal_fields(self, other, (f.name for f in fields(self)))
 
 
 def _rep_seed(base: int, rep: int) -> int:

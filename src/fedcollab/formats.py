@@ -25,7 +25,8 @@ lines and :func:`_group_lines` for the cover and coalition groups. Configs
 and reports hold one config section under their own key prefixes, its
 scalar keys the defaulted fields of :class:`SyntheticConfig` and
 :class:`TrainConfig`: :func:`_configs` builds both classes from it and
-:func:`_config_lines` writes it.
+:func:`_config_lines` writes it. :func:`_check_sizes` holds both kinds to
+the simulator's limits, which live in :mod:`fedcollab.fedtrain`.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fedtrain import MAX_SAMPLES, METHODS, ExperimentReport, TrainConfig
-from .graphs import Instance, InvalidInstanceError, UsageGraph, check_competing, potentials
+from .fedtrain import MAX_DEGREE, MAX_SAMPLES, METHODS, ExperimentReport, TrainConfig
+from .graphs import (Instance, InvalidInstanceError, UsageGraph, check_competing, node_label,
+                     potentials)
 from .partition import Partition
 from .selection import SelectionTrace
 from .synthdata import SyntheticConfig
@@ -62,35 +64,6 @@ with the paths of the closure. Parsing an instance file at this bound
 reading its text had already reached (2-vCPU machine).
 """
 
-MAX_DEGREE = 10
-"""Largest polynomial degree a config or report file may declare (exit
-code 3 above). Each sample's features are ``degree`` float64 values, 80
-bytes at this bound, so one copy of the feature matrix of ``MAX_SAMPLES``
-samples takes 800 MB; a larger degree is refused before any data is
-generated. ``simulate`` holds under 2 such copies at its peak: the
-train and validation rows of the repetitions it trains together, and
-one size group's shuffled training rows for an epoch. Measured by
-``ru_maxrss`` with two participants of 1,000,000 samples at degree 10
-(one round, one repetition, ``local`` only), the peak was 442 MB, 30 MB
-of it the interpreter and imports; drawing the task alone peaked at
-256 MB, each participant's two splits being its feature matrix reordered
-in place. Extrapolated linearly, not run: about 2.1 GB at ``MAX_SAMPLES``
-samples and this degree.
-"""
-
-MAX_TRAINING_WORK = 1_000_000_000
-"""Largest training job ``simulate`` runs (exit code 3 above), counted as
-rounds x local_epochs x reps x the total sample count. Both presets at
-``--reps 10`` count 1.7 and 3.2 million. On one core of a 2-vCPU
-machine, all four methods together train them at 0.10-0.14 microseconds
-per unit, the ten repetitions stacked in one loop call, and six
-participants of 50-1600 samples at 100 rounds and ``--reps 10`` at
-0.10-0.18. One participant of 1,000,000 samples at one repetition stacks
-nothing and took 1.3 microseconds per unit, its benefit estimate
-included. So the bound is about 2-20 minutes of training, and a job
-that would take hours is refused before it starts.
-"""
-
 
 class FileFormatError(ValueError):
     """Malformed structured-text input, with a line/column diagnostic."""
@@ -105,10 +78,6 @@ class FileFormatError(ValueError):
                 where += f", column {col}"
             where += ": "
         super().__init__(where + message)
-
-
-def node_label(i: int) -> str:
-    return f"v{i + 1}"
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +323,7 @@ def _plain(text: str, grammar: dict[str, _Rule], skip=()):
                 return None
             if not 1 <= n <= MAX_NODES:
                 return None
-            node = {f"v{k + 1}": k for k in range(n)} | {str(k): k for k in range(n)}
+            node = {node_label(k): k for k in range(n)} | {str(k): k for k in range(n)}
             matrices = _zeros(n, grammar)
         read = 0  # lines of a grammar key; any other line (a second n) is not plain
         for key, rule in grammar.items():
@@ -456,16 +425,6 @@ def _check_sizes(last: dict[str, _Line], prefix: str = "") -> None:
     if degree is not None and degree.values[0] > MAX_DEGREE:
         raise InvalidInstanceError(f"line {degree.no}: degree {degree.values[0]} exceeds the "
                                    f"limit of {MAX_DEGREE}")
-
-
-def check_training_work(rounds: int, local_epochs: int, reps: int, samples) -> None:
-    """Raise InvalidInstanceError when a job exceeds MAX_TRAINING_WORK."""
-    work = rounds * local_epochs * reps * sum(samples)
-    if work > MAX_TRAINING_WORK:
-        raise InvalidInstanceError(
-            f"training {rounds} rounds x {local_epochs} local epochs x {reps} reps over "
-            f"{sum(samples)} samples is {work} sample-epochs, above the limit of "
-            f"{MAX_TRAINING_WORK}")
 
 
 def _scalar_keys(cls, prefix: str = "", omit=()) -> dict[str, tuple[str, type]]:

@@ -26,6 +26,18 @@ class InvalidInstanceError(ValueError):
     """Raised when an instance violates the data-model invariants."""
 
 
+def node_label(i: int) -> str:
+    """Participant i's label in files and messages, 1-based: ``v<i+1>``."""
+    return f"v{i + 1}"
+
+
+def equal_fields(a, b, names) -> bool:
+    """True iff ``a`` and ``b`` agree on every attribute in ``names``: arrays
+    by ``np.array_equal``, every other value by ``==``."""
+    pairs = ((getattr(a, name), getattr(b, name)) for name in names)
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in pairs)
+
+
 def check_competing(n: int, competing) -> np.ndarray:
     """A boolean copy of ``competing`` if n x n, symmetric, zero-diagonal and not complete."""
     competing = np.asarray(competing, dtype=bool).copy()
@@ -73,8 +85,8 @@ class Instance:
             finite = np.isfinite(total)
             if not finite.all():
                 k = int(finite.argmin())
-                raise InvalidInstanceError(f"benefit {side} participant v{k + 1} (index {k}) "
-                                           "sums past the float range")
+                raise InvalidInstanceError(f"benefit {side} participant {node_label(k)} "
+                                           f"(index {k}) sums past the float range")
         competing.setflags(write=False)
         benefit.setflags(write=False)
         self.n = int(n)
@@ -84,9 +96,7 @@ class Instance:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
             return NotImplemented
-        return (self.n == other.n
-                and np.array_equal(self.competing, other.competing)
-                and np.array_equal(self.benefit, other.benefit))
+        return equal_fields(self, other, self.__slots__)
 
     def __repr__(self) -> str:
         edges = int(np.triu(self.competing).sum())
@@ -162,7 +172,7 @@ class UsageGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UsageGraph):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.x, other.x)
+        return equal_fields(self, other, ("n", "x"))
 
     _check = Instance.check_node  # the same bounds check, against this graph's n
 

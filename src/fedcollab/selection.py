@@ -32,11 +32,11 @@ Potentials and candidate weights are read from the instance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graphs import Instance, UsageGraph, potentials
+from .graphs import Instance, UsageGraph, equal_fields, potentials
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,11 +60,7 @@ class StepTrace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StepTrace):
             return NotImplemented
-        return ((self.participant, self.objective) == (other.participant, other.objective)
-                and all(map(np.array_equal, self._columns(), other._columns())))
-
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return self.candidates, self.verdicts, self.rivals, self.descendants
+        return equal_fields(self, other, (f.name for f in fields(self)))
 
 
 @dataclass(frozen=True)

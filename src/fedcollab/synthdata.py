@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import InvalidInstanceError
+from .graphs import InvalidInstanceError, node_label
 
 # Unordered competing pairs, 0-based.
 WEAK_COMPETING_EDGES: tuple[tuple[int, int], ...] = (
@@ -156,7 +156,8 @@ def generate_task(config: SyntheticConfig) -> SyntheticTask:
         with np.errstate(over="ignore", invalid="ignore"):
             y = sign * (phi @ u) + noise
         if not np.isfinite(y).all():
-            raise InvalidInstanceError(f"labels of participant v{i + 1} (index {i}) are not finite")
+            raise InvalidInstanceError(f"labels of participant {node_label(i)} (index {i}) "
+                                       "are not finite")
         perm = rng.permutation(m)
         n_val = max(1, min(int(round(m * config.val_fraction)), m - 1))
         val_idx = np.sort(perm[:n_val])

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedcollab import formats
+from fedcollab import fedtrain, formats
 from fedcollab.cli import main
 from fedcollab.graphs import UsageGraph
 
@@ -400,7 +400,7 @@ class TestSimulate:
         assert main(["simulate", *argv, "--out", "t.csv"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("invalid instance: ") and len(err.splitlines()) == 1
-        assert f"limit of {formats.MAX_TRAINING_WORK}" in err
+        assert f"limit of {fedtrain.MAX_TRAINING_WORK}" in err
         assert not (tmp_path / "t.csv").exists()
 
     def test_oversized_degree_exits_3_before_training(self, tmp_path, capsys, monkeypatch):
@@ -423,9 +423,9 @@ class TestSimulate:
 
         config, _ = preset(preset_name)
         tc = TrainConfig()
-        formats.check_training_work(tc.rounds, tc.local_epochs, 10, config.samples)
-        with pytest.raises(formats.InvalidInstanceError):
-            formats.check_training_work(tc.rounds, tc.local_epochs, 10 * 10**3, config.samples)
+        fedtrain.check_training_work(tc.rounds, tc.local_epochs, 10, config.samples)
+        with pytest.raises(fedtrain.InvalidInstanceError):
+            fedtrain.check_training_work(tc.rounds, tc.local_epochs, 10 * 10**3, config.samples)
 
     def test_zero_reps_in_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "sim.txt"

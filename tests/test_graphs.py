@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,9 @@ from hypothesis import strategies as st
 from fedcollab import formats
 from fedcollab.graphs import (Instance, InvalidInstanceError, PathWitness, UsageGraph,
                               conflict_free, conflict_violations, potentials)
+from fedcollab.fedtrain import TrainConfig, run_experiment
 from fedcollab.selection import select_collaborators
+from fedcollab.synthdata import SyntheticConfig
 
 from conftest import (bfs_reachable, closure_by_floyd_warshall, closure_by_squaring,
                       competitor_guards, make_instance, make_usage)
@@ -423,6 +427,17 @@ class TestPathWitness:
                     if i != j and i in dist:
                         assert len(usage.path_witness(j, i).nodes) - 1 == dist[i]
 
+    def test_an_unreachable_target_raises_key_error(self):
+        # 0 -> 1 and 2 -> 0: 2 reaches 0, but 0 does not reach 2, whose parent
+        # stays -1, so following parents from it would never arrive at 0
+        x = np.zeros((3, 3), dtype=bool)
+        x[0, 1] = x[2, 0] = True
+        usage = UsageGraph.from_edges(x)
+        assert usage._witnesses(0, [1]) == [PathWitness((0, 1))]
+        with pytest.raises(KeyError) as exc:
+            usage._witnesses(0, [1, 2])
+        assert exc.value.args == (2,)
+
     def test_violations_carry_the_pair_witness(self, rng):
         found = 0
         for _ in range(30):
@@ -482,3 +497,44 @@ def test_witnesses_match_the_node_at_a_time_search(n, edge_prob, competing_prob,
     assert conflict_violations(inst, usage) == expected
     for j, i in np.argwhere(usage.closure & ~np.eye(n, dtype=bool)).tolist():
         assert usage.path_witness(j, i) == reference_witnesses(x, j, [i])[0]
+
+
+def _small_instance() -> Instance:
+    competing = np.zeros((3, 3), dtype=bool)
+    competing[0, 2] = competing[2, 0] = True
+    benefit = np.array([[0.0, 0.75, 0.0], [0.25, 0.0, 0.0], [0.0, 1.5, 0.0]])
+    return Instance(3, competing, benefit)
+
+
+def _widest_step():
+    return max(select_collaborators(_small_instance())[1].steps, key=lambda s: s.candidates.size)
+
+
+def _small_report():
+    inst = _small_instance()
+    config = SyntheticConfig(n=3, samples=(20, 20, 20), flipped=(False,) * 3, seed=1)
+    return run_experiment(config, inst.competing, train_config=TrainConfig(rounds=1), reps=1,
+                          benefit=inst.benefit)
+
+
+@pytest.mark.parametrize("make,array,cell", [
+    (_small_instance, "benefit", (0, 1)),
+    (lambda: select_collaborators(_small_instance())[0], "x", (0, 1)),
+    (_widest_step, "candidates", 1),
+    (_small_report, "usage", (2, 0)),
+], ids=["Instance", "UsageGraph", "StepTrace", "ExperimentReport"])
+def test_array_holding_values_compare_by_value(make, array, cell):
+    value = make()
+    twin = copy.deepcopy(value)
+    assert twin == value and not twin != value
+    cells = getattr(twin, array).copy()
+    cells[cell] = ~cells[cell] if cells.dtype == bool else cells[cell] + 1
+    object.__setattr__(twin, array, cells)  # slots and frozen dataclasses alike
+    assert twin != value and value != twin
+    for foreign in (object(), 3):
+        assert value.__eq__(foreign) is NotImplemented
+        assert value != foreign and not value == foreign
+
+
+def test_instance_repr_counts_edges():
+    assert repr(_small_instance()) == "Instance(n=3, competing_edges=1, benefit_edges=3)"
