@@ -3,12 +3,12 @@
 Subcommands: select, verify, partition, simulate, report. All data goes
 to --out files (or stdout), diagnostics to stderr. Exit codes: 0 success
 (verify: conflict-free), 1 verify found a violation, 2 malformed input
-file, a file or standard output that cannot be written, or an argument
-list the parser refuses (a value of the wrong type such as ``--reps x``,
-an unknown option, no subcommand, or neither or both of a subcommand's
-exclusive sources such as ``--instance`` and ``--preset``), 3 invalid
-instance or out of memory, 4 training divergence. Exits 2-4 print one
-line on stderr; ``--help`` prints the usage and exits 0.
+file, an empty path, a file or standard output that cannot be used, or
+an argument list the parser refuses (a value of the wrong type such as
+``--reps x``, an unknown option, no subcommand, or neither or both of a
+subcommand's exclusive sources such as ``--instance`` and ``--preset``),
+3 invalid instance or out of memory, 4 training divergence. Exits 2-4
+print one line on stderr; ``--help`` prints the usage and exits 0.
 
 verify runs the oracle's path search beside the closure check only up to
 n = ``PATH_ENUM_MAX_NODES`` and writes ``path_check skipped`` above it,
@@ -22,6 +22,7 @@ took 22-26 ms on a 2-vCPU machine, which every larger verify would pay.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -34,12 +35,13 @@ from .graphs import Instance, InvalidInstanceError, conflict_violations
 from .oracle import PATH_ENUM_MAX_NODES, conflict_free_by_paths
 from .partition import min_clique_cover, scc_coalitions
 from .selection import select_collaborators
-from .synthdata import PRESET_NAMES, generate_task, preset, with_seed
+from .synthdata import PRESET_NAMES, generate_task, preset
 
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # a leading byte-order mark (Notepad's "UTF-8 with BOM") is not text
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise formats.FileFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -55,8 +57,8 @@ def _write(path: str | None, text: str) -> None:
         else:
             Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise formats.FileFormatError(f"cannot write {path or 'standard output'}: "
-                                      f"{exc.strerror or exc}") from None
+        where = "standard output" if path is None else path
+        raise formats.FileFormatError(f"cannot write {where}: {exc.strerror or exc}") from None
 
 
 def _instance_from_args(args) -> Instance:
@@ -109,12 +111,11 @@ def _cmd_partition(args) -> int:
 
 def _cmd_simulate(args) -> int:
     if args.preset is not None:
-        config, competing = preset(args.preset, args.seed if args.seed is not None else 0)
-        train_config, file_reps = TrainConfig(), None
+        (config, competing), train_config, file_reps = preset(args.preset), TrainConfig(), None
     else:
         config, competing, train_config, file_reps = formats.parse_sim_config(_read(args.config))
-        if args.seed is not None:
-            config = with_seed(config, args.seed)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
     if args.reps is not None and args.reps < 1:
         raise formats.FileFormatError(f"--reps must be at least 1, got {args.reps}")
     if args.methods == "":
@@ -126,7 +127,7 @@ def _cmd_simulate(args) -> int:
                 f"unknown method {m!r}; expected a subset of {','.join(METHODS)}")
         if methods.count(m) > 1:
             raise formats.FileFormatError(f"--methods lists {m!r} more than once")
-    benefit = formats.parse_benefit(_read(args.benefit), config.n) if args.benefit else None
+    benefit = None if args.benefit is None else formats.parse_benefit(_read(args.benefit), config.n)
     reps = args.reps if args.reps is not None else (file_reps if file_reps is not None else 10)
     check_training_work(train_config.rounds, train_config.local_epochs, reps, config.samples)
     report = run_experiment(config, competing, methods=methods, train_config=train_config,

@@ -54,14 +54,14 @@ mixings of its methods; the tasks of a block hold at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .graphs import Instance, InvalidInstanceError, check_competing, equal_fields, node_label
 from .partition import Partition, min_clique_cover, scc_coalitions
 from .selection import select_collaborators
-from .synthdata import PRESET_NAMES, SyntheticConfig, SyntheticTask, generate_task, with_seed
+from .synthdata import PRESET_NAMES, SyntheticConfig, SyntheticTask, generate_task
 
 METHODS = ("local", "fedavg", "ce", "fedcompetitors")
 
@@ -390,7 +390,7 @@ def run_experiment(config: SyntheticConfig, competing: np.ndarray, *,
     block = max(1, MAX_SAMPLES // sum(config.samples))
     scores: dict[str, list[np.ndarray]] = {m: [] for m in methods}
     for first in range(0, reps, block):
-        tasks = [generate_task(with_seed(config, _rep_seed(config.seed, rep)))
+        tasks = [generate_task(replace(config, seed=_rep_seed(config.seed, rep)))
                  for rep in range(first, min(first + block, reps))]
         sizes = [len(y) for _, y in tasks[0].train]
         keys = {m: _mixing(grouping[m], instance.benefit, sizes) for m in methods}

@@ -455,32 +455,25 @@ def _scalar_lines(obj, keys: dict) -> list[str]:
 
 def _configs(last: dict[str, _Line], prefix: str, synth_keys: dict,
              train_keys: dict) -> tuple[SyntheticConfig, TrainConfig]:
-    """The SyntheticConfig and TrainConfig of a file's latest lines. A value
-    either class refuses becomes a FileFormatError, with the class's
-    message, at the first value of the line that is refused first when the
-    latest lines are given one at a time, in file order."""
+    """The SyntheticConfig and TrainConfig of a file's latest lines, built
+    after each line in file order (a key not yet given takes its valid
+    default). A value either class refuses becomes a FileFormatError, with
+    the class's message, at the first value of the first refused line."""
     n = last["n"].values[0]
-
-    def build(given: dict[str, _Line]) -> tuple[SyntheticConfig, TrainConfig]:
-        # without its samples line a config has one sample per participant
-        samples = given[prefix + "samples"].values if prefix + "samples" in given else [1] * n
-        flips = set(given[prefix + "flipped"].values) if prefix + "flipped" in given else set()
-        return (SyntheticConfig(n=n, samples=tuple(samples),
-                                flipped=tuple(i in flips for i in range(n)),
-                                **_scalars(given, synth_keys)),
-                TrainConfig(**_scalars(given, train_keys)))
-
-    try:
-        return build(last)
-    except ValueError:
-        pass
     given: dict[str, _Line] = {}
     for line in sorted(last.values()):  # _Line sorts by its line number
         given[line.key] = line
+        # without its samples line a config has one sample per participant
+        samples = given[prefix + "samples"].values if prefix + "samples" in given else [1] * n
+        flips = set(given[prefix + "flipped"].values) if prefix + "flipped" in given else set()
         try:
-            build(given)
+            configs = (SyntheticConfig(n=n, samples=tuple(samples),
+                                       flipped=tuple(i in flips for i in range(n)),
+                                       **_scalars(given, synth_keys)),
+                       TrainConfig(**_scalars(given, train_keys)))
         except ValueError as exc:
             raise line.error(str(exc), 1) from None
+    return configs
 
 
 def _config_lines(config: SyntheticConfig, keys: dict, prefix: str,

@@ -98,21 +98,18 @@ class Selection:
     """A run's state: the usage graph built so far.
 
     It is private. A run starts empty and changes only through
-    :func:`select_step`, so its graph stays conflict-free. ``usage`` is a
-    read-only view of the graph that follows every step: its ``x`` and
-    ``closure`` are non-writeable, so an edge added from outside
-    (``usage.add_edge``) raises.
+    :func:`select_step`, so its graph stays conflict-free. ``usage`` is
+    one read-only view of the graph, made with it, that follows every
+    step: its ``x`` and ``closure`` are non-writeable, so an edge added
+    from outside (``usage.add_edge``) raises.
     """
 
-    __slots__ = ("instance", "_usage")
+    __slots__ = ("instance", "_usage", "usage")
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
         self._usage = UsageGraph(instance.n)
-
-    @property
-    def usage(self) -> UsageGraph:
-        return self._usage.read_only()
+        self.usage = self._usage.read_only()
 
 
 def select_step(selection: Selection, i: int) -> StepTrace:

@@ -30,7 +30,7 @@ reads, returning the pairs as their matrix (:func:`competing_matrix`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,7 +187,3 @@ def competing_matrix(n: int, edges) -> np.ndarray:
             raise ValueError(f"competing pair {(a, b)} is not two distinct nodes of n={n}")
         s[a, b] = s[b, a] = True
     return s
-
-
-def with_seed(config: SyntheticConfig, seed: int) -> SyntheticConfig:
-    return replace(config, seed=seed)

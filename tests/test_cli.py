@@ -780,6 +780,88 @@ class TestFiles:
         assert capsys.readouterr().err == "error: --methods needs at least one method\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,verb", [
+        (["select", "--instance", ""], "read"),
+        (["select", "--instance", "{instance}", "--out", ""], "write"),
+        (["verify", "--instance", "", "--usage", "{usage}"], "read"),
+        (["verify", "--instance", "{instance}", "--usage", ""], "read"),
+        (["verify", "--instance", "{instance}", "--usage", "{usage}", "--out", ""], "write"),
+        (["partition", "--instance", ""], "read"),
+        (["partition", "--instance", "{instance}", "--out", ""], "write"),
+        (["simulate", "--config", ""], "read"),
+        (["simulate", "--config", "{cfg}", "--benefit", ""], "read"),
+        (["simulate", "--config", "{cfg}", "--out", ""], "write"),
+        (["simulate", "--config", "{cfg}", "--out", "{csv}", "--report", ""], "write"),
+        (["report", "--in", ""], "read"),
+        (["report", "--in", "{report}", "--out", ""], "write"),
+    ], ids=["select-instance", "select-out", "verify-instance", "verify-usage", "verify-out",
+            "partition-instance", "partition-out", "simulate-config", "simulate-benefit",
+            "simulate-out", "simulate-report", "report-in", "report-out"])
+    def test_an_empty_path_exits_2(self, tmp_path, capsys, instance_file, argv, verb):
+        # an empty path is a path that cannot be read or written, never a
+        # missing option: not "standard output", and no estimated benefit
+        cfg, usage, report = tmp_path / "sim.txt", tmp_path / "usage.txt", tmp_path / "r.txt"
+        cfg.write_text(SIM_CONFIG)
+        usage.write_text("n 3\n")
+        if "{report}" in argv:
+            assert main(["simulate", "--config", str(cfg), "--methods", "local", "--reps", "1",
+                         "--out", str(tmp_path / "a.csv"), "--report", str(report)]) == 0
+            capsys.readouterr()
+        argv = [a.format(instance=instance_file, usage=usage, cfg=cfg, report=report,
+                         csv=tmp_path / "t.csv") for a in argv]
+        if argv[0] == "simulate":
+            argv += ["--methods", "local", "--reps", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot {verb} : ") and len(err.splitlines()) == 1
+
+    def test_a_byte_order_mark_is_not_part_of_the_text(self, tmp_path, capsys, instance_file,
+                                                       monkeypatch):
+        # each kind of input with a leading U+FEFF, with LF and with CRLF line
+        # ends, gives the output of its twin without one
+        cfg, selection = tmp_path / "sim.txt", tmp_path / "selection.txt"
+        cfg.write_text(SIM_CONFIG)
+        assert main(["select", "--instance", str(instance_file), "--out", str(selection)]) == 0
+        report = tmp_path / "r.txt"
+        assert main(["simulate", "--config", str(cfg), "--reps", "1", "--out",
+                     str(tmp_path / "a.csv"), "--report", str(report)]) == 0
+
+        def copies(path: Path) -> list[tuple[Path, Path]]:
+            text, pairs = path.read_text(), []
+            for ends in ("lf", "crlf"):
+                body = text.replace("\n", "\r\n") if ends == "crlf" else text
+                twin, bom = tmp_path / f"{ends}-{path.name}", tmp_path / f"bom-{ends}-{path.name}"
+                twin.write_bytes(body.encode())
+                bom.write_bytes(b"\xef\xbb\xbf" + body.encode())
+                pairs.append((twin, bom))
+            return pairs
+
+        def output(argv: list[str]) -> bytes:
+            out = tmp_path / "out.txt"
+            assert main([*argv, "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        plain, read_plain = [], formats._plain
+
+        def spy(*args):
+            plain.append(read_plain(*args))
+            return plain[-1]
+
+        monkeypatch.setattr(formats, "_plain", spy)
+        runs = [(instance_file, lambda p: ["select", "--instance", str(p)]),
+                (selection, lambda p: ["verify", "--instance", str(instance_file),
+                                       "--usage", str(p)]),
+                (cfg, lambda p: ["simulate", "--config", str(p), "--methods", "local,ce"]),
+                (report, lambda p: ["report", "--in", str(p)])]
+        for path, argv in runs:
+            for twin, bom in copies(path):
+                expected = output(argv(twin))
+                plain.clear()
+                assert output(argv(bom)) == expected, bom.name
+                if path is instance_file:  # read in bulk, not by the checked loop
+                    assert plain and plain[0] is not None
+        assert not capsys.readouterr().err
+
 
 class TestRefusedArguments:
     @pytest.mark.parametrize("argv,message", [

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from fedcollab.fedtrain import (METHODS, TrainConfig, TrainingDivergenceError,
                                 _rep_seed, _round_loop, _scores, _singletons)
 from fedcollab.graphs import InvalidInstanceError, UsageGraph
 from fedcollab.synthdata import (PRESET_NAMES, SyntheticConfig, competing_matrix,
-                                 generate_task, preset, with_seed)
+                                 generate_task, preset)
 
 FAST = TrainConfig(rounds=5, local_epochs=1)
 
@@ -341,7 +342,7 @@ class TestBaselineSanity:
         grand = (tuple(range(4)),)
         locals_, fedavgs = [], []
         for rep in range(12):
-            task = generate_task(with_seed(cfg, _rep_seed(cfg.seed, rep)))
+            task = generate_task(replace(cfg, seed=_rep_seed(cfg.seed, rep)))
             locals_.append(trained(task, _singletons(4), tc))
             fedavgs.append(trained(task, grand, tc))
         assert (np.mean(fedavgs, axis=0) <= np.mean(locals_, axis=0)).all()
@@ -393,7 +394,7 @@ class TestRunExperiment:
         changed = {
             "methods": report.methods[::-1], "reps": report.reps + 1,
             "mean": bumped(report.mean), "std": bumped(report.std),
-            "config": with_seed(report.config, report.config.seed + 1),
+            "config": replace(report.config, seed=report.config.seed + 1),
             "train_config": replace(report.train_config, rounds=report.train_config.rounds + 1),
             "preset": "weak_noniid", "clique_cover": report.coalitions,
             "coalitions": report.clique_cover, "usage": ~report.usage,

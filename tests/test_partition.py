@@ -167,7 +167,7 @@ class TestSccCoalitions:
             cover.validate_cover(inst)
 
 
-class TestTarjanDirect:
+class TestComponentsOfHandBuiltGraphs:
     def test_two_cycles_bridge(self):
         adj = np.zeros((5, 5), bool)
         for a, b in [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 2)]:

@@ -346,6 +346,23 @@ class TestSelectionState:
             assert np.array_equal(selection.usage.x, ref.x)
             assert np.array_equal(selection.usage.closure, ref.closure)
 
+    def test_usage_is_one_view_that_follows_every_step(self, rng):
+        n = 12
+        inst = make_instance(rng, n, edge_prob=0.2)
+        ref, selection = UsageGraph(n), Selection(inst)
+        usage = selection.usage
+        assert not usage.x.flags.writeable and not usage.closure.flags.writeable
+        for i in processing_order(inst):
+            assert columns(select_step(selection, i)) == sequential_select(inst, ref, i)
+            assert selection.usage is usage
+            assert np.array_equal(usage.x, ref.x)
+            assert np.array_equal(usage.closure, ref.closure)
+        assert usage.x.any()  # the steps added edges, and the view shows them
+        j, t = np.argwhere(~usage.x & ~np.eye(n, dtype=bool))[0].tolist()
+        with pytest.raises(ValueError):
+            usage.add_edge(j, t)
+        assert np.array_equal(usage.x, ref.x)
+
 
 def _all_rejected_step():
     # 0 competes with 3, which benefits 1 and 2: once 3 -> 1 and 3 -> 2 are
