@@ -32,7 +32,6 @@ the simulator's limits, which live in :mod:`fedcollab.fedtrain`.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 import re
@@ -238,27 +237,6 @@ _INDENT = re.compile(r"^ +", re.MULTILINE)  # as _lines drops the spaces before 
 _CHUNK = 1 << 16  # characters read at a time: only one chunk's tokens are held at once
 
 
-@functools.cache
-def _prefix(word: str) -> tuple[tuple[np.uint64, np.uint64], ...]:
-    """``(mask, value)`` per little-endian uint64 word of a line's first 16
-    bytes: every word equals its value under its mask exactly when the line
-    starts with ``word`` (at most 16 ASCII characters, no newline). The
-    second word is left out when ``word`` fits in the first."""
-    raw = word.encode("ascii")
-    assert len(raw) <= 16 and b"\n" not in raw
-    masks, values = (np.frombuffer(b.ljust(16, b"\0"), "<u8") for b in (b"\xff" * len(raw), raw))
-    return tuple(zip(masks, values))[:1 + (len(raw) > 8)]
-
-
-def _starting(heads: tuple[np.ndarray, np.ndarray], prefix) -> np.ndarray:
-    """Which lines start with a :func:`_prefix`, given each line's first and
-    second uint64 word as ``heads``."""
-    hit = True
-    for head, (mask, value) in zip(heads, prefix):
-        hit = hit & ((head & mask) == value)
-    return hit
-
-
 def _plain(text: str, grammar: dict[str, _Rule], skip=()):
     """``(n, {key: matrix})`` for an edge-list text of the plain shape,
     read ``_CHUNK`` characters at a time; ``None`` for any other text,
@@ -280,8 +258,9 @@ def _plain(text: str, grammar: dict[str, _Rule], skip=()):
     "\\r\\n" is split; its "\\r\\n" are read as "\\n", comments are cut, and
     the tabs and indents of a chunk that has any are normalised, over the
     whole chunk at once; each chunk is then classified in numpy: a line's
-    first 16 bytes, read as two uint64 words, are matched against each
-    skip and grammar prefix (:func:`_starting`). Only the ``n`` line and
+    first 16 bytes, read as one fixed-width byte string, are tested with
+    ``np.strings.startswith`` for each skip and grammar key followed by its
+    space (every key is shorter than 16 characters). Only the ``n`` line and
     the runs of consecutive lines of one grammar key are sliced out and
     split. A key's tokens are read column-wise, field f of every line as
     the strided slice ``tokens[f::arity]``: a line of the wrong width
@@ -290,8 +269,7 @@ def _plain(text: str, grammar: dict[str, _Rule], skip=()):
     matrices a chunk at once; a repeated pair sets a cell twice, leaving
     fewer nonzero cells than lines.
     """
-    dropped = [_prefix(f"{key} ") for key in skip]
-    prefixes = {key: _prefix(key + " ") for key in grammar}
+    prefix = {key: f"{key} ".encode() for key in (*skip, *grammar)}
     n, node, matrices, cells = None, {}, {}, dict.fromkeys(grammar, 0)  # cells set per key
     begin = 0
     while begin < len(text):
@@ -304,15 +282,14 @@ def _plain(text: str, grammar: dict[str, _Rule], skip=()):
         if "\t" in chunk or "\n " in chunk or chunk.startswith(" "):  # as _lines splits
             chunk = _INDENT.sub("", chunk.replace("\t", " "))
         # line k of the chunk is chunk[starts[k]:ends[k]]; the padding gives
-        # every line 16 bytes to read, and words[k] is the 8 bytes at data[k]
+        # every line 16 bytes to read, and heads[k] is line k's first 16 bytes
         data = b"\n" + chunk.encode("ascii") + b"\n" + bytes(16)
         breaks = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
         starts, ends = breaks[:-1], breaks[1:] - 1
-        words = np.ndarray(len(data) - 7, "<u8", data, strides=(1,))
-        heads = words[starts + 1], words[starts + 9]
+        heads = np.ndarray(len(data) - 15, "S16", data, strides=(1,))[starts + 1]
         content = ends > starts
-        for prefix in dropped:
-            content &= ~_starting(heads, prefix)
+        for key in skip:
+            content &= ~np.strings.startswith(heads, prefix[key])
         if n is None and content.any():  # the first content line must declare n
             first = content.argmax()
             content[first] = False
@@ -327,7 +304,7 @@ def _plain(text: str, grammar: dict[str, _Rule], skip=()):
             matrices = _zeros(n, grammar)
         read = 0  # lines of a grammar key; any other line (a second n) is not plain
         for key, rule in grammar.items():
-            picked = _starting(heads, prefixes[key])
+            picked = np.strings.startswith(heads, prefix[key])
             count = np.count_nonzero(picked)
             if not count:  # as for every key of a chunk before the n line: no matrix yet
                 continue

@@ -204,8 +204,9 @@ def test_bulk_reader_agrees_with_the_checked_loop(parse, data):
 GRID = {
     formats.parse_instance: "# instance\nn 4\ncompeting 0 2\ncompeting v2 v4\nbenefit 1 0 0.25\n"
                             "benefit v3 v2 1.5\nbenefit v4 v1 0.125\n",
-    formats.parse_usage: "# selection\nn 4\npotential v1 0.5\nedge 2 3\nedge v1 v2\n"
-                         "closure v1 v2\ndecision v2 v1 0.5 accept\n",
+    formats.parse_usage: "# selection\nn 4\npotential v1 0.5\norder v1 v2 v3 v4\nedge 2 3\n"
+                         "edge v1 v2\nclosure v1 v2\nstep v2 objective 0.5\n"
+                         "decision v2 v1 0.5 accept\n",
     formats.parse_benefit: "n 4\nbenefit 1 0 0.25\nbenefit v3 v2 1.5\n",
 }
 
@@ -213,12 +214,16 @@ GRID = {
 @pytest.mark.parametrize("chunk", [1, formats._CHUNK])
 @pytest.mark.parametrize("parse", list(GRID), ids=lambda p: p.__name__)
 def test_every_single_edit_agrees_with_the_checked_loop(parse, chunk):
-    # each odd token in each field of each line, and each line dropped,
-    # repeated, or preceded by an 'n' line (moved or repeated)
+    # each odd token in each field of each line, a few tokens spliced in at
+    # each offset of each line's key word, and each line dropped, repeated,
+    # or preceded by an 'n' line (moved or repeated)
     lines = GRID[parse].split("\n")
     texts = []
     for k, line in enumerate(lines):
         fields = line.split(" ")
+        for o in range(len(fields[0]) + 1):
+            for token in ["\x00", "\t", " ", "#", "\x0b", "s"]:
+                texts.append("\n".join(lines[:k] + [line[:o] + token + line[o:]] + lines[k + 1:]))
         for f in range(len(fields)):
             for token in ODD + ["0", "3", "v4", "v5", "n", "edge", "benefit"]:
                 texts.append("\n".join(lines[:k] + [" ".join(fields[:f] + [token] + fields[f + 1:])]
@@ -246,6 +251,11 @@ def test_plain_edge_lists_skip_the_checked_loop(rng, chunk, n):
     usage, trace = select_collaborators(instance)
     selection = formats.serialize_selection(instance, usage, trace)
     assert n < 80 or len(selection) > 2 * chunk
+
+    # _plain matches a key and its space in a line's first 16 bytes: a
+    # longer key would never match, and its files would all take the loop
+    keys = [*formats._INSTANCE, *formats._USAGE, *formats._BENEFIT_FILE, *formats._SELECTION_KEYS]
+    assert all(len(f"{key} ".encode()) <= 16 for key in keys)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the checked loop read a plain edge list")
