@@ -19,10 +19,10 @@ and each key's columns written into the matrices at once, and any other
 text takes the loop, where :func:`_add_pair` checks each pair line and
 sets its cell, as in configs and reports. Integer fields are an optional
 ``-`` and ASCII digits in both readers, and a placeholder for no
-participant (``none``, or ``-`` in a report) is a field parser's value.
+participant (``none``) is a field parser's value.
 Writers share :func:`_edge_lines` for ``<key> <label> <label>[ <weight>]``
 lines and :func:`_group_lines` for the cover and coalition groups. Configs
-and reports hold one config section under their own key prefixes, its
+and reports hold one config section in the same keys, ``_SECTION``, its
 scalar keys the defaulted fields of :class:`SyntheticConfig` and
 :class:`TrainConfig`: :func:`_configs` builds both classes from it and
 :func:`_config_lines` writes it. :func:`_check_sizes` holds both kinds to
@@ -147,10 +147,6 @@ def _node_or_none(token: str, n: int) -> int | None:
     return None if token == "none" else _node(token, n)
 
 
-def _node_or_dash(token: str, n: int) -> int | None:
-    return None if token == "-" else _node(token, n)
-
-
 # ---------------------------------------------------------------------------
 # the one parse loop
 
@@ -169,7 +165,7 @@ def _grammar(table: dict) -> dict[str, _Rule]:
     for key, (usage, fields) in table.items():
         repeat = fields[-2] if fields[-1] is ... else None
         rules[key] = _Rule(f"'{key} {usage}'", fields[:-2] if repeat else fields, repeat,
-                           not {_node, _node_or_none, _node_or_dash}.isdisjoint(fields))
+                           not {_node, _node_or_none}.isdisjoint(fields))
     return rules
 
 
@@ -389,13 +385,13 @@ def _add_group(members: set[int], line: _Line) -> None:
         members.add(i)
 
 
-def _check_sizes(last: dict[str, _Line], prefix: str = "") -> None:
-    """Refuse the latest '<prefix>samples' line of ``last`` if it has no
-    counts or more than MAX_SAMPLES in all, and the latest '<prefix>degree'
-    if above MAX_DEGREE; earlier lines of either key do not count."""
-    samples, degree = last.get(prefix + "samples"), last.get(prefix + "degree")
+def _check_sizes(last: dict[str, _Line]) -> None:
+    """Refuse the latest 'samples' line of ``last`` if it has no counts or
+    more than MAX_SAMPLES in all, and the latest 'degree' if above
+    MAX_DEGREE; earlier lines of either key do not count."""
+    samples, degree = last.get("samples"), last.get("degree")
     if samples is not None and not samples.values:
-        raise samples.error(f"'{samples.key}' needs one count per participant")
+        raise samples.error("'samples' needs one count per participant")
     if samples is not None and sum(samples.values) > MAX_SAMPLES:
         raise InvalidInstanceError(f"line {samples.no}: {sum(samples.values)} samples exceed "
                                    f"the limit of {MAX_SAMPLES}")
@@ -404,15 +400,15 @@ def _check_sizes(last: dict[str, _Line], prefix: str = "") -> None:
                                    f"limit of {MAX_DEGREE}")
 
 
-def _scalar_keys(cls, prefix: str = "", omit=()) -> dict[str, tuple[str, type]]:
-    """File key -> (field name, int or float) for the defaulted fields of ``cls``."""
-    return {prefix + f.name: (f.name, type(f.default)) for f in dataclasses.fields(cls)
-            if f.default is not dataclasses.MISSING and f.name not in omit}
+def _scalar_keys(cls) -> dict[str, type]:
+    """Field name (also the file key) -> int or float, for the defaulted fields of ``cls``."""
+    return {f.name: type(f.default) for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
 
 
 def _scalar_rules(keys: dict) -> dict:
     return {key: ("<value>", (_int(key) if kind is int else _float(key),))
-            for key, (_, kind) in keys.items()}
+            for key, kind in keys.items()}
 
 
 def _last(last: dict[str, _Line], key: str, default=None):
@@ -422,16 +418,15 @@ def _last(last: dict[str, _Line], key: str, default=None):
 
 def _scalars(last: dict[str, _Line], keys: dict) -> dict:
     """Field name -> value for the keys of ``keys`` that have a line in ``last``."""
-    return {name: last[key].values[0] for key, (name, _) in keys.items() if key in last}
+    return {key: last[key].values[0] for key in keys if key in last}
 
 
 def _scalar_lines(obj, keys: dict) -> list[str]:
-    return [f"{key} {getattr(obj, name)!r}" if kind is float else f"{key} {getattr(obj, name)}"
-            for key, (name, kind) in keys.items()]
+    return [f"{key} {getattr(obj, key)!r}" if kind is float else f"{key} {getattr(obj, key)}"
+            for key, kind in keys.items()]
 
 
-def _configs(last: dict[str, _Line], prefix: str, synth_keys: dict,
-             train_keys: dict) -> tuple[SyntheticConfig, TrainConfig]:
+def _configs(last: dict[str, _Line]) -> tuple[SyntheticConfig, TrainConfig]:
     """The SyntheticConfig and TrainConfig of a file's latest lines, built
     after each line in file order (a key not yet given takes its valid
     default). A value either class refuses becomes a FileFormatError, with
@@ -441,36 +436,39 @@ def _configs(last: dict[str, _Line], prefix: str, synth_keys: dict,
     for line in sorted(last.values()):  # _Line sorts by its line number
         given[line.key] = line
         # without its samples line a config has one sample per participant
-        samples = given[prefix + "samples"].values if prefix + "samples" in given else [1] * n
-        flips = set(given[prefix + "flipped"].values) if prefix + "flipped" in given else set()
+        samples = given["samples"].values if "samples" in given else [1] * n
+        flips = set(given["flipped"].values) if "flipped" in given else set()
         try:
             configs = (SyntheticConfig(n=n, samples=tuple(samples),
                                        flipped=tuple(i in flips for i in range(n)),
-                                       **_scalars(given, synth_keys)),
-                       TrainConfig(**_scalars(given, train_keys)))
+                                       **_scalars(given, _CONFIG_SYNTH)),
+                       TrainConfig(**_scalars(given, _CONFIG_TRAIN)))
         except ValueError as exc:
             raise line.error(str(exc), 1) from None
     return configs
 
 
-def _config_lines(config: SyntheticConfig, keys: dict, prefix: str,
-                  none: str | None) -> list[str]:
-    """The scalar lines of ``config``, its '<prefix>samples' line and its
-    '<prefix>flipped' line, which reads ``none`` when nobody is flipped and
-    is left out when ``none`` is None too."""
-    flips = " ".join(node_label(i) for i, f in enumerate(config.flipped) if f) or none
-    return [*_scalar_lines(config, keys), f"{prefix}samples " + " ".join(map(str, config.samples)),
-            *([f"{prefix}flipped {flips}"] if flips else [])]
+def _config_lines(config: SyntheticConfig) -> list[str]:
+    """The scalar lines of ``config``, its 'samples' line and its 'flipped'
+    line, which is left out when nobody is flipped."""
+    flips = " ".join(node_label(i) for i, f in enumerate(config.flipped) if f)
+    return [*_scalar_lines(config, _CONFIG_SYNTH), "samples " + " ".join(map(str, config.samples)),
+            *([f"flipped {flips}"] if flips else [])]
 
 
 _COMPETING = ("<a> <b>", (_node, _node))
 _BENEFIT = ("<from> <to> <weight>", (_node, _node, _float("benefit weight")))
-_REPS = ("<count>", (_int("reps", 1),))
 
 _CONFIG_SYNTH = _scalar_keys(SyntheticConfig)
 _CONFIG_TRAIN = _scalar_keys(TrainConfig)
-_REPORT_SYNTH = _scalar_keys(SyntheticConfig, "config_", omit=("seed",))  # seed has its own line
-_REPORT_TRAIN = _scalar_keys(TrainConfig, "train_")
+# the config section: a simulation config's lines but 'competing', which a
+# report holds in the same keys
+_SECTION = {
+    "samples": ("<count> ...", (_int("sample count"), ...)),
+    "flipped": ("<participant|none> ...", (_node_or_none, ...)),
+    "reps": ("<count>", (_int("reps", 1),)),
+    **_scalar_rules(_CONFIG_SYNTH), **_scalar_rules(_CONFIG_TRAIN),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -597,13 +595,7 @@ def parse_benefit(text: str, expected_n: int | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # simulation configs
 
-_SIM_CONFIG = _grammar({
-    "samples": ("<count> ...", (_int("sample count"), ...)),
-    "flipped": ("<participant|none> ...", (_node_or_none, ...)),
-    "competing": _COMPETING,
-    "reps": _REPS,
-    **_scalar_rules(_CONFIG_SYNTH), **_scalar_rules(_CONFIG_TRAIN),
-})
+_SIM_CONFIG = _grammar({**_SECTION, "competing": _COMPETING})
 
 
 def parse_sim_config(text: str):
@@ -622,7 +614,7 @@ def parse_sim_config(text: str):
     _check_sizes(last)
     if "samples" not in last:
         raise FileFormatError("config file declares no 'samples'", 1, 1)
-    config, train_config = _configs(last, "", _CONFIG_SYNTH, _CONFIG_TRAIN)
+    config, train_config = _configs(last)
     return config, competing, train_config, _last(last, "reps")
 
 
@@ -633,7 +625,7 @@ def serialize_sim_config(config: SyntheticConfig, competing: np.ndarray,
         raise ValueError(f"reps must be at least 1, got {reps}")
     upper = np.triu(check_competing(config.n, competing))
     lines = ["# synthetic simulation config", f"n {config.n}",
-             *_config_lines(config, _CONFIG_SYNTH, "", None),
+             *_config_lines(config),
              *_edge_lines("competing", upper, _labels(config.n))]
     if train_config is not None:
         lines += _scalar_lines(train_config, _CONFIG_TRAIN)
@@ -659,13 +651,12 @@ def serialize_partitions(cover: Partition, coalitions: Partition) -> str:
 def serialize_report(report: ExperimentReport) -> str:
     cfg = report.config
     lines = ["# experiment report", f"n {cfg.n}",
-             "methods " + " ".join(report.methods),
-             f"reps {report.reps}", f"seed {cfg.seed}"]
+             "methods " + " ".join(report.methods), f"reps {report.reps}"]
     if report.preset is not None:
         lines.append(f"preset {report.preset}")
     lines.append(f"aggregation {report.aggregation}")
-    lines += _config_lines(cfg, _REPORT_SYNTH, "config_", "-")
-    lines += _scalar_lines(report.train_config, _REPORT_TRAIN)
+    lines += _config_lines(cfg)
+    lines += _scalar_lines(report.train_config, _CONFIG_TRAIN)
     lines += _group_lines(report.clique_cover, report.coalitions)
     label = _labels(cfg.n)
     lines += _edge_lines("usage_edge", report.usage, label)
@@ -677,14 +668,9 @@ def serialize_report(report: ExperimentReport) -> str:
 
 _REPORT = _grammar({
     "methods": ("<method> ...", (_choice("method", METHODS), ...)),
-    "reps": _REPS,
-    "seed": ("<value>", (_int("seed"),)),
     "preset": ("<name>", (_word,)),
     "aggregation": ("<word> ...", (_word, ...)),
-    **_scalar_rules(_REPORT_SYNTH),
-    "config_samples": ("<count> ...", (_int("sample count"), ...)),
-    "config_flipped": ("<participant> ... | -", (_node_or_dash, ...)),
-    **_scalar_rules(_REPORT_TRAIN),
+    **_SECTION,
     "cover_mode": ("<exact|greedy>", (_choice("cover_mode", ("exact", "greedy")),)),
     "cover": ("<participant> ...", (_node, ...)),
     "coalition": ("<participant> ...", (_node, ...)),
@@ -725,8 +711,8 @@ def parse_report(text: str) -> ExperimentReport:
                 if method in values[:k]:
                     raise line.error(f"duplicate method {method!r}", k + 1)
 
-    _check_sizes(last, "config_")
-    for key in ("methods", "config_samples"):
+    _check_sizes(last)
+    for key in ("methods", "samples"):
         if key not in last:
             raise FileFormatError(f"report file declares no '{key}'", 1, 1)
     n, methods = last["n"].values[0], tuple(last["methods"].values)
@@ -749,9 +735,7 @@ def parse_report(text: str) -> ExperimentReport:
             raise line.error(f"usage edge ({node_label(j)}, {node_label(i)}) has no "
                              f"positive benefit line")
 
-    # the report's own 'seed' line is the config's seed
-    config, train_config = _configs(last, "config_", _REPORT_SYNTH | {"seed": ("seed", int)},
-                                    _REPORT_TRAIN)
+    config, train_config = _configs(last)
     return ExperimentReport(
         methods=methods, reps=_last(last, "reps", 1),
         mean={m: tuple(mse[m, i].values[2] for i in range(n)) for m in methods},

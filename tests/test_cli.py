@@ -437,17 +437,19 @@ class TestSimulate:
 
 
 # SHA-256 of `simulate --report` (seed 0, --reps 2) as written once the
-# feature map became a running product (x^k = x^(k-1) * x) instead of
-# numpy's vectorized pow; any byte drift in the simulator's output fails
-# here. The bytes do not depend on numpy's SIMD level
+# report's config section took a simulation config's own keys (`rho`, not
+# `config_rho`; `seed` inside the section; no `flipped` line when nobody is
+# flipped); every other line is as the running-product feature map wrote
+# it. Any byte drift in the simulator's output fails here. The bytes do
+# not depend on numpy's SIMD level
 # (test_simulate_bytes_do_not_depend_on_numpy_simd), but they do depend on
 # the kernel OpenBLAS picks at run time for the matrix products: these
 # hashes hold where it runs its SkylakeX kernels, and with
 # OPENBLAS_CORETYPE=Haswell, the kernel of an AVX2-only host, all three
 # simulate hashes differ.
 GOLDEN_SIMULATE = [
-    ("weak_noniid", "75e9a55040733307a364898a1a1ffbedec9dc542a423e183288170a7ac5b232e"),
-    ("strong_noniid", "5486b358c3cd935f412b6d55c9231d14d8b14ae3f51fcdc17904948f1f9977f3"),
+    ("weak_noniid", "184ef9a4ad96925fc1182a0da9b0ef46224e9c660ccd64116db72ef79b53fe27"),
+    ("strong_noniid", "1979a76eb49a7158142c48414afbd09d81544d32baf4eef046ae638a1d743fb2"),
 ]
 
 
@@ -476,9 +478,9 @@ reps 3
 """
 
 # SHA-256 of `simulate --config GOLDEN_CONFIG --report` as written once the
-# feature map became a running product; like GOLDEN_SIMULATE, it holds
-# where OpenBLAS runs its SkylakeX kernels.
-GOLDEN_SIMULATE_CONFIG = "009a9f44fdca499c9d6e065e1fd94b187b78279adea4dcbbc36052d696970e7d"
+# report's config section took a simulation config's own keys; like
+# GOLDEN_SIMULATE, it holds where OpenBLAS runs its SkylakeX kernels.
+GOLDEN_SIMULATE_CONFIG = "2619700e53de1074fe9cd2d59b2f2384c425fe6381b370585132167ba459ed1c"
 
 
 def test_simulate_config_report_is_byte_stable(tmp_path):
@@ -489,11 +491,39 @@ def test_simulate_config_report_is_byte_stable(tmp_path):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_SIMULATE_CONFIG
 
 
+@pytest.mark.parametrize("source", [*(["--preset", p, "--reps", "2"] for p, _ in GOLDEN_SIMULATE),
+                                    ["--config", "{cfg}"]], ids=["weak", "strong", "config"])
+def test_a_report_config_section_is_a_config(tmp_path, source):
+    # a report's lines in a config's keys, read as a config, give back the
+    # report's config, train_config and reps
+    cfg, report = tmp_path / "sim.txt", tmp_path / "report.txt"
+    cfg.write_text(GOLDEN_CONFIG)
+    assert main(["simulate", *(a.format(cfg=cfg) for a in source),
+                 "--out", str(tmp_path / "t.csv"), "--report", str(report)]) == 0
+    text = report.read_text()
+    keys = {"n", *formats._SIM_CONFIG}
+    section = "".join(line for line in text.splitlines(keepends=True)
+                      if line.split(None, 1)[0] in keys)
+    config, competing, train_config, reps = formats.parse_sim_config(section)
+    parsed = formats.parse_report(text)
+    assert (config, train_config, reps) == (parsed.config, parsed.train_config, parsed.reps)
+    assert not competing.any()
+
+
+def test_a_report_in_the_old_prefixed_keys_exits_2(tmp_path, capsys):
+    # the config section as reports spelled it before it took a config's keys
+    old = tmp_path / "r.txt"
+    old.write_text("# experiment report\nn 2\nmethods local\nreps 1\nseed 0\naggregation x\n"
+                   "config_rho 0.01\nconfig_samples 5 5\nconfig_flipped -\ntrain_rounds 20\n"
+                   "cover_mode exact\nmse local v1 0.5 0.1\nmse local v2 0.5 0.1\n")
+    assert main(["report", "--in", str(old), "--out", str(tmp_path / "c.csv")]) == 2
+    assert capsys.readouterr().err == ("error: line 7, column 1: unknown keyword 'config_rho' "
+                                       "in report file\n")
+    assert not (tmp_path / "c.csv").exists()
+
+
 def _numpy_simd_targets() -> list[str]:
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__
-    except ImportError:  # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_dispatch__
+    from numpy._core._multiarray_umath import __cpu_dispatch__
     return list(__cpu_dispatch__)
 
 
@@ -512,10 +542,7 @@ def _golden_simulate_calls(tmp_path, tag: str) -> list[list[str]]:
 _NO_SIMD_RUN = """\
 import json, sys
 from fedcollab.cli import main
-try:
-    from numpy._core._multiarray_umath import __cpu_features__
-except ImportError:
-    from numpy.core._multiarray_umath import __cpu_features__
+from numpy._core._multiarray_umath import __cpu_features__
 print(json.dumps([t for t in sys.argv[2:] if __cpu_features__.get(t)]))
 sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))
 """
@@ -574,8 +601,8 @@ class TestReport:
         assert main(["report", "--in", str(bad), "--out", str(tmp_path / "c.csv")]) == 2
 
     @pytest.mark.parametrize("edit", [
-        lambda text: text.replace("config_samples 60 50 40", "config_samples 20 0 20"),
-        lambda text: text.replace("train_rounds 4", "train_rounds 0"),
+        lambda text: text.replace("samples 60 50 40", "samples 20 0 20"),
+        lambda text: text.replace("rounds 4", "rounds 0"),
         lambda text: text.replace("seed 5", "seed -4"),
         lambda text: text + "n 2\n",
     ])
@@ -617,10 +644,9 @@ class TestReport:
         assert len(err.splitlines()) == 1 and not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("old,new,message", [
-        ("config_rho 0.0", "config_rho -2", "column 12: rho and noise_std must be nonnegative"),
+        ("rho 0.0", "rho -2", "column 5: rho and noise_std must be nonnegative"),
         ("seed 5", "seed -4", "column 6: seed must be nonnegative, got -4"),
-        ("train_rounds 4", "train_rounds 0",
-         "column 14: rounds, local_epochs and batch_size must be positive"),
+        ("rounds 4", "rounds 0", "column 8: rounds, local_epochs and batch_size must be positive"),
     ])
     def test_a_refused_config_value_exits_2_at_its_line(self, tmp_path, capsys, old, new,
                                                         message):
@@ -672,7 +698,7 @@ class TestReport:
 
     def test_oversized_config_samples_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "r.txt"
-        bad.write_text(f"n 2\nmethods local\nconfig_samples 1 {formats.MAX_SAMPLES}\n")
+        bad.write_text(f"n 2\nmethods local\nsamples 1 {formats.MAX_SAMPLES}\n")
         assert main(["report", "--in", str(bad), "--out", str(tmp_path / "c.csv")]) == 3
         err = capsys.readouterr().err
         assert "line 3" in err and f"limit of {formats.MAX_SAMPLES}" in err
@@ -746,7 +772,7 @@ class TestFiles:
 
     def test_repeated_report_methods_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "r.txt"
-        bad.write_text("n 1\nmethods local local\nconfig_samples 5\ncover_mode exact\n"
+        bad.write_text("n 1\nmethods local local\nsamples 5\ncover_mode exact\n"
                        "mse local v1 0.5 0.1\n")
         assert main(["report", "--in", str(bad), "--out", str(tmp_path / "c.csv")]) == 2
         assert "line 2, column 15: duplicate method 'local'" in capsys.readouterr().err
@@ -754,7 +780,7 @@ class TestFiles:
     def test_usage_edge_without_benefit_exits_2(self, tmp_path, capsys):
         # refused at the usage_edge line, but only after every line is read:
         # a benefit line after the edge supports it
-        head = ("n 3\nmethods local\nconfig_samples 5 5 5\ncover_mode exact\n"
+        head = ("n 3\nmethods local\nsamples 5 5 5\ncover_mode exact\n"
                 "mse local v1 0.5 0.1\nmse local v2 0.5 0.1\nmse local v3 0.5 0.1\n")
         bad, out = tmp_path / "r.txt", tmp_path / "c.csv"
         bad.write_text(head + "usage_edge v1 v3\nbenefit v3 v1 0.5\n")

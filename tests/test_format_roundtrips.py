@@ -143,8 +143,8 @@ KEYS = {
     formats.parse_benefit: ["n", "benefit"],
     formats.parse_sim_config: ["n", "samples", "flipped", "competing", "reps", "rho", "degree",
                                "seed", "rounds", "learning_rate"],
-    formats.parse_report: ["n", "methods", "reps", "seed", "preset", "aggregation", "config_rho",
-                           "config_degree", "config_samples", "config_flipped", "train_rounds",
+    formats.parse_report: ["n", "methods", "reps", "seed", "preset", "aggregation", "rho",
+                           "degree", "samples", "flipped", "rounds",
                            "cover_mode", "cover", "coalition", "usage_edge", "benefit", "mse"],
 }
 TRICKY = ["v0", "v1", "v2", "v3", "V2", "0", "1", "2", "3", "-1", "4097", "v²", "٣", "v٣", "３",

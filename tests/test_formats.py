@@ -286,10 +286,10 @@ class TestReportFormat:
 
     def test_missing_rows_detected(self):
         with pytest.raises(FileFormatError, match="missing mse rows"):
-            formats.parse_report("n 2\nmethods local\nconfig_samples 5 5\n"
+            formats.parse_report("n 2\nmethods local\nsamples 5 5\n"
                                  "mse local v1 0.5 0.1\n")
 
-    MINIMAL = ("n 2\nmethods local\nreps 1\nconfig_samples 5 5\ncover_mode exact\n"
+    MINIMAL = ("n 2\nmethods local\nreps 1\nsamples 5 5\ncover_mode exact\n"
                "mse local v1 0.5 0.1\nmse local v2 0.5 0.1\n")
 
     @pytest.mark.parametrize("old,new,message", [
@@ -306,12 +306,10 @@ class TestReportFormat:
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("line,message", [
-        ("config_rho -2", "line 8, column 12: rho and noise_std must be nonnegative"),
+        ("rho -2", "line 8, column 5: rho and noise_std must be nonnegative"),
         ("seed -1", "line 8, column 6: seed must be nonnegative, got -1"),
-        ("train_rounds 0",
-         "line 8, column 14: rounds, local_epochs and batch_size must be positive"),
-        ("config_samples 5", "line 8, column 16: samples must list a positive count "
-                             "per participant"),
+        ("rounds 0", "line 8, column 8: rounds, local_epochs and batch_size must be positive"),
+        ("samples 5", "line 8, column 9: samples must list a positive count per participant"),
     ])
     def test_a_refused_config_value_names_its_line(self, line, message):
         with pytest.raises(FileFormatError) as exc:
@@ -319,22 +317,21 @@ class TestReportFormat:
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("line,flipped", [
-        ("config_flipped -", (False, False)),  # as the writer puts it when nobody is
-        ("config_flipped", (False, False)),
-        ("config_flipped v1 -", (True, False)),  # a '-' anywhere stands for nobody
-        ("config_flipped - v2 - v2", (False, True)),
+        ("flipped none", (False, False)),
+        ("flipped", (False, False)),
+        ("flipped v1 none", (True, False)),  # a 'none' anywhere stands for nobody
+        ("flipped none v2 none v2", (False, True)),
     ])
-    def test_config_flipped_reads_a_dash_as_no_participant(self, line, flipped):
+    def test_config_flipped_reads_none_as_no_participant(self, line, flipped):
         assert formats.parse_report(self.MINIMAL + line + "\n").config.flipped == flipped
 
     @pytest.mark.parametrize("text,message", [
-        ("n 3\nconfig_flipped v9\n",
-         "line 2, column 16: participant 'v9' out of range for n=3"),
-        ("n 3\nconfig_flipped - v9\n",
-         "line 2, column 18: participant 'v9' out of range for n=3"),
-        ("config_flipped -\nn 2\n",
+        ("n 3\nflipped v9\n", "line 2, column 9: participant 'v9' out of range for n=3"),
+        ("n 3\nflipped none v9\n",
+         "line 2, column 14: participant 'v9' out of range for n=3"),
+        ("flipped none\nn 2\n",
          "line 1, column 1: 'n' must be declared before any line that names a participant"),
-        ("config_flipped v1\nn 2\n",
+        ("flipped v1\nn 2\n",
          "line 1, column 1: 'n' must be declared before any line that names a participant"),
     ])
     def test_config_flipped_names_participants_of_n(self, text, message):
@@ -344,7 +341,7 @@ class TestReportFormat:
 
     def test_every_participant_flipped_at_the_node_limit(self):
         n = formats.MAX_NODES
-        text = (f"n {n}\nmethods local\nconfig_samples" + " 5" * n + "\nconfig_flipped "
+        text = (f"n {n}\nmethods local\nsamples" + " 5" * n + "\nflipped "
                 + " ".join(f"v{i + 1}" for i in range(n)) + "\ncover_mode exact\n"
                 + "".join(f"mse local v{i + 1} 0.5 0.1\n" for i in range(n)))
         assert formats.parse_report(text).config.flipped == (True,) * n
@@ -404,7 +401,7 @@ def test_every_n_line_is_bounded(parse):
 
 @pytest.mark.parametrize("parse,line", [
     (formats.parse_sim_config, "samples"),
-    (formats.parse_report, "config_samples"),
+    (formats.parse_report, "samples"),
 ])
 def test_total_samples_are_bounded(parse, line):
     # refused at parse time, before any sample is drawn
@@ -418,7 +415,7 @@ def test_total_samples_are_bounded(parse, line):
 
 @pytest.mark.parametrize("parse,line", [
     (formats.parse_sim_config, "samples"),
-    (formats.parse_report, "config_samples"),
+    (formats.parse_report, "samples"),
 ])
 def test_samples_line_needs_counts(parse, line):
     with pytest.raises(FileFormatError) as exc:
@@ -428,7 +425,7 @@ def test_samples_line_needs_counts(parse, line):
 
 @pytest.mark.parametrize("parse,line", [
     (formats.parse_sim_config, "samples 20 20\ndegree"),
-    (formats.parse_report, "config_samples 20 20\nconfig_degree"),
+    (formats.parse_report, "samples 20 20\ndegree"),
 ])
 def test_degree_is_bounded(parse, line):
     # refused at parse time, before any feature matrix is built
@@ -444,9 +441,8 @@ def _sim_config(lines: str) -> SyntheticConfig:
 
 
 def _report(lines: str) -> SyntheticConfig:
-    minimal = TestReportFormat.MINIMAL.replace("config_samples 5 5\n", "")  # 6 lines left
-    return formats.parse_report(minimal + lines.replace("samples", "config_samples")
-                                .replace("degree", "config_degree")).config
+    minimal = TestReportFormat.MINIMAL.replace("samples 5 5\n", "")  # 6 lines left
+    return formats.parse_report(minimal + lines).config
 
 
 @pytest.mark.parametrize("parse,first", [(_sim_config, 2), (_report, 7)],
@@ -472,7 +468,7 @@ def test_only_the_last_size_line_counts(parse, first):
     (formats.parse_sim_config, "n 2\nsamples 5 ٣\n", 2, 11),
     (formats.parse_sim_config, "n 2\nsamples 5 5\nreps ²\n", 3, 6),
     (formats.parse_sim_config, "n 2\nsamples 5 5\nflipped v²\n", 3, 9),
-    (formats.parse_report, "n 2\nconfig_flipped ٣\n", 2, 16),
+    (formats.parse_report, "n 2\nflipped none ٣\n", 2, 14),
 ])
 def test_participants_and_counts_are_ascii_digits(parse, text, line, col):
     # str.isdigit and int() accept other Unicode digits; the dialect does not
